@@ -6,7 +6,9 @@ every sim/optimize result embeds a manifest (command, parameters, seeds,
 version, checksum of the results block) from which the run can be
 reproduced byte-identically via ``sim --from-manifest``.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a
+``sim --from-manifest`` rerun whose results checksum differs from the
+recorded one (or whose recorded results do not match their checksum).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,9 +31,10 @@ from .regions_layered import (
     single_codebook_endpoints,
     time_share,
 )
-from .pubkey import TestDoubleScheme, pk_decode, pk_encode
-from .sim_binary import SimConfig, build_codebook, run_attack_trials, run_reference_trials
-from .sim_common import stream, wilson_interval
+from .pubkey import TestDoubleScheme, _embed_binary, _extract_binary, index_bits
+from .sim_binary import (SimConfig, bsc_channel, build_codebook, pack_bits, run_attack_trials,
+                         run_binary_trials, run_reference_trials)
+from .sim_common import substitute, wilson_interval
 from .sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
 DB_GRID_LO, DB_GRID_HI = -20.0, 40.0
@@ -52,10 +56,13 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def _checksum(results) -> str:
+    return hashlib.sha256(json.dumps(results, sort_keys=True, indent=2).encode()).hexdigest()
+
+
 def _results_json(manifest_core: dict, results: dict) -> str:
-    body = json.dumps(results, sort_keys=True, indent=2)
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    doc = {"manifest": {**manifest_core, "version": __version__, "output_checksum": checksum},
+    doc = {"manifest": {**manifest_core, "version": __version__,
+                        "output_checksum": _checksum(results)},
            "results": results}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -109,10 +116,12 @@ def cmd_region_layered(args) -> int:
     return 0
 
 
+SIM_PARAMS = ("kind", "n", "tau", "gamma", "p", "delta", "trials", "seed", "seed_secret",
+              "attacker", "attack_p", "rate", "snr_db", "tag_bits", "repetition")
+
+
 def _sim_params(args) -> dict:
-    keys = ("kind", "n", "tau", "gamma", "p", "delta", "trials", "seed", "seed_secret",
-            "attacker", "attack_p", "rate", "snr_db", "tag_bits", "repetition")
-    return {k: getattr(args, k, None) for k in keys}
+    return {k: getattr(args, k, None) for k in SIM_PARAMS}
 
 
 def _run_sim(args) -> dict:
@@ -149,7 +158,7 @@ def _run_sim(args) -> dict:
     lo, hi = wilson_interval(stats.attack_successes, stats.attack_trials)
     return {
         "config": {k: v for k, v in _sim_params(args).items() if v is not None},
-        "stats": stats.as_dict(),
+        "stats": asdict(stats),
         "attack_rate": stats.attack_rate,
         "attack_rate_ci95": [lo, hi],
         **extra,
@@ -158,69 +167,57 @@ def _run_sim(args) -> dict:
 
 def _run_pk_trials(args, config: SimConfig, cb):
     """Public-key trials: reference channel, or codeword substitution with a
-    forged random tag when an attacker is requested."""
+    forged random tag when an attacker is requested.  The decoder ignores
+    the marking and accepts only when the carried tag verifies for the
+    decoded index."""
     scheme = TestDoubleScheme(args.tag_bits)
     key = b"cli-pk-key"
     rep = args.repetition
-    enc_fail = dec_fail = wrong = matched = succ = att = 0
-    forgeries = 0
-    for t in range(config.trials):
-        rng = stream(config.seed_public, 1, t)
-        s = rng.integers(0, 2, config.n).astype(np.uint8)
-        pe = pk_encode(s, cb, scheme, key, delta=config.delta, repetition=rep)
-        if pe is None:
-            enc_fail += 1
-            continue
-        if args.attacker:
-            arng = stream(config.seed_public, 2, t)
-            while True:
-                j = int(arng.integers(0, cb.count))
-                if not (cb.codeword_bits(j) == pe.content).all():
-                    break
-            tag = arng.integers(0, 2, scheme.tag_bits).astype(np.uint8)
-            block = np.concatenate([cb.codeword_bits(j), np.repeat(tag, rep)])
-            att += 1
-        else:
-            noisy = np.concatenate([
-                (pe.content ^ (rng.random(config.n) < config.p).astype(np.uint8)),
-                pe.carrier,
-            ])
-            block = noisy
-        out = pk_decode(block, cb, scheme, key, p=config.p, delta=config.delta, repetition=rep)
-        if not out.authentic:
-            dec_fail += 1
-            continue
-        if out.codeword_index == pe.codeword_index:
-            matched += 1
-        else:
-            wrong += 1
-            if args.attacker:
-                succ += 1
-                forgeries += 1
-    from .sim_common import TrialStats
 
-    stats = TrialStats(
-        trials_run=config.trials, encode_failures=enc_fail, decode_failures=dec_fail,
-        wrong_codeword=wrong, matched=matched, empirical_de=0.0, empirical_dr=0.0,
-        dr_de_max_gap=0.0, attack_successes=succ, attack_trials=att,
-    )
-    return stats, {"tag_forgeries_accepted": forgeries,
+    def tag_check(idx, k, rng):
+        # the carrier passes the reference channel untouched; the attacker
+        # draws its forged tag after its substitute codeword
+        tag = (rng.integers(0, 2, scheme.tag_bits).astype(np.uint8) if args.attacker
+               else scheme.sign(index_bits(int(idx), cb.count), key))
+        tag_hat = _extract_binary(_embed_binary(tag, rep), scheme.tag_bits, rep)
+        return scheme.verify(index_bits(int(k), cb.count), tag_hat, key)
+
+    stats = run_binary_trials(
+        config, cb, substitute(cb) if args.attacker else bsc_channel(config),
+        source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
+        attacked=bool(args.attacker), check_admissibility=False, tag_check=tag_check)
+    stats = replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
+    return stats, {"tag_forgeries_accepted": stats.attack_successes,
                    "codebook_size": cb.count, "admissible_size": cb.n_admissible}
 
 
 def cmd_sim(args) -> int:
+    recorded = None
     if args.from_manifest:
         with open(args.from_manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
-        params = doc["manifest"]["params"]
+        manifest = doc.get("manifest", {}) if isinstance(doc, dict) else {}
+        if manifest.get("command") != "sim" or "output_checksum" not in manifest:
+            raise ValueError(f"{args.from_manifest} is not a sim manifest")
+        params = manifest.get("params", {})
+        unknown = sorted(set(params) - set(SIM_PARAMS))
+        if unknown:
+            raise ValueError(f"unknown manifest params: {', '.join(unknown)}")
         for k, v in params.items():
             setattr(args, k, v)
+        recorded = manifest["output_checksum"]
+        if _checksum(doc.get("results")) != recorded:
+            print("manifest results do not match their recorded checksum", file=sys.stderr)
+            return 4
     if args.seed is None or args.seed_secret is None:
         raise ValueError("sim commands require explicit --seed and --seed-secret")
     results = _run_sim(args)
     manifest = {"command": "sim", "params": _sim_params(args),
                 "seeds": {"seed": args.seed, "seed_secret": args.seed_secret}}
     _write_text(args.out, _results_json(manifest, results))
+    if recorded is not None and _checksum(results) != recorded:
+        print(f"rerun checksum differs from the manifest's {recorded}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -229,42 +229,25 @@ def carrier_channel_robustness(
     """
     scheme = scheme or TestDoubleScheme()
     key = b"carrier-robustness"
-    recovered = 0
     if isinstance(config, SimConfig):
         rep = repetition if repetition is not None else repetition_for_recovery(config.p, scheme.tag_bits)
         cb = codebook if codebook is not None else build_codebook(config)
-        for t in range(config.trials):
-            rng = stream(config.seed_public, 3, t)
-            idx = int(rng.integers(0, cb.count))
-            tag = scheme.sign(index_bits(idx, cb.count), key)
-            carrier = _embed_binary(tag, rep)
-            noisy = apply_bsc(carrier, config.p, rng)
-            tag_hat = _extract_binary(noisy, scheme.tag_bits, rep)
-            recovered += int((tag_hat == tag).all())
+        embed = lambda tag: _embed_binary(tag, rep)
+        channel = lambda carrier, rng: apply_bsc(carrier, config.p, rng)
+        extract = lambda noisy: _extract_binary(noisy, scheme.tag_bits, rep)
     elif isinstance(config, GaussSimConfig):
-        quant_step = 6.0 * math.sqrt(config.sigma_n2)
+        step, sigma_n = 6.0 * math.sqrt(config.sigma_n2), math.sqrt(config.sigma_n2)
         rep = repetition if repetition is not None else 3
         cb = codebook if codebook is not None else build_gauss_codebook(config)
-        for t in range(config.trials):
-            rng = stream(config.seed_public, 3, t)
-            idx = int(rng.integers(0, cb.count))
-            tag = scheme.sign(index_bits(idx, cb.count), key)
-            carrier = _embed_quantized(tag, rep, quant_step)
-            noisy = carrier + rng.normal(0.0, math.sqrt(config.sigma_n2), size=carrier.size)
-            tag_hat = _extract_quantized(noisy, scheme.tag_bits, rep, quant_step)
-            recovered += int((tag_hat == tag).all())
+        embed = lambda tag: _embed_quantized(tag, rep, step)
+        channel = lambda carrier, rng: carrier + rng.normal(0.0, sigma_n, size=carrier.size)
+        extract = lambda noisy: _extract_quantized(noisy, scheme.tag_bits, rep, step)
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
-    return TrialStats(
-        trials_run=config.trials,
-        encode_failures=0,
-        decode_failures=config.trials - recovered,
-        wrong_codeword=0,
-        matched=recovered,
-        empirical_de=0.0,
-        empirical_dr=0.0,
-        dr_de_max_gap=0.0,
-        attack_successes=0,
-        attack_trials=0,
-        tag_recoveries=recovered,
-    )
+    recovered = 0
+    for t in range(config.trials):
+        rng = stream(config.seed_public, 3, t)
+        tag = scheme.sign(index_bits(int(rng.integers(0, cb.count)), cb.count), key)
+        recovered += int((extract(channel(embed(tag), rng)) == tag).all())
+    return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,
+                      matched=recovered, tag_recoveries=recovered)

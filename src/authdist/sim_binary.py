@@ -16,20 +16,14 @@ popcount over the whole codebook at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .core import binary_entropy
-from .sim_common import (
-    ATTACK_KEY,
-    CODEBOOK_KEY,
-    TRIAL_KEY,
-    DecodeOutcome,
-    TrialStats,
-    stream,
-)
+from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark_admissible,
+                         run_trials, stream, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
 
@@ -108,13 +102,8 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return ((words[idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
-def _distances(words: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Hamming distances of every packed row to the packed target."""
-    return np.bitwise_count(words ^ target[None, :]).sum(axis=1)
-
-
 @dataclass(frozen=True)
-class BinCodebook:
+class BinCodebook(Codebook):
     """Indexed random codebook with a keyed admissible subset."""
 
     n: int
@@ -124,24 +113,34 @@ class BinCodebook:
     seed_public: int
     seed_secret: int
 
-    def __post_init__(self):
-        self.words.setflags(write=False)
-        self.admissible.setflags(write=False)
-
     @property
-    def count(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def n_admissible(self) -> int:
-        return int(self.admissible.sum())
-
-    @cached_property
-    def admissible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.admissible)
+    def rows(self) -> np.ndarray:
+        return self.words
 
     def codeword_bits(self, index: int) -> np.ndarray:
         return unpack_bits(self.words[index], self.n)
+
+    def nearest(self, targets: np.ndarray, among=None) -> tuple[np.ndarray, np.ndarray]:
+        """Index and Hamming distance of the nearest codeword to each packed
+        target row, lowest index on ties.  ``among`` restricts the search to
+        an index array, or to one index array per row given as an iterable.
+
+        Rows are scanned one at a time: XOR + popcount of a block of rows
+        against the whole codebook at once is slower.
+        """
+        idx = np.empty(len(targets), dtype=np.int64)
+        dist = np.empty(len(targets), dtype=np.int64)
+        per_row = not (among is None or isinstance(among, np.ndarray))
+        words = None if per_row else self.words if among is None else self.words[among]
+        for i, (target, rows) in enumerate(zip(targets, among if per_row else repeat(among))):
+            d = np.bitwise_count((self.words[rows] if per_row else words) ^ target).sum(axis=1)
+            j = int(np.argmin(d))
+            idx[i], dist[i] = (j if rows is None else rows[j]), d[j]
+        return idx, dist
+
+    def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per-sample Hamming distortion between codewords and packed rows."""
+        return np.bitwise_count(self.words[indices] ^ targets).sum(axis=1) / self.n
 
 
 def build_codebook(config: SimConfig) -> BinCodebook:
@@ -156,31 +155,14 @@ def build_codebook(config: SimConfig) -> BinCodebook:
     n_adm = round(2.0 ** (config.n * (config.rate - config.gamma)))
     n_adm = min(max(n_adm, 1), count)
     words = _random_words(stream(config.seed_public, CODEBOOK_KEY), count, config.n)
-    perm = stream(config.seed_secret, CODEBOOK_KEY).permutation(count)
-    admissible = np.zeros(count, dtype=bool)
-    admissible[perm[:n_adm]] = True
+    admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
     return BinCodebook(config.n, config.tau, words, admissible,
                        config.seed_public, config.seed_secret)
 
 
-def _encode_word(source: np.ndarray, cb: BinCodebook, delta: float) -> int | None:
-    adm = cb.admissible_indices
-    d = _distances(cb.words[adm], source)
-    j = int(np.argmin(d))
-    if d[j] > cb.n * (cb.tau + delta) + 1e-12:
-        return None
-    return int(adm[j])
-
-
-def _decode_word(y: np.ndarray, cb: BinCodebook, p: float, delta: float,
-                 check_admissibility: bool = True) -> int | None:
-    d = _distances(cb.words, y)
-    k = int(np.argmin(d))
-    if d[k] > cb.n * (p + delta) + 1e-12:
-        return None
-    if check_admissibility and not cb.admissible[k]:
-        return None
-    return k
+def _radius(n: int, fraction: float) -> float:
+    """Hamming radius n * fraction, with slack against rounding."""
+    return n * fraction + 1e-12
 
 
 def encode(source, cb: BinCodebook, delta: float):
@@ -194,10 +176,10 @@ def encode(source, cb: BinCodebook, delta: float):
     source = np.asarray(source, dtype=np.uint8)
     if source.size != cb.n:
         raise ValueError(f"source length {source.size} != blocklength {cb.n}")
-    idx = _encode_word(pack_bits(source), cb, delta)
-    if idx is None:
+    (idx,), (d,) = cb.nearest(pack_bits(source)[None, :], cb.admissible_indices)
+    if d > _radius(cb.n, cb.tau + delta):
         return None
-    return cb.codeword_bits(idx), idx
+    return cb.codeword_bits(idx), int(idx)
 
 
 def apply_bsc(x, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -218,60 +200,35 @@ def decode(y, cb: BinCodebook, p: float, delta: float,
     y = np.asarray(y, dtype=np.uint8)
     if y.size != cb.n:
         raise ValueError(f"channel output length {y.size} != blocklength {cb.n}")
-    k = _decode_word(pack_bits(y), cb, p, delta, check_admissibility)
-    if k is None:
+    (k,), (d,) = cb.nearest(pack_bits(y)[None, :])
+    if d > _radius(cb.n, p + delta) or (check_admissibility and not cb.admissible[k]):
         return DecodeOutcome.not_authentic()
-    return DecodeOutcome(cb.codeword_bits(k), k)
+    return DecodeOutcome(cb.codeword_bits(k), int(k))
 
 
 def _flip_mask(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return pack_bits((rng.random(n) < p).astype(np.uint8))
 
 
+def run_binary_trials(config: SimConfig, cb: BinCodebook, channel, source=None,
+                      **kw) -> TrialStats:
+    """The trial driver at the binary encoder and decoder radii; sources are
+    uniform words unless ``source(rng)`` says otherwise."""
+    return run_trials(cb, config.trials, config.seed_public,
+                      source or (lambda rng: _random_words(rng, 1, config.n)[0]), channel,
+                      encode_radius=_radius(cb.n, cb.tau + config.delta),
+                      decode_radius=_radius(cb.n, config.p + config.delta), **kw)
+
+
+def bsc_channel(config: SimConfig):
+    """The reference channel: BSC(p) on the packed codeword."""
+    return lambda x, rng: x ^ _flip_mask(rng, config.n, config.p)
+
+
 def run_reference_trials(config: SimConfig, codebook: BinCodebook | None = None) -> TrialStats:
     """source -> encode -> BSC(p) -> decode, tallied over config.trials."""
     cb = codebook if codebook is not None else build_codebook(config)
-    n = config.n
-    enc_fail = dec_fail = wrong = matched = 0
-    de_sum = dr_sum = 0.0
-    n_rec = 0
-    max_gap = 0.0
-    for t in range(config.trials):
-        rng = stream(config.seed_public, TRIAL_KEY, t)
-        s = _random_words(rng, 1, n)[0]
-        idx = _encode_word(s, cb, config.delta)
-        if idx is None:
-            enc_fail += 1
-            continue
-        x = cb.words[idx]
-        de = int(np.bitwise_count(x ^ s).sum()) / n
-        de_sum += de
-        y = x ^ _flip_mask(rng, n, config.p)
-        k = _decode_word(y, cb, config.p, config.delta)
-        if k is None:
-            dec_fail += 1
-            continue
-        dr = int(np.bitwise_count(cb.words[k] ^ s).sum()) / n
-        dr_sum += dr
-        n_rec += 1
-        if (cb.words[k] == x).all():
-            matched += 1
-            max_gap = max(max_gap, abs(dr - de))
-        else:
-            wrong += 1
-    encoded = config.trials - enc_fail
-    return TrialStats(
-        trials_run=config.trials,
-        encode_failures=enc_fail,
-        decode_failures=dec_fail,
-        wrong_codeword=wrong,
-        matched=matched,
-        empirical_de=de_sum / encoded if encoded else 0.0,
-        empirical_dr=dr_sum / n_rec if n_rec else 0.0,
-        dr_de_max_gap=max_gap,
-        attack_successes=0,
-        attack_trials=0,
-    )
+    return run_binary_trials(config, cb, bsc_channel(config))
 
 
 def run_attack_trials(
@@ -300,55 +257,16 @@ def run_attack_trials(
             raise ValueError("heavy_noise needs attack_p in (p, 1/2]")
     cb = codebook if codebook is not None else build_codebook(config)
     n = config.n
-    enc_fail = dec_fail = wrong = matched = succ = att = 0
-    de_sum = 0.0
-    for t in range(config.trials):
-        if fresh_marking:
-            perm = stream(config.seed_secret, CODEBOOK_KEY, t).permutation(cb.count)
-            admissible = np.zeros(cb.count, dtype=bool)
-            admissible[perm[: cb.n_admissible]] = True
-            cb_t = BinCodebook(cb.n, cb.tau, cb.words, admissible,
-                               cb.seed_public, cb.seed_secret)
-        else:
-            cb_t = cb
-        rng = stream(config.seed_public, TRIAL_KEY, t)
-        s = _random_words(rng, 1, n)[0]
-        idx = _encode_word(s, cb_t, config.delta)
-        if idx is None:
-            enc_fail += 1
-            continue
-        x = cb_t.words[idx]
-        de_sum += int(np.bitwise_count(x ^ s).sum()) / n
-        arng = stream(config.seed_public, ATTACK_KEY, t)
-        if attacker == "substitute_codeword":
-            while True:
-                j = int(arng.integers(0, cb.count))
-                if not (cb.words[j] == x).all():
-                    break
-            y = cb.words[j]
-        elif attacker == "heavy_noise":
-            y = x ^ _flip_mask(arng, n, attack_p)
-        else:
-            y = _random_words(arng, 1, n)[0]
-        att += 1
-        k = _decode_word(y, cb_t, config.p, config.delta)
-        if k is None:
-            dec_fail += 1
-        elif (cb_t.words[k] == x).all():
-            matched += 1
-        else:
-            wrong += 1
-            succ += 1
-    encoded = config.trials - enc_fail
-    return TrialStats(
-        trials_run=config.trials,
-        encode_failures=enc_fail,
-        decode_failures=dec_fail,
-        wrong_codeword=wrong,
-        matched=matched,
-        empirical_de=de_sum / encoded if encoded else 0.0,
-        empirical_dr=0.0,
-        dr_de_max_gap=0.0,
-        attack_successes=succ,
-        attack_trials=att,
-    )
+    if attacker == "substitute_codeword":
+        channel = substitute(cb)
+    elif attacker == "heavy_noise":
+        channel = lambda x, rng: x ^ _flip_mask(rng, n, attack_p)
+    else:
+        channel = lambda x, rng: _random_words(rng, 1, n)[0]
+    marking = None
+    if fresh_marking:
+        marking = lambda t: mark_admissible(
+            stream(config.seed_secret, CODEBOOK_KEY, t), cb.count, cb.n_admissible)
+    stats = run_binary_trials(config, cb, channel, attacked=True, marking=marking)
+    # binary attack runs report the encoding distortion only
+    return replace(stats, empirical_dr=0.0, dr_de_max_gap=0.0)

@@ -1,4 +1,5 @@
-"""Shared trial-statistics types and RNG plumbing for the simulators.
+"""The Monte Carlo trial driver shared by every simulator, its statistics
+types and RNG plumbing.
 
 Randomness discipline: every consumer derives its generator from a
 ``SeedSequence`` with an explicit spawn key, so a (config, seeds) pair maps
@@ -14,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 CODEBOOK_KEY = 0
 TRIAL_KEY = 1
 ATTACK_KEY = 2
+CHUNK = 256    # trials per block of the driver
+MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -65,15 +69,15 @@ class TrialStats:
     """
 
     trials_run: int
-    encode_failures: int
-    decode_failures: int
-    wrong_codeword: int
-    matched: int
-    empirical_de: float
-    empirical_dr: float
-    dr_de_max_gap: float
-    attack_successes: int
-    attack_trials: int
+    encode_failures: int = 0
+    decode_failures: int = 0
+    wrong_codeword: int = 0
+    matched: int = 0
+    empirical_de: float = 0.0
+    empirical_dr: float = 0.0
+    dr_de_max_gap: float = 0.0
+    attack_successes: int = 0
+    attack_trials: int = 0
     tag_recoveries: int = 0
 
     def __post_init__(self):
@@ -97,20 +101,129 @@ class TrialStats:
         bad = self.encode_failures + self.decode_failures + self.wrong_codeword
         return bad / self.trials_run
 
-    def as_dict(self) -> dict:
-        return {
-            "trials_run": self.trials_run,
-            "encode_failures": self.encode_failures,
-            "decode_failures": self.decode_failures,
-            "wrong_codeword": self.wrong_codeword,
-            "matched": self.matched,
-            "empirical_de": self.empirical_de,
-            "empirical_dr": self.empirical_dr,
-            "dr_de_max_gap": self.dr_de_max_gap,
-            "attack_successes": self.attack_successes,
-            "attack_trials": self.attack_trials,
-            "tag_recoveries": self.tag_recoveries,
-        }
+
+class Codebook:
+    """What the trial driver needs of a codebook with a keyed admissible
+    subset.  Subclasses hold ``rows`` (one codeword per row, compared by
+    value) and ``admissible`` (a bool mask over them), and define
+    ``nearest(targets, among=None)``: the index of the nearest codeword to
+    each target row, lowest index on ties, searching only the index array
+    ``among`` when given (per-trial markings pass an iterable of one array
+    per row), and its distance in the unit of the radii passed to
+    ``run_trials``; and ``distortion(indices, targets)``: the
+    per-sample distortion between codewords and target rows.
+    """
+
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+        self.admissible.setflags(write=False)
+
+    @property
+    def count(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def n_admissible(self) -> int:
+        return int(self.admissible.sum())
+
+    @cached_property
+    def admissible_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.admissible)
+
+
+def mark_admissible(rng: np.random.Generator, count: int, n_admissible: int) -> np.ndarray:
+    """Admissible mask: the head of a keyed pseudorandom permutation of the
+    indices, which is a uniformly random subset."""
+    admissible = np.zeros(count, dtype=bool)
+    admissible[rng.permutation(count)[:n_admissible]] = True
+    return admissible
+
+
+def substitute(cb):
+    """Attacker that submits a uniformly drawn codeword other than the
+    encoder's, redrawing while the draw equals the encoder's codeword.
+
+    Raises ValueError unless the codebook holds two distinct codewords,
+    without which the redraw would never end.
+    """
+    rows = cb.rows
+    if not (rows != rows[0]).any():
+        raise ValueError("codeword substitution needs two distinct codewords")
+
+    def attack(x, rng):
+        while True:
+            y = rows[int(rng.integers(0, len(rows)))]
+            if not (y == x).all():
+                return y
+    return attack
+
+
+def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: float,
+               decode_radius: float, attacked: bool = False, marking=None,
+               check_admissibility: bool = True, tag_check=None) -> TrialStats:
+    """source -> encode -> channel or attacker -> decode over a
+    :class:`Codebook`, tallied over trials.
+
+    Trial t draws ``source(rng)`` and the reference ``channel(x, rng)``
+    from ``(seed, (1, t))``; when ``attacked`` the channel is an attacker
+    fed from ``(seed, (2, t))`` and every encoded trial is an attack, won
+    by a wrong reconstruction.  The encoder takes the nearest admissible
+    codeword within ``encode_radius``; the decoder the nearest codeword,
+    rejected beyond ``decode_radius``, when forbidden (if
+    ``check_admissibility``; ``marking(t)`` replaces the admissible mask of
+    trial t) or when ``tag_check(encoded, decoded, rng)`` fails.
+
+    Trials run in blocks of CHUNK (fewer when per-trial masks would exceed
+    MARKING_BYTES) and every sum is one ``math.fsum`` over per-trial values,
+    so the result does not depend on the block size.
+    """
+    enc_fail = dec_fail = wrong = matched = 0
+    de: list[float] = []
+    dr: list[float] = []
+    max_gap = 0.0
+    block = CHUNK if marking is None else max(1, min(CHUNK, MARKING_BYTES // cb.count))
+    for start in range(0, trials, block):
+        ts = range(start, min(start + block, trials))
+        rngs = [stream(seed, TRIAL_KEY, t) for t in ts]
+        sources = np.stack([source(rng) for rng in rngs])
+        masks = None if marking is None else [marking(t) for t in ts]
+        among = (cb.admissible_indices if masks is None
+                 else (np.flatnonzero(m) for m in masks))
+        idx, dist = cb.nearest(sources, among)
+        ok = np.flatnonzero(dist <= encode_radius)
+        enc_fail += len(ts) - ok.size
+        if not ok.size:
+            continue
+        idx, sources, x = idx[ok], sources[ok], cb.rows[idx[ok]]
+        d_e = cb.distortion(idx, sources)
+        de.extend(d_e.tolist())
+        channel_rngs = [stream(seed, ATTACK_KEY, ts[i]) if attacked else rngs[i] for i in ok]
+        k, dist = cb.nearest(np.stack([channel(row, rng) for row, rng in zip(x, channel_rngs)]))
+        accept = dist <= decode_radius
+        if check_admissibility:
+            accept &= cb.admissible[k] if masks is None else [masks[i][j] for i, j in zip(ok, k)]
+        if tag_check is not None:
+            accept &= [a and tag_check(*args) for a, *args in zip(accept, idx, k, channel_rngs)]
+        same = accept & (cb.rows[k] == x).all(axis=1)
+        d_r = cb.distortion(k, sources)
+        dec_fail += int((~accept).sum())
+        matched += int(same.sum())
+        wrong += int((accept & ~same).sum())
+        dr.extend(d_r[accept].tolist())
+        max_gap = max([max_gap, *np.abs(d_r - d_e)[same].tolist()])
+    encoded = trials - enc_fail
+    return TrialStats(
+        trials_run=trials,
+        encode_failures=enc_fail,
+        decode_failures=dec_fail,
+        wrong_codeword=wrong,
+        matched=matched,
+        empirical_de=math.fsum(de) / encoded if encoded else 0.0,
+        empirical_dr=math.fsum(dr) / len(dr) if dr else 0.0,
+        dr_de_max_gap=max_gap,
+        attack_successes=wrong if attacked else 0,
+        attack_trials=encoded if attacked else 0,
+    )
 
 
 def binomial_sigma(rate: float, trials: int) -> float:

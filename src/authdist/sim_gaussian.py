@@ -23,17 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .sim_common import (
-    ATTACK_KEY,
-    CODEBOOK_KEY,
-    TRIAL_KEY,
-    DecodeOutcome,
-    TrialStats,
-    stream,
-)
+from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark_admissible,
+                         run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
-CHUNK = 256
+CHUNK = 256    # target rows per BLAS score matrix
 
 GAUSS_ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
@@ -80,36 +74,44 @@ class GaussSimConfig:
 
 
 @dataclass(frozen=True)
-class GaussCodebook:
+class GaussCodebook(Codebook):
     codewords: np.ndarray       # (count, n) float
     admissible: np.ndarray      # (count,) bool
     sigma_s2: float
     seed_public: int
     seed_secret: int
 
-    def __post_init__(self):
-        self.codewords.setflags(write=False)
-        self.admissible.setflags(write=False)
+    @property
+    def rows(self) -> np.ndarray:
+        return self.codewords
 
     @property
     def n(self) -> int:
         return self.codewords.shape[1]
 
-    @property
-    def count(self) -> int:
-        return self.codewords.shape[0]
-
-    @property
-    def n_admissible(self) -> int:
-        return int(self.admissible.sum())
-
-    @cached_property
-    def admissible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.admissible)
-
     @cached_property
     def _sqnorms(self) -> np.ndarray:
         return (self.codewords * self.codewords).sum(axis=1)
+
+    def nearest(self, targets: np.ndarray, among: np.ndarray | None = None):
+        """Index and per-sample squared distance of the nearest codeword to
+        each target row (lowest index on ties), searching only the indices
+        ``among`` when given; chunked BLAS score matrices."""
+        rows, sqnorms = self.codewords, self._sqnorms
+        if among is not None:
+            rows, sqnorms = rows[among], sqnorms[among]
+        idx = np.empty(targets.shape[0], dtype=np.int64)
+        for start in range(0, targets.shape[0], CHUNK):
+            block = targets[start:start + CHUNK]
+            scores = sqnorms[None, :] - 2.0 * (block @ rows.T)
+            idx[start:start + CHUNK] = np.argmin(scores, axis=1)
+        if among is not None:
+            idx = among[idx]
+        return idx, self.distortion(idx, targets)
+
+    def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per-sample squared error between codewords and target rows."""
+        return ((self.codewords[indices] - targets) ** 2).mean(axis=1)
 
 
 def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
@@ -120,21 +122,9 @@ def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
     n_adm = min(max(n_adm, 1), count)
     rng = stream(config.seed_public, CODEBOOK_KEY)
     codewords = rng.normal(0.0, math.sqrt(config.sigma_s2), size=(count, config.n))
-    perm = stream(config.seed_secret, CODEBOOK_KEY).permutation(count)
-    admissible = np.zeros(count, dtype=bool)
-    admissible[perm[:n_adm]] = True
+    admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
     return GaussCodebook(codewords, admissible, config.sigma_s2,
                          config.seed_public, config.seed_secret)
-
-
-def _nearest(cb_rows: np.ndarray, sqnorms: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row index of the nearest codeword for each target row (chunked BLAS)."""
-    out = np.empty(targets.shape[0], dtype=np.int64)
-    for start in range(0, targets.shape[0], CHUNK):
-        block = targets[start:start + CHUNK]
-        scores = sqnorms[None, :] - 2.0 * (block @ cb_rows.T)
-        out[start:start + CHUNK] = np.argmin(scores, axis=1)
-    return out
 
 
 def gauss_encode(source, cb: GaussCodebook, radius_budget: float | None = None):
@@ -143,15 +133,10 @@ def gauss_encode(source, cb: GaussCodebook, radius_budget: float | None = None):
     source = np.asarray(source, dtype=float)
     if source.size != cb.n:
         raise ValueError(f"source length {source.size} != blocklength {cb.n}")
-    adm = cb.admissible_indices
-    j = _nearest(cb.codewords[adm], cb._sqnorms[adm], source[None, :])[0]
-    idx = int(adm[j])
-    x = cb.codewords[idx]
-    if radius_budget is not None:
-        d2 = float(((x - source) ** 2).mean())
-        if d2 > radius_budget:
-            return None
-    return x, idx
+    (idx,), (d2,) = cb.nearest(source[None, :], cb.admissible_indices)
+    if radius_budget is not None and d2 > radius_budget:
+        return None
+    return cb.codewords[idx], int(idx)
 
 
 def gauss_decode(y, cb: GaussCodebook, radius: float,
@@ -161,13 +146,10 @@ def gauss_decode(y, cb: GaussCodebook, radius: float,
     y = np.asarray(y, dtype=float)
     if y.size != cb.n:
         raise ValueError(f"output length {y.size} != blocklength {cb.n}")
-    k = int(_nearest(cb.codewords, cb._sqnorms, y[None, :])[0])
-    d2 = float(((cb.codewords[k] - y) ** 2).mean())
-    if d2 > radius:
+    (k,), (d2,) = cb.nearest(y[None, :])
+    if d2 > radius or (check_admissibility and not cb.admissible[k]):
         return DecodeOutcome.not_authentic()
-    if check_admissibility and not cb.admissible[k]:
-        return DecodeOutcome.not_authentic()
-    return DecodeOutcome(cb.codewords[k].copy(), k)
+    return DecodeOutcome(cb.codewords[k].copy(), int(k))
 
 
 def run_gauss_trials(
@@ -190,76 +172,19 @@ def run_gauss_trials(
         raise ValueError(f"attacker must be one of {GAUSS_ATTACKERS}")
     cb = codebook if codebook is not None else build_gauss_codebook(config)
     n = config.n
-    adm = cb.admissible_indices
-    cbA, sqA = cb.codewords[adm], cb._sqnorms[adm]
-    enc_fail = dec_fail = wrong = matched = succ = att = 0
-    de_sum = dr_sum = 0.0
-    n_enc = n_rec = 0
-    max_gap = 0.0
     sigma_s = math.sqrt(config.sigma_s2)
     sigma_n = math.sqrt(config.sigma_n2)
-    for start in range(0, config.trials, CHUNK):
-        trials = range(start, min(start + CHUNK, config.trials))
-        rngs = [stream(config.seed_public, TRIAL_KEY, t) for t in trials]
-        sources = np.stack([r.normal(0.0, sigma_s, size=n) for r in rngs])
-        jj = _nearest(cbA, sqA, sources)
-        enc_idx = adm[jj]
-        x = cb.codewords[enc_idx]
-        d2 = ((x - sources) ** 2).mean(axis=1)
-        keep = np.ones(len(trials), dtype=bool)
-        if encode_budget is not None:
-            keep = d2 <= encode_budget
-            enc_fail += int((~keep).sum())
-        de_sum += float(d2[keep].sum())
-        n_enc += int(keep.sum())
-        if mode == "reference":
-            noise = np.stack([r.normal(0.0, sigma_n, size=n) for r in rngs])
-            y = x + noise
-        else:
-            y = np.empty((len(trials), n))
-            for i, t in enumerate(trials):
-                arng = stream(config.seed_public, ATTACK_KEY, t)
-                if attacker == "substitute_codeword":
-                    while True:
-                        j = int(arng.integers(0, cb.count))
-                        if j != enc_idx[i]:
-                            break
-                    y[i] = cb.codewords[j]
-                elif attacker == "heavy_noise":
-                    scale = math.sqrt(attack_param) if attack_param else 2.0 * sigma_n
-                    y[i] = x[i] + arng.normal(0.0, scale, size=n)
-                else:
-                    y[i] = arng.normal(0.0, math.sqrt(config.sigma_s2 + config.sigma_n2), size=n)
-        kk = _nearest(cb.codewords, cb._sqnorms, y)
-        dy2 = ((cb.codewords[kk] - y) ** 2).mean(axis=1)
-        for i in range(len(trials)):
-            if not keep[i]:
-                continue
-            if mode == "attack":
-                att += 1
-            rejected = dy2[i] > config.decode_radius or not cb.admissible[kk[i]]
-            if rejected:
-                dec_fail += 1
-                continue
-            dr = float(((cb.codewords[kk[i]] - sources[i]) ** 2).mean())
-            dr_sum += dr
-            n_rec += 1
-            if kk[i] == enc_idx[i]:
-                matched += 1
-                max_gap = max(max_gap, abs(dr - d2[i]))
-            else:
-                wrong += 1
-                if mode == "attack":
-                    succ += 1
-    return TrialStats(
-        trials_run=config.trials,
-        encode_failures=enc_fail,
-        decode_failures=dec_fail,
-        wrong_codeword=wrong,
-        matched=matched,
-        empirical_de=de_sum / n_enc if n_enc else 0.0,
-        empirical_dr=dr_sum / n_rec if n_rec else 0.0,
-        dr_de_max_gap=max_gap,
-        attack_successes=succ,
-        attack_trials=att,
-    )
+    if mode == "reference":
+        channel = lambda x, rng: x + rng.normal(0.0, sigma_n, size=n)
+    elif attacker == "substitute_codeword":
+        channel = substitute(cb)
+    elif attacker == "heavy_noise":
+        scale = math.sqrt(attack_param) if attack_param else 2.0 * sigma_n
+        channel = lambda x, rng: x + rng.normal(0.0, scale, size=n)
+    else:
+        scale = math.sqrt(config.sigma_s2 + config.sigma_n2)
+        channel = lambda x, rng: rng.normal(0.0, scale, size=n)
+    return run_trials(cb, config.trials, config.seed_public,
+                      lambda rng: rng.normal(0.0, sigma_s, size=n), channel,
+                      encode_radius=math.inf if encode_budget is None else encode_budget,
+                      decode_radius=config.decode_radius, attacked=mode == "attack")

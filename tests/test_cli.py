@@ -143,3 +143,44 @@ def test_optimize_command(tmp_path):
     for row in doc["results"]["witness_u_given_s"]:
         assert sum(row) == pytest.approx(1.0, abs=1e-9)
     assert doc["manifest"]["params"]["cardinality"] == 7
+
+
+def _small_sim_manifest(tmp_path):
+    path = tmp_path / "run.json"
+    assert main(["sim", "binary", "--n", "16", "--trials", "200", "--seed", "7",
+                 "--seed-secret", "8", "--attacker", "substitute_codeword",
+                 "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+def _results_checksum(results):
+    import hashlib
+    return hashlib.sha256(json.dumps(results, sort_keys=True, indent=2).encode()).hexdigest()
+
+
+def test_manifest_rerun_that_differs_exits_4(tmp_path):
+    path, doc = _small_sim_manifest(tmp_path)
+    # edited results under a matching checksum: the rerun cannot reproduce them
+    doc["results"]["stats"]["matched"] += 1
+    doc["manifest"]["output_checksum"] = _results_checksum(doc["results"])
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "b.json")]) == 4
+    # edited results under the old checksum: refused before any rerun
+    path, doc = _small_sim_manifest(tmp_path)
+    doc["results"]["attack_rate"] = 0.0
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "c.json")]) == 4
+
+
+def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path):
+    path, doc = _small_sim_manifest(tmp_path)
+    opt = tmp_path / "opt.json"
+    opt.write_text(json.dumps({"manifest": {
+        "command": "optimize", "params": {"de": 0.2, "dr": 0.2, "p": 0.2, "cardinality": 7,
+                                          "restarts": 4, "seed": 0},
+        "seeds": {"seed": 0}, "version": "0.1.0", "output_checksum": "0" * 64},
+        "results": {}}))
+    assert main(["sim", "--from-manifest", str(opt), "--out", str(tmp_path / "x.json")]) == 2
+    doc["manifest"]["params"]["block_size"] = 7
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "y.json")]) == 2
