@@ -80,7 +80,8 @@ def _run(argv, tmp_path):
     return json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("name", ["bin_substitute.json", "bin_heavy_noise.json", "pk_forgery.json"])
+@pytest.mark.parametrize("name", ["bin_substitute.json", "bin_heavy_noise.json", "pk_forgery.json",
+                                  "gauss_substitute.json"])
 def test_golden_manifest_replays_byte_identically(name, tmp_path):
     rerun = tmp_path / name
     assert main(["sim", "--from-manifest", str(OUT / name), "--out", str(rerun)]) == 0
