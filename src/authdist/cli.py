@@ -205,6 +205,9 @@ def cmd_sim(args) -> int:
             raise ValueError(f"unknown manifest params: {', '.join(unknown)}")
         for k, v in params.items():
             setattr(args, k, v)
+        if manifest.get("version") != __version__:
+            print(f"manifest written by authdist {manifest.get('version')}, "
+                  f"replayed by {__version__}", file=sys.stderr)
         recorded = manifest["output_checksum"]
         if _checksum(doc.get("results")) != recorded:
             print("manifest results do not match their recorded checksum", file=sys.stderr)
@@ -278,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed-secret", type=int, default=None)
     sim.add_argument("--attacker", choices=("substitute_codeword", "heavy_noise", "random_vector"),
                      default=None)
-    sim.add_argument("--attack-p", type=float, default=None)
+    sim.add_argument("--attack-p", type=float, default=None,
+                     help="heavy_noise strength: binary, a BSC crossover probability in "
+                          "(p, 1/2]; gaussian, a per-sample noise variance > 0 "
+                          "(default 4 sigma_n^2)")
     sim.add_argument("--rate", type=float, default=2.0, help="gaussian codebook rate (bits/sample)")
     sim.add_argument("--snr-db", type=float, default=20.0, help="gaussian SNR in dB")
     sim.add_argument("--tag-bits", type=int, default=64)

@@ -9,6 +9,11 @@ codeword itself, so reconstruction distortion equals encoding distortion
 on every correctly decoded trial, and the admissible fraction 2^(-n gamma)
 bounds every attacker's success probability.
 
+Both nearest-codeword searches are exact k-d tree queries (one tree over
+the codebook for the decoder, one over the admissible rows for the
+encoder, each built once per codebook), which keep the lowest-index tie
+rule of the ``Codebook`` protocol.
+
 Desk-scale caveat: at the blocklengths the tractability cap allows, the
 empirical distortions sit well above the asymptotic sigma_n2 value; the
 claims checked here are the per-trial identity, the attack bound, and
@@ -22,12 +27,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark_admissible,
                          run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
-CHUNK = 256    # target rows per BLAS score matrix
+CHUNK = 256    # rows per score matrix of the former full scan; read by perfbench/tracer.py
 
 GAUSS_ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
@@ -90,23 +96,38 @@ class GaussCodebook(Codebook):
         return self.codewords.shape[1]
 
     @cached_property
-    def _sqnorms(self) -> np.ndarray:
-        return (self.codewords * self.codewords).sum(axis=1)
+    def _all_indices(self) -> np.ndarray:
+        return np.arange(self.count)
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.codewords)
+
+    @cached_property
+    def _admissible_tree(self) -> cKDTree:
+        return cKDTree(self.codewords[self.admissible_indices])
 
     def nearest(self, targets: np.ndarray, among: np.ndarray | None = None):
         """Index and per-sample squared distance of the nearest codeword to
-        each target row (lowest index on ties), searching only the indices
-        ``among`` when given; chunked BLAS score matrices."""
-        rows, sqnorms = self.codewords, self._sqnorms
-        if among is not None:
-            rows, sqnorms = rows[among], sqnorms[among]
-        idx = np.empty(targets.shape[0], dtype=np.int64)
-        for start in range(0, targets.shape[0], CHUNK):
-            block = targets[start:start + CHUNK]
-            scores = sqnorms[None, :] - 2.0 * (block @ rows.T)
-            idx[start:start + CHUNK] = np.argmin(scores, axis=1)
-        if among is not None:
-            idx = among[idx]
+        each target row, searching only the indices ``among`` when given.
+
+        An exact k-d tree search over the whole codebook or over
+        ``admissible_indices`` (any other ``among`` gets a tree of its own)
+        finds the two nearest rows; where their distances are equal, the
+        target is rescanned with direct distances and the lowest index
+        among the minima wins.
+        """
+        if among is None:
+            among, tree = self._all_indices, self._tree
+        elif among is self.admissible_indices:
+            tree = self._admissible_tree
+        else:
+            tree = cKDTree(self.codewords[among])
+        dist, pos = tree.query(targets, k=2)
+        idx = among[pos[:, 0]]
+        for i in np.flatnonzero(dist[:, 0] == dist[:, 1]):
+            d2 = ((tree.data - targets[i]) ** 2).sum(axis=1)
+            idx[i] = among[d2 == d2.min()].min()
         return idx, self.distortion(idx, targets)
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -165,11 +186,16 @@ def run_gauss_trials(
     mode="reference": source -> nearest admissible -> AWGN -> decode.
     mode="attack": the attacker replaces the channel output; success iff
     the decoder outputs a reconstruction different from the encoder's.
+    ``attack_param`` is heavy_noise's per-sample noise variance, positive
+    (None: 4 sigma_n2).
     """
     if mode not in ("reference", "attack"):
         raise ValueError("mode must be 'reference' or 'attack'")
     if mode == "attack" and attacker not in GAUSS_ATTACKERS:
         raise ValueError(f"attacker must be one of {GAUSS_ATTACKERS}")
+    if mode == "attack" and attacker == "heavy_noise" and not (
+            attack_param is None or attack_param > 0):
+        raise ValueError("heavy_noise needs a positive per-sample noise variance attack_p")
     cb = codebook if codebook is not None else build_gauss_codebook(config)
     n = config.n
     sigma_s = math.sqrt(config.sigma_s2)
@@ -179,7 +205,7 @@ def run_gauss_trials(
     elif attacker == "substitute_codeword":
         channel = substitute(cb)
     elif attacker == "heavy_noise":
-        scale = math.sqrt(attack_param) if attack_param else 2.0 * sigma_n
+        scale = 2.0 * sigma_n if attack_param is None else math.sqrt(attack_param)
         channel = lambda x, rng: x + rng.normal(0.0, scale, size=n)
     else:
         scale = math.sqrt(config.sigma_s2 + config.sigma_n2)

@@ -184,3 +184,43 @@ def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path):
     doc["manifest"]["params"]["block_size"] = 7
     path.write_text(json.dumps(doc))
     assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "y.json")]) == 2
+
+
+@pytest.mark.parametrize("attack_p", ["0", "-1", "nan"])
+def test_gaussian_heavy_noise_rejects_a_non_positive_variance(attack_p, tmp_path, capsys):
+    assert main(["sim", "gaussian", "--n", "4", "--rate", "1", "--trials", "5",
+                 "--seed", "1", "--seed-secret", "2", "--attacker", "heavy_noise",
+                 "--attack-p", attack_p, "--out", str(tmp_path / "g.json")]) == 2
+    assert "positive per-sample noise variance" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_gaussian_heavy_noise_defaults_only_without_attack_p(tmp_path):
+    base = ["sim", "gaussian", "--n", "4", "--rate", "2", "--trials", "200", "--seed", "1",
+            "--seed-secret", "2", "--attacker", "heavy_noise"]
+    runs = {}
+    for name, extra in (("default", []), ("four", ["--attack-p", "4"]),
+                        ("tiny", ["--attack-p", "1e-6"])):
+        out = tmp_path / f"{name}.json"
+        assert main([*base, *extra, "--out", str(out)]) == 0
+        runs[name] = json.loads(out.read_text())["results"]["stats"]
+    # the default is a variance of 4 sigma_n^2, and a tiny variance is used as given
+    assert runs["default"] == runs["four"] != runs["tiny"]
+
+
+def test_manifest_replay_reports_a_version_mismatch(tmp_path, capsys):
+    path, doc = _small_sim_manifest(tmp_path)
+    capsys.readouterr()
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().err == ""
+    doc["manifest"]["version"] = "0.0.1"
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "b.json")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "0.0.1" in err[0]
+    assert json.loads((tmp_path / "b.json").read_text())["results"] == doc["results"]
+    # the mismatch line comes on top of the exit codes, never instead of them
+    doc["results"]["attack_rate"] = 0.0
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "c.json")]) == 4
+    assert len(capsys.readouterr().err.splitlines()) == 2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from authdist.sim_common import binomial_sigma, stream
 from authdist.sim_gaussian import (
@@ -134,3 +135,86 @@ def test_encode_budget_counts_failures(codebook):
     cfg = make_config(trials=200)
     stats = run_gauss_trials(cfg, "reference", encode_budget=1e-6, codebook=codebook)
     assert stats.encode_failures == stats.trials_run
+
+
+# -- nearest-codeword search against a direct-distance brute force ----------
+
+def _hand_codebook(rows):
+    rows = np.asarray(rows, dtype=float)
+    return GaussCodebook(rows, np.ones(len(rows), dtype=bool), 1.0, 0, 0)
+
+
+def _brute_nearest(cb, targets, among=None):
+    among = np.arange(cb.count) if among is None else np.asarray(among)
+    idx = np.empty(len(targets), dtype=np.int64)
+    for i, t in enumerate(targets):
+        d2 = ((cb.codewords[among] - t) ** 2).sum(axis=1)
+        idx[i] = among[d2 == d2.min()].min()
+    return idx, ((cb.codewords[idx] - targets) ** 2).mean(axis=1)
+
+
+def _assert_matches_brute(cb, targets, among=None):
+    idx, dist = cb.nearest(targets, among)
+    want_idx, want_dist = _brute_nearest(cb, targets, among)
+    assert (idx == want_idx).all()
+    assert (dist == want_dist).all()
+
+
+def test_nearest_matches_brute_force_on_random_targets(codebook):
+    rng = np.random.default_rng(7)
+    sources = rng.normal(0.0, 10.0, size=(300, 8))
+    outputs = codebook.codewords[rng.integers(0, codebook.count, 300)] + rng.normal(size=(300, 8))
+    subset = np.sort(rng.choice(codebook.count, 500, replace=False))
+    for targets in (sources, outputs):
+        _assert_matches_brute(codebook, targets)
+        _assert_matches_brute(codebook, targets, codebook.admissible_indices)
+        _assert_matches_brute(codebook, targets, codebook.admissible_indices.copy())
+        _assert_matches_brute(codebook, targets, subset)
+        _assert_matches_brute(codebook, targets, subset[::-1].copy())
+
+
+def test_nearest_finds_exact_codeword_hits(codebook):
+    picks = np.random.default_rng(8).integers(0, codebook.count, 200)
+    idx, dist = codebook.nearest(codebook.codewords[picks])
+    assert (idx == picks).all() and (dist == 0.0).all()
+    adm = codebook.admissible_indices[::97]
+    idx, dist = codebook.nearest(codebook.codewords[adm], codebook.admissible_indices)
+    assert (idx == adm).all() and (dist == 0.0).all()
+
+
+def test_nearest_lowest_index_wins_among_duplicate_rows():
+    cb = _hand_codebook([[5, 5, 5, 5], [1, 2, 3, 4], [0, 0, 0, 0],
+                         [1, 2, 3, 4], [0, 0, 0, 0], [1, 2, 3, 4]])
+    targets = np.array([[1, 2, 3, 4], [1.1, 2, 3, 4], [0, 0, 0, 0.2], [9, 9, 9, 9]])
+    assert cb.nearest(targets)[0].tolist() == [1, 1, 2, 0]
+    assert cb.nearest(targets, np.array([3, 4, 5]))[0].tolist() == [3, 3, 4, 3]
+    assert cb.nearest(targets, np.array([5, 4, 3]))[0].tolist() == [3, 3, 4, 3]
+    # a target equidistant from two distinct rows takes the lower index
+    assert cb.nearest(np.array([[0.5, 1, 1.5, 2]]))[0].tolist() == [1]
+    for among in (None, np.array([0, 2, 4]), np.array([1, 3, 5])):
+        _assert_matches_brute(cb, targets, among)
+
+
+@pytest.mark.parametrize("rows", [[[1.0, -2.0, 0.5, 3.0]],
+                                  [[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 0.0, 0.0]],
+                                  [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]])
+def test_nearest_on_one_and_two_row_codebooks(rows):
+    cb = _hand_codebook(rows)
+    rng = np.random.default_rng(9)
+    targets = np.vstack([cb.codewords, rng.normal(0.0, 2.0, size=(50, 4))])
+    _assert_matches_brute(cb, targets)
+    _assert_matches_brute(cb, targets, np.array([len(rows) - 1]))
+    _assert_matches_brute(cb, targets, cb.admissible_indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 40), n=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_nearest_keeps_the_tie_rule_on_integer_lattices(count, n, seed):
+    # small integer coordinates give exact distances and many exact ties
+    rng = np.random.default_rng(seed)
+    cb = _hand_codebook(rng.integers(-2, 3, size=(count, n)))
+    targets = rng.integers(-3, 4, size=(30, n)) / 2.0
+    among = np.flatnonzero(rng.random(count) < 0.5)
+    _assert_matches_brute(cb, targets)
+    if among.size:
+        _assert_matches_brute(cb, targets, among)
