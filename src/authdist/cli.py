@@ -9,6 +9,8 @@ reproduced byte-identically via ``sim --from-manifest``.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a
 ``sim --from-manifest`` rerun whose results checksum differs from the
 recorded one (or whose recorded results do not match their checksum).
+Replaying a manifest written by another version prints one line on stderr
+and leaves the exit code as it is.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark
                          run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
-CHUNK = 256    # rows per score matrix of the former full scan; read by perfbench/tracer.py
+CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
 
 GAUSS_ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 

@@ -162,8 +162,8 @@ def _assert_matches_brute(cb, targets, among=None):
 
 def test_nearest_matches_brute_force_on_random_targets(codebook):
     rng = np.random.default_rng(7)
-    sources = rng.normal(0.0, 10.0, size=(300, 8))
-    outputs = codebook.codewords[rng.integers(0, codebook.count, 300)] + rng.normal(size=(300, 8))
+    sources = rng.normal(0.0, 10.0, size=(200, 8))
+    outputs = codebook.codewords[rng.integers(0, codebook.count, 200)] + rng.normal(size=(200, 8))
     subset = np.sort(rng.choice(codebook.count, 500, replace=False))
     for targets in (sources, outputs):
         _assert_matches_brute(codebook, targets)
