@@ -175,6 +175,8 @@ def _run_pk_trials(args, config: SimConfig, cb):
     scheme = TestDoubleScheme(args.tag_bits)
     key = b"cli-pk-key"
     rep = args.repetition
+    if rep < 1:
+        raise ValueError("repetition must be >= 1")
 
     def tag_check(idx, k, rng):
         # the carrier passes the reference channel untouched; the attacker

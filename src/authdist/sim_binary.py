@@ -88,12 +88,10 @@ def _random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """(n,) bits -> (W,) uint64 words, LSB-first within each word."""
-    bits = np.asarray(bits, dtype=np.uint64)
-    n = bits.size
-    out = np.zeros(_n_words(n), dtype=np.uint64)
-    idx = np.arange(n)
-    np.bitwise_or.at(out, idx // 64, bits << (idx % 64).astype(np.uint64))
-    return out
+    packed = np.packbits(bits, bitorder="little")
+    buf = np.zeros(8 * _n_words(len(bits)), dtype=np.uint8)
+    buf[:packed.size] = packed
+    return buf.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -125,15 +123,21 @@ class BinCodebook(Codebook):
         target row, lowest index on ties.  ``among`` restricts the search to
         an index array, or to one index array per row given as an iterable.
 
-        Rows are scanned one at a time: XOR + popcount of a block of rows
-        against the whole codebook at once is slower.
+        Rows are scanned one at a time, popcounting the XOR one word column
+        at a time into an accumulator wide enough for 64 W bits: XOR +
+        popcount of a block of rows against the whole codebook at once is
+        slower, and so is a reduction along the word axis.
         """
         idx = np.empty(len(targets), dtype=np.int64)
         dist = np.empty(len(targets), dtype=np.int64)
         per_row = not (among is None or isinstance(among, np.ndarray))
         words = None if per_row else self.words if among is None else self.words[among]
+        acc = np.min_scalar_type(64 * self.words.shape[1])
         for i, (target, rows) in enumerate(zip(targets, among if per_row else repeat(among))):
-            d = np.bitwise_count((self.words[rows] if per_row else words) ^ target).sum(axis=1)
+            w = self.words[rows] if per_row else words
+            d = np.bitwise_count(w[:, 0] ^ target[0]).astype(acc, copy=False)
+            for col in range(1, len(target)):
+                d += np.bitwise_count(w[:, col] ^ target[col])
             j = int(np.argmin(d))
             idx[i], dist[i] = (j if rows is None else rows[j]), d[j]
         return idx, dist
@@ -207,7 +211,7 @@ def decode(y, cb: BinCodebook, p: float, delta: float,
 
 
 def _flip_mask(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    return pack_bits((rng.random(n) < p).astype(np.uint8))
+    return pack_bits(rng.random(n) < p)
 
 
 def run_binary_trials(config: SimConfig, cb: BinCodebook, channel, source=None,

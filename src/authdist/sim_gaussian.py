@@ -12,7 +12,9 @@ bounds every attacker's success probability.
 Both nearest-codeword searches are exact k-d tree queries (one tree over
 the codebook for the decoder, one over the admissible rows for the
 encoder, each built once per codebook), which keep the lowest-index tie
-rule of the ``Codebook`` protocol.
+rule of the ``Codebook`` protocol: the decoder's tie check counts the rows
+within a relative 1e-9 of the nearest distance, the encoder's finds the
+second nearest row.
 
 Desk-scale caveat: at the blocklengths the tractability cap allows, the
 empirical distortions sit well above the asymptotic sigma_n2 value; the
@@ -113,19 +115,24 @@ class GaussCodebook(Codebook):
 
         An exact k-d tree search over the whole codebook or over
         ``admissible_indices`` (any other ``among`` gets a tree of its own)
-        finds the two nearest rows; where their distances are equal, the
-        target is rescanned with direct distances and the lowest index
-        among the minima wins.
+        finds the nearest row.  Over the whole codebook, rows within
+        ``d1 (1 + 1e-9)`` of the target are counted (d1 the nearest
+        distance); elsewhere the second nearest row is found, which costs
+        less there.  Where another row comes that close, the target is
+        rescanned with direct distances and the lowest index among the
+        minima wins.
         """
         if among is None:
             among, tree = self._all_indices, self._tree
-        elif among is self.admissible_indices:
-            tree = self._admissible_tree
+            dist, pos = tree.query(targets, k=1)
+            tied = tree.query_ball_point(targets, dist * (1 + 1e-9), return_length=True) > 1
         else:
-            tree = cKDTree(self.codewords[among])
-        dist, pos = tree.query(targets, k=2)
-        idx = among[pos[:, 0]]
-        for i in np.flatnonzero(dist[:, 0] == dist[:, 1]):
+            tree = (self._admissible_tree if among is self.admissible_indices
+                    else cKDTree(self.codewords[among]))
+            dist, pos = tree.query(targets, k=2)
+            tied, pos = dist[:, 0] == dist[:, 1], pos[:, 0]
+        idx = among[pos]
+        for i in np.flatnonzero(tied):
             d2 = ((tree.data - targets[i]) ** 2).sum(axis=1)
             idx[i] = among[d2 == d2.min()].min()
         return idx, self.distortion(idx, targets)

@@ -224,3 +224,18 @@ def test_manifest_replay_reports_a_version_mismatch(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "c.json")]) == 4
     assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("repetition", ["0", "-1"])
+def test_pk_rejects_a_repetition_below_one(repetition, tmp_path, capsys):
+    assert main(["sim", "pk", "--n", "16", "--trials", "5", "--seed", "5", "--seed-secret", "6",
+                 "--repetition", repetition, "--out", str(tmp_path / "pk.json")]) == 2
+    assert "repetition must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "pk.json").exists()
+
+
+def test_a_negative_seed_is_a_configuration_error(tmp_path):
+    for kind in (["binary", "--n", "16"], ["gaussian", "--n", "4", "--rate", "1"],
+                 ["pk", "--n", "16"]):
+        assert main(["sim", *kind, "--trials", "5", "--seed", "-1", "--seed-secret", "2",
+                     "--out", str(tmp_path / "x.json")]) == 2

@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -36,6 +37,25 @@ def handmade_codebook(patterns, admissible, n, tau=0.2):
 def test_pack_unpack_roundtrip(n):
     bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
     assert (unpack_bits(pack_bits(bits), n) == bits).all()
+
+
+def _pack_bits_by_or_at(bits):
+    """The bit-at-a-time packing formula pack_bits must reproduce."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    out = np.zeros((bits.size + 63) // 64, dtype=np.uint64)
+    idx = np.arange(bits.size)
+    np.bitwise_or.at(out, idx // 64, bits << (idx % 64).astype(np.uint64))
+    return out
+
+
+def test_pack_bits_matches_the_bitwise_or_formula():
+    rng = np.random.default_rng(4)
+    for n in range(1, 201):
+        for bits in (rng.integers(0, 2, n).astype(np.uint8), rng.random(n) < 0.5,
+                     np.ones(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)):
+            got, want = pack_bits(bits), _pack_bits_by_or_at(bits)
+            assert got.dtype == np.uint64 and got.shape == want.shape
+            assert (got == want).all()
 
 
 def test_config_validation():
@@ -258,3 +278,69 @@ def test_heavy_noise_needs_param():
         run_attack_trials(cfg, "heavy_noise", attack_p=0.05)   # not heavier than p
     with pytest.raises(ValueError):
         run_attack_trials(cfg, "unknown_attacker")
+
+
+# -- nearest-codeword search against distances over unpacked bits ----------
+
+def _brute_nearest(cb, targets, among=None):
+    """Lowest-index nearest codeword by distances over unpacked bits."""
+    bits = np.stack([cb.codeword_bits(i) for i in range(cb.count)])
+    rows_of = (repeat(np.arange(cb.count)) if among is None
+               else repeat(among) if isinstance(among, np.ndarray) else among)
+    idx, dist = [], []
+    for target, rows in zip(targets, rows_of):
+        d = (bits[rows] != unpack_bits(target, cb.n)).sum(axis=1)
+        idx.append(rows[d == d.min()].min())
+        dist.append(d.min())
+    return np.array(idx), np.array(dist)
+
+
+def _assert_matches_brute(cb, targets, among=None):
+    idx, dist = cb.nearest(targets, among if among is None or isinstance(among, np.ndarray)
+                           else iter(among))
+    want_idx, want_dist = _brute_nearest(cb, targets, among)
+    assert idx.tolist() == want_idx.tolist()
+    assert dist.tolist() == want_dist.tolist()
+
+
+@pytest.mark.parametrize("n", [32, 70, 130])
+def test_nearest_matches_brute_force_over_unpacked_bits(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, size=(600, n)).astype(np.uint8)
+    bits[400:450] = bits[10:60]          # duplicates of lower-index rows
+    cb = handmade_codebook(bits, rng.random(600) < 0.3, n)
+    noisy = bits[rng.integers(0, 600, 40)] ^ (rng.random((40, n)) < 0.1)
+    targets = np.stack([pack_bits(b) for b in np.vstack(
+        [bits[400:420], noisy, rng.integers(0, 2, size=(40, n))])])
+    markings = [np.flatnonzero(rng.random(600) < 0.2) for _ in targets]
+    _assert_matches_brute(cb, targets)
+    _assert_matches_brute(cb, targets, cb.admissible_indices)
+    _assert_matches_brute(cb, targets, markings)
+    assert cb.nearest(targets[:20])[0].tolist() == list(range(10, 30))
+
+
+def test_nearest_lowest_index_wins_among_duplicate_rows():
+    n = 70
+    zeros, ones = [0] * n, [1] * n
+    two = [1, 1] + [0] * (n - 2)
+    far = [1] * 64 + [0] * (n - 64)
+    cb = handmade_codebook([ones, two, zeros, two, zeros, far], [True] * 6, n)
+    targets = np.stack([pack_bits(np.array(t, dtype=np.uint8))
+                        for t in (zeros, two, [1] + [0] * (n - 1), ones)])
+    assert cb.nearest(targets)[0].tolist() == [2, 1, 1, 0]
+    assert cb.nearest(targets, np.array([3, 4, 5]))[0].tolist() == [4, 3, 3, 5]
+    assert [int(i) for i in cb.nearest(targets, iter([np.array([0, 3]), np.array([4, 5]),
+                                                      np.array([1, 2, 3]), np.array([1, 3])]))[0]
+            ] == [3, 4, 1, 1]
+    _assert_matches_brute(cb, targets)
+
+
+def test_nearest_distances_do_not_wrap_past_255_bits():
+    # 260 bits over five words: the all-ones row lies 260 bits from the
+    # zero target, which an 8-bit count would wrap to 4 < 10
+    n = 260
+    ten = [1] * 10 + [0] * (n - 10)
+    cb = handmade_codebook([[1] * n, ten], [True, True], n)
+    (idx,), (dist,) = cb.nearest(pack_bits(np.zeros(n, dtype=np.uint8))[None, :])
+    assert (idx, dist) == (1, 10)
+    assert cb.nearest(pack_bits(np.ones(n, dtype=np.uint8))[None, :])[1].tolist() == [0]

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -63,6 +64,33 @@ def test_results_do_not_depend_on_the_block_size(path, setting, value, codebooks
     assert codebooks[0].count == 5592
     monkeypatch.setattr(sim_common, setting, value)
     assert PATHS[path](*codebooks) == default
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 3, 2 ** 200]),
+                  st.integers(0, 2 ** 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, key=st.sampled_from([0, 1, 2]),
+       ts=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 32 - 1)), max_size=5))
+def test_streams_match_one_stream_per_trial(seed, key, ts):
+    got = sim_common.streams(seed, key, ts)
+    assert len(got) == len(ts)
+    for rng, t in zip(got, ts):
+        want = sim_common.stream(seed, key, t)
+        assert rng.integers(0, 2 ** 63, 3).tolist() == want.integers(0, 2 ** 63, 3).tolist()
+        assert rng.random(2).tolist() == want.random(2).tolist()
+        assert rng.normal(size=2).tolist() == want.normal(size=2).tolist()
+
+
+def test_streams_reject_what_seed_sequence_rejects():
+    with pytest.raises(ValueError) as want:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=str(want.value)):
+        sim_common.streams(-1, sim_common.TRIAL_KEY, range(3))
+    for t in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match="trial indices"):
+            sim_common.streams(5, sim_common.TRIAL_KEY, [0, t])
 
 
 # both configurations pass validation and build a one-codeword codebook
