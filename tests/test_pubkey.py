@@ -15,7 +15,7 @@ from authdist.pubkey import (
     _extract_quantized,
 )
 from authdist.sim_binary import SimConfig, build_codebook, decode, encode
-from authdist.sim_common import stream
+from authdist.sim_common import TrialStats, stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook
 
 KS = KP = b"matched-test-key"
@@ -210,3 +210,17 @@ def test_gaussian_carrier_robustness():
                          seed_public=5, seed_secret=6)
     stats = carrier_channel_robustness(cfg, TestDoubleScheme(64), repetition=3)
     assert stats.tag_recoveries / cfg.trials >= 0.99
+
+
+def test_carrier_robustness_pinned_stats():
+    # recorded with one stream(seed_public, 3, t) per trial; 600 trials span
+    # three driver blocks
+    cfg = bin_config(p=0.05, trials=600)
+    stats = carrier_channel_robustness(cfg, TestDoubleScheme(64), repetition=3)
+    assert stats == TrialStats(trials_run=600, decode_failures=216, matched=384,
+                               tag_recoveries=384)
+    gcfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=600,
+                          seed_public=5, seed_secret=6)
+    gstats = carrier_channel_robustness(gcfg, TestDoubleScheme(64), repetition=1)
+    assert gstats == TrialStats(trials_run=600, decode_failures=80, matched=520,
+                                tag_recoveries=520)
