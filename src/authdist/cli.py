@@ -110,7 +110,7 @@ def cmd_region_layered(args) -> int:
         pts = region_slice(scn, de, args.resolution)
         for sp in pts:
             lines.append(f"{_fmt(de_db)},layered,{_fmt(_db(sp.triple.drf))},{_fmt(_db(sp.triple.drc))}")
-        end_a, end_b = single_codebook_endpoints(scn, de, args.resolution)
+        end_a, end_b = single_codebook_endpoints(scn, de, pts)
         for lam in np.linspace(0.0, 1.0, 21):
             mix = time_share(end_a, end_b, float(lam))
             lines.append(f"{_fmt(de_db)},timeshare,{_fmt(_db(mix.drf))},{_fmt(_db(mix.drc))}")
@@ -127,16 +127,18 @@ def _sim_params(args) -> dict:
 
 
 def _run_sim(args) -> dict:
-    if args.kind == "binary":
+    extra = {}
+    if args.kind in ("binary", "pk"):
         config = SimConfig(n=args.n, tau=args.tau, gamma=args.gamma, p=args.p,
                            delta=args.delta, trials=args.trials,
                            seed_public=args.seed, seed_secret=args.seed_secret)
         cb = build_codebook(config)
-        if args.attacker:
+        if args.kind == "pk":
+            stats, extra = _run_pk_trials(args, config, cb)
+        elif args.attacker:
             stats = run_attack_trials(config, args.attacker, args.attack_p, cb)
         else:
             stats = run_reference_trials(config, cb)
-        extra = {"codebook_size": cb.count, "admissible_size": cb.n_admissible}
     elif args.kind == "gaussian":
         sigma_n2 = 1.0
         config = GaussSimConfig(n=args.n, rate=args.rate,
@@ -148,13 +150,6 @@ def _run_sim(args) -> dict:
         mode = "attack" if args.attacker else "reference"
         stats = run_gauss_trials(config, mode, args.attacker or "substitute_codeword",
                                  args.attack_p, codebook=cb)
-        extra = {"codebook_size": cb.count, "admissible_size": cb.n_admissible}
-    elif args.kind == "pk":
-        config = SimConfig(n=args.n, tau=args.tau, gamma=args.gamma, p=args.p,
-                           delta=args.delta, trials=args.trials,
-                           seed_public=args.seed, seed_secret=args.seed_secret)
-        cb = build_codebook(config)
-        stats, extra = _run_pk_trials(args, config, cb)
     else:
         raise ValueError(f"unknown sim kind {args.kind!r}")
     lo, hi = wilson_interval(stats.attack_successes, stats.attack_trials)
@@ -163,6 +158,8 @@ def _run_sim(args) -> dict:
         "stats": asdict(stats),
         "attack_rate": stats.attack_rate,
         "attack_rate_ci95": [lo, hi],
+        "codebook_size": cb.count,
+        "admissible_size": cb.n_admissible,
         **extra,
     }
 
@@ -191,8 +188,7 @@ def _run_pk_trials(args, config: SimConfig, cb):
         source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
         attacked=bool(args.attacker), check_admissibility=False, tag_check=tag_check)
     stats = replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
-    return stats, {"tag_forgeries_accepted": stats.attack_successes,
-                   "codebook_size": cb.count, "admissible_size": cb.n_admissible}
+    return stats, {"tag_forgeries_accepted": stats.attack_successes}
 
 
 def cmd_sim(args) -> int:

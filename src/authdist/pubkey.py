@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim_binary import BinCodebook, SimConfig, apply_bsc, build_codebook, decode, encode
-from .sim_common import DecodeOutcome, TrialStats, stream
+from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams
 from .sim_gaussian import GaussCodebook, GaussSimConfig, build_gauss_codebook, gauss_decode, gauss_encode
 
 
@@ -245,9 +245,10 @@ def carrier_channel_robustness(
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
     recovered = 0
-    for t in range(config.trials):
-        rng = stream(config.seed_public, 3, t)
-        tag = scheme.sign(index_bits(int(rng.integers(0, cb.count)), cb.count), key)
-        recovered += int((extract(channel(embed(tag), rng)) == tag).all())
+    for start in range(0, config.trials, CHUNK):
+        block = range(start, min(start + CHUNK, config.trials))
+        for rng in streams(config.seed_public, CARRIER_KEY, block):
+            tag = scheme.sign(index_bits(int(rng.integers(0, cb.count)), cb.count), key)
+            recovered += int((extract(channel(embed(tag), rng)) == tag).all())
     return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,
                       matched=recovered, tag_recoveries=recovered)

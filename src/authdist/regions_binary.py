@@ -103,13 +103,26 @@ def param_distortions(params: BinaryAuxParams) -> tuple[float, float]:
     return de, de + (1.0 - params.alpha) * params.nu
 
 
-def _tau_nu_grids(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, np.ndarray]:
+def _de_grid(p: float, resolution: int) -> np.ndarray:
+    """The D_e grid of a frontier on [0, 1/2], after checking p and resolution."""
+    if not (0.0 <= p <= 0.5):
+        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    return np.linspace(0.0, 0.5, resolution)
+
+
+def _tau_nu_table(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
+    """(T, V, B1, B2) over the (tau, nu) grid, indexed [tau, nu]: the flip
+    rates and the coded and uncoded gap brackets (the uncoded one <= 0)."""
     tau = np.linspace(GRID_EPS, 0.5 - GRID_EPS, ntau)
     if 0.0 < p < 0.5:
         # the flat part of the frontier needs tau == p exactly
         tau = np.unique(np.append(tau, p))
     nu = np.linspace(GRID_EPS, 0.5 - GRID_EPS, nnu)
-    return tau, nu
+    b1 = binary_entropy_arr(tau) - binary_entropy(p)
+    b2 = binary_entropy_arr(nu) - binary_entropy_arr(p + nu - 2 * p * nu)
+    return (*np.meshgrid(tau, nu, indexing="ij"), *np.meshgrid(b1, b2, indexing="ij"))
 
 
 def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -> RegionCurve:
@@ -123,12 +136,7 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
     grid.  Infeasible grid points report D_r = 1/2, which is always
     achievable by ignoring the channel output.
     """
-    if not (0.0 <= p <= 0.5):
-        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    de_grid = np.linspace(0.0, 0.5, resolution)
-
+    de_grid = _de_grid(p, resolution)
     if p == 0.0:
         # Digital-signature corner: gap = alpha h(tau) >= 0 always, and the
         # open-interval infimum nu -> 0 gives D_r -> 0 at every budget.
@@ -136,11 +144,7 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
         wit = tuple(BinaryAuxParams(0.0, 0.25, GRID_EPS) for _ in de_grid)
         return RegionCurve(de_grid, dr, wit)
 
-    tau, nu = _tau_nu_grids(p, ntau, nnu)
-    b1 = binary_entropy_arr(tau) - binary_entropy(p)                   # coded bracket
-    b2 = binary_entropy_arr(nu) - binary_entropy_arr(p + nu - 2 * p * nu)  # uncoded, <= 0
-    T, V = np.meshgrid(tau, nu, indexing="ij")
-    B1, B2 = np.meshgrid(b1, b2, indexing="ij")
+    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
     span = B1 - B2
     with np.errstate(divide="ignore", invalid="ignore"):
         # smallest alpha with alpha B1 + (1-alpha) B2 >= 0
@@ -211,11 +215,7 @@ def qe_boundary(p: float, resolution: int = 500) -> RegionCurve:
     D_r; the right is what the watermark can carry.  Zero capacity pins
     D_r = 1/2.
     """
-    if not (0.0 <= p <= 0.5):
-        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    de_grid = np.linspace(0.0, 0.5, resolution)
+    de_grid = _de_grid(p, resolution)
     dr = np.empty_like(de_grid)
     for i, de in enumerate(de_grid):
         cap = embedding_capacity(float(de), p)
@@ -340,11 +340,7 @@ def best_family_member(de: float, dr: float, p: float,
     if p == 0.0:
         return BinaryAuxParams(min(1.0, de / 0.25) if de < 0.25 else 1.0,
                                0.25, GRID_EPS)
-    tau, nu = _tau_nu_grids(p, ntau, nnu)
-    b1 = binary_entropy_arr(tau) - binary_entropy(p)
-    b2 = binary_entropy_arr(nu) - binary_entropy_arr(p + nu - 2 * p * nu)
-    T, V = np.meshgrid(tau, nu, indexing="ij")
-    B1, B2 = np.meshgrid(b1, b2, indexing="ij")
+    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_de = np.where(T > 0, de / T, np.inf)
         a_dr = np.where(T > V, (dr - V) / (T - V), np.inf)
@@ -413,6 +409,18 @@ def optimize_rate_fn(
         starts.append(np.concatenate([q0.reshape(-1), r0.reshape(-1)]))
 
     bounds = [(0.0, 1.0)] * (4 * K)
+    simplex_jac = np.concatenate([np.kron(np.eye(2), np.ones((1, K))), np.zeros((2, 2 * K))], axis=1)
+    fixed_cons = [
+        {"type": "eq", "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
+         "jac": lambda zz: simplex_jac},
+        {"type": "ineq", "fun": lambda zz: de - _de_value_grad(zz, K)[0],
+         "jac": lambda zz: -_de_value_grad(zz, K)[1]},
+    ]
+
+    def neg_gap(zz):
+        val, grad = _gap_value_grad(zz, K, p)
+        return -val, -grad
+
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     converged = False
     for z0 in starts:
@@ -421,34 +429,12 @@ def optimize_rate_fn(
         g = _best_decoder(q0 / q0.sum(axis=1, keepdims=True))
         ok = False
         for _ in range(4):
-            cons = [
-                {
-                    "type": "eq",
-                    "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
-                    "jac": lambda zz: np.concatenate(
-                        [np.kron(np.eye(2), np.ones((1, K))), np.zeros((2, 2 * K))], axis=1
-                    ),
-                },
-                {
-                    "type": "ineq",
-                    "fun": lambda zz: de - _de_value_grad(zz, K)[0],
-                    "jac": lambda zz: -_de_value_grad(zz, K)[1],
-                },
-                {
-                    "type": "ineq",
-                    "fun": lambda zz, g=g: dr - _dr_value_grad(zz, K, g)[0],
-                    "jac": lambda zz, g=g: -_dr_value_grad(zz, K, g)[1],
-                },
-            ]
-            res = minimize(
-                lambda zz: -_gap_value_grad(zz, K, p)[0],
-                z,
-                jac=lambda zz: -_gap_value_grad(zz, K, p)[1],
-                method="SLSQP",
-                bounds=bounds,
-                constraints=cons,
-                options={"maxiter": max_iter, "ftol": 1e-12},
-            )
+            # the reconstruction budget is linear for a fixed hard decoder g
+            dr_con = {"type": "ineq", "fun": lambda zz, g=g: dr - _dr_value_grad(zz, K, g)[0],
+                      "jac": lambda zz, g=g: -_dr_value_grad(zz, K, g)[1]}
+            res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
+                           constraints=[*fixed_cons, dr_con],
+                           options={"maxiter": max_iter, "ftol": 1e-12})
             z = np.clip(res.x, 0.0, 1.0)
             ok = ok or res.success
             qn = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)

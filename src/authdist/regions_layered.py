@@ -190,7 +190,10 @@ def _max_feasible_beta(scenario: LayeredScenario, a2: float, b2: float, alpha: f
 
     The margin is increasing in beta (stronger refinement needs more
     information through the fine channel), so the feasible set is an
-    interval (0, beta_max].
+    interval (0, beta_max].  The geometric bisection keeps lo feasible and
+    hi infeasible and stops when their midpoint rounds to one of them,
+    i.e. when they are adjacent floats (about 60 steps from [1e-9, 1e9]);
+    it returns lo, the last feasible float.
     """
     lo = 1e-9
     if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, lo)) > FEAS_TOL:
@@ -198,8 +201,7 @@ def _max_feasible_beta(scenario: LayeredScenario, a2: float, b2: float, alpha: f
     hi = 1e9
     if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, hi)) <= FEAS_TOL:
         return hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
+    while (mid := math.sqrt(lo * hi)) not in (lo, hi):
         if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, mid)) <= FEAS_TOL:
             lo = mid
         else:
@@ -214,7 +216,9 @@ def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) ->
     sigma_b2 = de - sigma_a2, fixes the coarse scaling at its largest
     feasible root, and pushes the refinement scaling to the edge of the
     determinant condition (drf decreases with beta, drc does not depend on
-    it).  Output is Pareto-minimal, sorted by drf increasing.
+    it).  Output is Pareto-minimal, sorted by drf increasing with drc
+    strictly decreasing; :func:`single_codebook_endpoints` reads the
+    time-sharing endpoints off it.
     """
     if de <= 0:
         raise ValueError("De must be positive")
@@ -266,20 +270,21 @@ def time_share(point_a: DistortionTriple, point_b: DistortionTriple, lam: float)
 
 
 def single_codebook_endpoints(
-    scenario: LayeredScenario, de: float, resolution: int = 100
+    scenario: LayeredScenario, de: float, points: list[SlicePoint]
 ) -> tuple[DistortionTriple, DistortionTriple]:
-    """Time-sharing endpoints at budget de.
+    """Time-sharing endpoints at budget de, read off ``points``, the
+    :func:`region_slice` at that budget.
 
     Coarse-only endpoint: all innovation in the coarse layer; its fine
     reconstruction equals the coarse one.  Fine-only endpoint: all
     innovation in the refinement; its coarse reconstruction is the prior
-    mean, at distortion sigma_s2.
+    mean, at distortion sigma_s2.  The slice is sorted by drf with drc
+    strictly decreasing, so its last point has the smallest drc and its
+    first the smallest drf.
     """
-    pts = region_slice(scenario, de, resolution)
-    if not pts:
+    if not points:
         raise ValueError("empty slice; no endpoints available")
-    coarse_end = min(pts, key=lambda sp: sp.triple.drc)
-    fine_end = min(pts, key=lambda sp: sp.triple.drf)
-    a = DistortionTriple(de, coarse_end.triple.drc, coarse_end.triple.drc)
-    b = DistortionTriple(de, scenario.sigma_s2, fine_end.triple.drf)
+    drc = points[-1].triple.drc
+    a = DistortionTriple(de, drc, drc)
+    b = DistortionTriple(de, scenario.sigma_s2, points[0].triple.drf)
     return a, b

@@ -9,6 +9,8 @@ to bit-identical results no matter how trials are batched:
 - ``(seed_secret, (0,))``   admissibility marking
 - ``(seed_public, (1, t))`` source and reference-channel noise of trial t
 - ``(seed_public, (2, t))`` attacker randomness of trial t (public knowledge)
+- ``(seed_public, (3, t))`` tag and carrier noise of trial t in
+  ``pubkey.carrier_channel_robustness``
 
 The driver derives a block's per-trial generators at once with
 :func:`streams`, bit-identical to one :func:`stream` call per trial: the
@@ -35,6 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 CODEBOOK_KEY = 0
 TRIAL_KEY = 1
 ATTACK_KEY = 2
+CARRIER_KEY = 3
 CHUNK = 256    # trials per block of the driver
 MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
 

@@ -201,7 +201,7 @@ def test_criterion_09_layered_containment():
     pts = region_slice(scn, 1.0, resolution=60)
     drf = np.array([sp.triple.drf for sp in pts])
     drc = np.array([sp.triple.drc for sp in pts])
-    end_a, end_b = single_codebook_endpoints(scn, 1.0, resolution=60)
+    end_a, end_b = single_codebook_endpoints(scn, 1.0, pts)
     for lam in np.linspace(0.0, 1.0, 21):
         mix = time_share(end_a, end_b, float(lam))
         assert float(np.interp(mix.drf, drf, drc)) <= mix.drc + 1e-9

@@ -12,7 +12,11 @@ from authdist.regions_binary import (
     params_to_joint,
     qe_boundary,
     rate_gap,
+    _best_decoder,
+    _de_value_grad,
+    _dr_value_grad,
     _evaluate,
+    _gap_value_grad,
 )
 
 H_02 = 0.7219280948873623
@@ -214,3 +218,30 @@ class TestOptimizeRateFn:
             if wde <= de and wdr <= dr:
                 best = max(best, rate_gap(w, p))
         assert res.value >= best - 1e-3
+
+
+def _central_differences(f, z, h=1e-6):
+    grad = np.empty_like(z)
+    for i in range(z.size):
+        e = np.zeros_like(z)
+        e[i] = h
+        grad[i] = (f(z + e) - f(z - e)) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2])
+def test_gradient_of_objective_and_budgets_matches_central_differences(p):
+    K = 7
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        # interior point: every q(u|s) >= 1/(2K), every X=1 probability in (0.05, 0.95)
+        q = 0.5 * rng.dirichlet(np.ones(K), size=2) + 0.5 / K
+        r = rng.uniform(0.05, 0.95, (K, 2))
+        z = np.concatenate([q.reshape(-1), r.reshape(-1)])
+        g = _best_decoder(q)
+        for value_grad in (lambda zz: _gap_value_grad(zz, K, p),
+                           lambda zz: _de_value_grad(zz, K),
+                           lambda zz: _dr_value_grad(zz, K, g)):
+            grad = value_grad(z)[1]
+            numeric = _central_differences(lambda zz: value_grad(zz)[0], z)
+            assert np.abs(numeric - grad).max() <= 1e-5 * np.abs(grad).max()

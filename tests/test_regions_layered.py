@@ -5,6 +5,7 @@ import pytest
 
 from authdist.regions_gaussian import GaussianScenario, inner_bound_dr
 from authdist.regions_layered import (
+    FEAS_TOL,
     DistortionTriple,
     LayeredParams,
     LayeredScenario,
@@ -18,6 +19,7 @@ from authdist.regions_layered import (
     single_codebook_endpoints,
     single_layer_bounds,
     time_share,
+    _max_feasible_beta,
 )
 
 SCN = LayeredScenario(sigma_s2=1000.0, sigma_n2=1.0, sigma_v2=10.0)
@@ -169,7 +171,7 @@ def test_time_share_endpoints_and_midpoint():
 
 
 def test_time_share_dominated_by_slice(slice_de1):
-    end_a, end_b = single_codebook_endpoints(SCN, 1.0, resolution=80)
+    end_a, end_b = single_codebook_endpoints(SCN, 1.0, slice_de1)
     assert end_b.drc == SCN.sigma_s2        # fine-only system: coarse = prior mean
     assert end_a.drf == end_a.drc           # coarse-only system: degraded decode
     drf = np.array([sp.triple.drf for sp in slice_de1])
@@ -178,3 +180,17 @@ def test_time_share_dominated_by_slice(slice_de1):
         mix = time_share(end_a, end_b, float(lam))
         slice_drc = float(np.interp(mix.drf, drf, drc))
         assert slice_drc <= mix.drc + 1e-9
+
+
+@pytest.mark.parametrize("scn", [SCN, LayeredScenario(sigma_s2=10.0, sigma_n2=1.0, sigma_v2=1.0)])
+@pytest.mark.parametrize("de", [0.1, 1.0, 10.0])
+def test_beta_edge_is_last_feasible_float(scn, de):
+    for f in np.linspace(1e-3, 1.0 - 1e-3, 15):
+        a2 = de * float(f)
+        b2 = de - a2
+        alpha = coarse_alpha_root(scn, a2, b2)
+        beta = _max_feasible_beta(scn, a2, b2, alpha)
+        assert beta is not None
+        assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, beta)) <= FEAS_TOL
+        above = float(np.nextafter(beta, np.inf))
+        assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, above)) > FEAS_TOL
