@@ -194,3 +194,8 @@ def test_beta_edge_is_last_feasible_float(scn, de):
         assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, beta)) <= FEAS_TOL
         above = float(np.nextafter(beta, np.inf))
         assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, above)) > FEAS_TOL
+
+
+def test_endpoints_of_an_empty_slice_are_refused():
+    with pytest.raises(ValueError):
+        single_codebook_endpoints(SCN, 1.0, [])
