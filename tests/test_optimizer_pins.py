@@ -1,0 +1,118 @@
+"""Bit-for-bit pins of the rate-function optimizer.
+
+``optimize`` output depends on the BLAS thread count (SLSQP's LAPACK calls
+reduce in a thread-dependent order), so every pinned call runs in one
+subprocess with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``.
+
+Pinned:
+- the sha256 of the two benchmark ``optimize`` files (acceptance 02's call
+  pair at De = 0.25, p = 0.2, D_r = frontier +- 1e-3, K = 7, 32 restarts,
+  seed 0; the frontier is read off ``out/binary_region_p0.20.csv`` as the
+  benchmark does);
+- the sha256 of (value, witnesses, decoder, converged, restarts_used) for
+  cheap calls with 4 restarts, one of them the infeasible sentinel;
+- the SLSQP iterations and function evaluations summed over all those calls.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+BENCH_SHA = {
+    "above": "1bd3568bb7ba7321a86e567781f06aff7da274c49bddcf9008993c0a1e98947a",
+    "below": "94117bc6300b98cd4458677b75f0f8ee01918a094947110e05eb2e68ef65596b",
+}
+
+# (de, dr, p, cardinality, max_iter) with restarts=4, seed=0
+CHEAP = {
+    "p0.05": (0.1, 0.15, 0.05, 7, 300),
+    "p0.20_above": (0.25, 0.201, 0.2, 7, 300),
+    "p0.20_below": (0.4, 0.15, 0.2, 7, 300),
+    "k3_no_seeds": (0.2, 0.3, 0.2, 3, 300),
+    "sentinel": (0.0, 0.0, 0.2, 7, 1),
+}
+
+CHEAP_SHA = {
+    "p0.05": "c9d55e85d72d695da0210b3883e16a4371b1e96595f8fef1b3907b4cd15fc5a3",
+    "p0.20_above": "c44976dc1125585a1c43a83e41bbe3ddb484d1707e379e6d52b2b20a16e40e14",
+    "p0.20_below": "6cab550ab45946a01864c960f60afca2accb1b12610729d344a3103905a2aab2",
+    "k3_no_seeds": "8aa2270a8c2a13f9fa1805ca388c8aa1121d1bbcd616401275fc578b8a77c749",
+    "sentinel": "ab44cbaece786246c7e87152ea4c17a78fe403e2ea6b27ec5a39c36971feb654",
+}
+
+SLSQP_TOTALS = {"nit": 12132, "nfev": 44198}
+
+SCRIPT = r"""
+import csv, hashlib, json, pathlib, sys, tempfile
+import numpy as np
+from authdist import regions_binary
+from authdist.cli import main
+
+root = pathlib.Path(sys.argv[1])
+cheap = json.loads(sys.argv[2])
+totals = {"nit": 0, "nfev": 0}
+inner = regions_binary.minimize
+
+def counted(*a, **k):
+    res = inner(*a, **k)
+    totals["nit"] += int(res.nit)
+    totals["nfev"] += int(res.nfev)
+    return res
+
+regions_binary.minimize = counted
+
+with open(root / "out" / "binary_region_p0.20.csv", newline="") as fh:
+    rows = [(float(r["de"]), float(r["dr"])) for r in csv.DictReader(fh)]
+de = 0.025 + 9 * (0.5 - 0.025) / 19
+bdr = float(np.interp(de, [x for x, _ in rows], [y for _, y in rows]))
+out = {"bench": {}, "cheap": {}}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, dr in (("above", min(0.5, bdr + 1e-3)), ("below", bdr - 1e-3)):
+        path = pathlib.Path(tmp) / (name + ".json")
+        argv = ["optimize", "--de", repr(de), "--dr", repr(dr), "--p", "0.2",
+                "--cardinality", "7", "--restarts", "32", "--seed", "0", "--out", str(path)]
+        assert main(argv) == 0
+        out["bench"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+for name, (de, dr, p, k, max_iter) in cheap.items():
+    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
+                                          max_iter=max_iter, seed=0)
+    h = hashlib.sha256(repr(float(res.value)).encode())
+    h.update(np.ascontiguousarray(res.q_u_given_s, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(res.p_x1_given_us, dtype=np.float64).tobytes())
+    h.update(np.asarray(res.decoder, dtype=np.int64).tobytes())
+    h.update(f"{bool(res.converged)},{int(res.restarts_used)}".encode())
+    out["cheap"][name] = h.hexdigest()
+out["slsqp"] = totals
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT), json.dumps(CHEAP)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SHA))
+def test_benchmark_optimize_output_hash(pinned_run, name):
+    assert pinned_run["bench"][name] == BENCH_SHA[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHEAP_SHA))
+def test_cheap_call_result_hash(pinned_run, name):
+    assert pinned_run["cheap"][name] == CHEAP_SHA[name]
+
+
+def test_slsqp_iteration_totals(pinned_run):
+    assert pinned_run["slsqp"] == SLSQP_TOTALS
