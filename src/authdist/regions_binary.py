@@ -197,13 +197,22 @@ def embedding_capacity(de: float, p: float) -> float:
 
 
 def _inv_entropy(target: float) -> float:
-    """h^{-1}(target) on [0, 1/2] by bisection (h is increasing there)."""
+    """h^{-1}(target) on [0, 1/2] by bisection (h is increasing there).
+
+    The bisection stops at the first step that leaves the bracket unchanged,
+    since every later step would repeat it; for targets near 0 that takes
+    more than the 80 steps a fixed count used to allow.
+    """
     lo, hi = 0.0, 0.5
-    for _ in range(80):
+    while True:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < target:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
@@ -233,6 +242,24 @@ def qe_boundary(p: float, resolution: int = 500) -> RegionCurve:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """How one start of ``optimize_rate_fn`` ended.
+
+    ``kind`` is "family" (best member of the parametric family), "capacity"
+    (the capacity-achieving quantizer) or "random"; ``value`` is the rate gap
+    of the start's end point, feasible or not; ``nit`` holds SLSQP's
+    iteration count for each decoder alternation; ``won`` marks the start
+    whose end point is reported.
+    """
+
+    kind: str
+    feasible: bool
+    value: float
+    nit: tuple[int, ...]
+    won: bool
+
+
+@dataclass(frozen=True)
 class RateFnResult:
     """Best rate-gap found, its witness distributions, and convergence info."""
 
@@ -242,54 +269,91 @@ class RateFnResult:
     decoder: np.ndarray          # (K,) hard reconstruction per auxiliary symbol
     converged: bool
     restarts_used: int
+    starts: tuple[StartRecord, ...] = field(repr=False)   # one record per start
+
+
+def _xlog(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 1e-15, np.log2(np.maximum(a, 1e-300)), 0.0)
 
 
 def _gap_value_grad(z: np.ndarray, K: int, p: float) -> tuple[float, np.ndarray]:
     """Objective I(U;Y) - I(S;U) and its gradient wrt the packed variables."""
     q = np.clip(z[: 2 * K].reshape(2, K), 1e-15, None)
     r = z[2 * K:].reshape(K, 2)
-    jus = 0.5 * q.T                                   # (K, 2) joint of (U, S)
-    pu = jus.sum(axis=1)
     w1 = p + r * (1.0 - 2.0 * p)                      # P(Y=1 | u, s)
-    juy1 = (jus * w1).sum(axis=1)
-    juy = np.stack([pu - juy1, juy1], axis=1)         # (K, 2) joint of (U, Y)
-    py = juy.sum(axis=0)
+    # the two joints and three marginals share one buffer, so one pass takes
+    # all the logs: [jus | juy | pu | ps | py].  jus keeps the column-major
+    # layout of 0.5 * q.T, which fixes the summation order of i_su.
+    buf = np.empty(5 * K + 4)
+    jus = np.multiply(0.5, q, out=buf[: 2 * K].reshape(2, K)).T    # (K, 2) joint of (U, S)
+    juy = buf[2 * K: 4 * K].reshape(K, 2)                           # (K, 2) joint of (U, Y)
+    pu, ps, py = buf[4 * K: 5 * K], buf[5 * K: 5 * K + 2], buf[5 * K + 2:]
+    jus.sum(axis=1, out=pu)
+    (jus * w1).sum(axis=1, out=juy[:, 1])
+    np.subtract(pu, juy[:, 1], out=juy[:, 0])
+    jus.sum(axis=0, out=ps)
+    juy.sum(axis=0, out=py)
 
-    ps = jus.sum(axis=0)
-
-    def xlog(a):
-        return np.where(a > 1e-15, np.log2(np.maximum(a, 1e-300)), 0.0)
-
-    i_su = float((jus * (xlog(jus) - xlog(pu)[:, None] - xlog(ps)[None, :])).sum())
-    i_uy = float((juy * (xlog(juy) - xlog(pu)[:, None] - xlog(py)[None, :])).sum())
+    lg = _xlog(buf)
+    l_pu = lg[4 * K: 5 * K, None]
+    l_su = lg[: 2 * K].reshape(2, K).T - l_pu - lg[None, 5 * K: 5 * K + 2]
+    l_uy = lg[2 * K: 4 * K].reshape(K, 2) - l_pu - lg[None, 5 * K + 2:]
+    i_su = float((jus * l_su).sum())
+    i_uy = float((juy * l_uy).sum())
 
     # exact unconstrained gradients: all three marginals vary with the joint
-    g_su = xlog(jus) - xlog(pu)[:, None] - xlog(ps)[None, :] - 1.0 / LN2
-    g_uy = xlog(juy) - xlog(pu)[:, None] - xlog(py)[None, :] - 1.0 / LN2
+    g_su = l_su - 1.0 / LN2
+    g_uy = l_uy - 1.0 / LN2
 
-    d_q = np.empty((2, K))
-    for s in (0, 1):
-        d_q[s] = 0.5 * (g_uy[:, 0] * (1.0 - w1[:, s]) + g_uy[:, 1] * w1[:, s] - g_su[:, s])
-    d_r = (g_uy[:, 1] - g_uy[:, 0])[:, None] * jus * (1.0 - 2.0 * p)        # (K, 2)
+    grad = np.empty(4 * K)
+    grad[: 2 * K].reshape(2, K).T[...] = 0.5 * (g_uy[:, :1] * (1.0 - w1) + g_uy[:, 1:] * w1 - g_su)
+    np.multiply((g_uy[:, 1] - g_uy[:, 0])[:, None] * jus, 1.0 - 2.0 * p,
+                out=grad[2 * K:].reshape(K, 2))
+    return i_uy - i_su, grad
 
-    return i_uy - i_su, np.concatenate([d_q.reshape(-1), d_r.reshape(-1)])
+
+def _de_value(q: np.ndarray, r: np.ndarray) -> float:
+    return 0.5 * float((q[0] * r[:, 0]).sum() + (q[1] * (1.0 - r[:, 1])).sum())
 
 
 def _de_value_grad(z: np.ndarray, K: int) -> tuple[float, np.ndarray]:
     q = z[: 2 * K].reshape(2, K)
     r = z[2 * K:].reshape(K, 2)
-    val = 0.5 * float((q[0] * r[:, 0]).sum() + (q[1] * (1.0 - r[:, 1])).sum())
     d_q = 0.5 * np.stack([r[:, 0], 1.0 - r[:, 1]])
     d_r = 0.5 * np.stack([q[0], -q[1]], axis=1)
-    return val, np.concatenate([d_q.reshape(-1), d_r.reshape(-1)])
+    return _de_value(q, r), np.concatenate([d_q.reshape(-1), d_r.reshape(-1)])
+
+
+def _misses(g: np.ndarray) -> np.ndarray:
+    return g[None, :] != np.arange(2)[:, None]        # (2, K): decoder misses s
 
 
 def _dr_value_grad(z: np.ndarray, K: int, g: np.ndarray) -> tuple[float, np.ndarray]:
     q = z[: 2 * K].reshape(2, K)
-    mis = (g[None, :] != np.arange(2)[:, None])       # (2, K): decoder misses s
+    mis = _misses(g)
     val = 0.5 * float(q[mis].sum())
     d_q = 0.5 * mis.astype(float)
     return val, np.concatenate([d_q.reshape(-1), np.zeros(2 * K)])
+
+
+def _budget_constraint(de: float, dr: float, K: int, g: np.ndarray) -> dict:
+    """Both distortion budgets as one SLSQP inequality, for a fixed hard
+    decoder g: values de - E[d_e] and dr - E[d_r].  E[d_r] is linear for a
+    fixed g, so its miss indices and Jacobian row are built once."""
+    miss = np.flatnonzero(_misses(g))
+    jac = np.empty((2, 4 * K))
+    jac[1] = -_dr_value_grad(np.zeros(4 * K), K, g)[1]
+
+    def fun(zz):
+        q = zz[: 2 * K].reshape(2, K)
+        return np.array([de - _de_value(q, zz[2 * K:].reshape(K, 2)),
+                         dr - 0.5 * float(zz[miss].sum())])
+
+    def jacobian(zz):
+        jac[0] = -_de_value_grad(zz, K)[1]
+        return jac
+
+    return {"type": "ineq", "fun": fun, "jac": jacobian}
 
 
 def _best_decoder(q: np.ndarray) -> np.ndarray:
@@ -363,14 +427,16 @@ def best_family_member(de: float, dr: float, p: float,
     return BinaryAuxParams(float(a[j]), float(T[j]), float(V[j]))
 
 
-def _boundary_seed(de: float, dr: float, p: float, K: int) -> list[np.ndarray]:
-    """Parametric seeds: best family member within the (de, dr) budgets."""
+def _boundary_seed(de: float, dr: float, p: float, K: int) -> list[tuple[str, np.ndarray]]:
+    """Parametric seeds as (kind, packed variables): the best family member
+    within the (de, dr) budgets, and the capacity-achieving quantizer
+    (alpha = 1, tau = p) when both budgets allow it."""
     seeds = []
     best = best_family_member(de, dr, p)
     if best is not None:
-        seeds.append(params_to_joint(best, K))
+        seeds.append(("family", params_to_joint(best, K)))
     if 0.0 < p < 0.5 and p <= de + 1e-12 and p <= dr + 1e-12:
-        seeds.append(params_to_joint(BinaryAuxParams(1.0, p, 0.25), K))
+        seeds.append(("capacity", params_to_joint(BinaryAuxParams(1.0, p, 0.25), K)))
     return seeds
 
 
@@ -389,9 +455,16 @@ def optimize_rate_fn(
     the given cardinality and (not necessarily deterministic) p(x|u, s);
     the reconstruction map is the minimum-distortion estimator of S from U.
     Maximization alternates SLSQP over the distributions with updates of
-    the hard decoder, from parametric seeds plus random restarts; the
-    reported value is always attained by a feasible witness, so it is a
-    lower bound on the true supremum.
+    the hard decoder (at most four alternations per start), from parametric
+    seeds plus random restarts; the reported value is always attained by a
+    feasible witness, so it is a lower bound on the true supremum.
+
+    Each SLSQP point costs one objective call, which returns value and
+    gradient from one pass of logarithms, and one call of a single
+    inequality holding both budgets.  ``starts`` on the result records every
+    start's kind, end value, feasibility and iterations; the ``optimize``
+    command leaves it out of its checksummed results.  With more than one
+    BLAS thread the last bits of the result can depend on the thread count.
     """
     if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
         raise ValueError("distortion budgets must be in [0, 1/2]")
@@ -406,35 +479,32 @@ def optimize_rate_fn(
     for _ in range(restarts):
         q0 = rng.dirichlet(np.ones(K), size=2)
         r0 = rng.random((K, 2))
-        starts.append(np.concatenate([q0.reshape(-1), r0.reshape(-1)]))
+        starts.append(("random", np.concatenate([q0.reshape(-1), r0.reshape(-1)])))
 
     bounds = [(0.0, 1.0)] * (4 * K)
     simplex_jac = np.concatenate([np.kron(np.eye(2), np.ones((1, K))), np.zeros((2, 2 * K))], axis=1)
-    fixed_cons = [
-        {"type": "eq", "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
-         "jac": lambda zz: simplex_jac},
-        {"type": "ineq", "fun": lambda zz: de - _de_value_grad(zz, K)[0],
-         "jac": lambda zz: -_de_value_grad(zz, K)[1]},
-    ]
+    simplex = {"type": "eq", "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
+               "jac": lambda zz: simplex_jac}
 
     def neg_gap(zz):
         val, grad = _gap_value_grad(zz, K, p)
         return -val, -grad
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
+    winner = -1
     converged = False
-    for z0 in starts:
+    ends = []
+    for i, (kind, z0) in enumerate(starts):
         z = np.asarray(z0, dtype=float)
         q0 = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
         g = _best_decoder(q0 / q0.sum(axis=1, keepdims=True))
         ok = False
+        nit = []
         for _ in range(4):
-            # the reconstruction budget is linear for a fixed hard decoder g
-            dr_con = {"type": "ineq", "fun": lambda zz, g=g: dr - _dr_value_grad(zz, K, g)[0],
-                      "jac": lambda zz, g=g: -_dr_value_grad(zz, K, g)[1]}
             res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
-                           constraints=[*fixed_cons, dr_con],
+                           constraints=[simplex, _budget_constraint(de, dr, K, g)],
                            options={"maxiter": max_iter, "ftol": 1e-12})
+            nit.append(int(res.nit))
             z = np.clip(res.x, 0.0, 1.0)
             ok = ok or res.success
             qn = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
@@ -443,10 +513,12 @@ def optimize_rate_fn(
                 break
             g = g_new
         val, de_got, dr_got, zz = _evaluate(z, K, p)
-        if de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL:
-            if best is None or val > best[0]:
-                best = (val, zz, g)
-                converged = converged or ok
+        feasible = de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL
+        if feasible and (best is None or val > best[0]):
+            best = (val, zz, g)
+            winner = i
+            converged = converged or ok
+        ends.append((kind, feasible, val, tuple(nit)))
     if best is None:
         # the uniform independent auxiliary is always feasible when dr ~ 1/2,
         # otherwise report the (infeasible-start) sentinel
@@ -457,4 +529,5 @@ def optimize_rate_fn(
         converged = False
     q = best[1][: 2 * K].reshape(2, K)
     r = best[1][2 * K:].reshape(K, 2)
-    return RateFnResult(best[0], q, r, best[2], converged, len(starts))
+    records = tuple(StartRecord(*end, won=i == winner) for i, end in enumerate(ends))
+    return RateFnResult(best[0], q, r, best[2], converged, len(starts), records)

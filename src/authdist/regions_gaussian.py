@@ -221,6 +221,30 @@ def _innovation_eval(scenario: GaussianScenario, b: float, c: float, d: float):
     return de, dr, i_uy - i_su
 
 
+def _high_de_sigma_t2(scenario: GaussianScenario, de: float) -> float:
+    """sigma_t2 at which the high-De regime spends the budget de.
+
+    Geometric bisection on [1e-12, 1e12] * sigma_s2 keeping the regime's D_e
+    above de at lo; it stops at the first step that leaves the bracket
+    unchanged, since every later step would repeat it.
+    """
+    lo, hi = 1e-12 * scenario.sigma_s2, 1e12 * scenario.sigma_s2
+    if not high_de_point(scenario, lo)[0] > de:
+        raise ValueError(f"De={de} is not below the high-De regime's distortion "
+                         f"at sigma_t2={lo}")
+    while True:
+        mid = math.sqrt(lo * hi)
+        if high_de_point(scenario, mid)[0] > de:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def best_gaussian_codebook_dr(
     scenario: GaussianScenario,
     de: float,
@@ -235,7 +259,6 @@ def best_gaussian_codebook_dr(
     """
     if de <= 0:
         raise ValueError("De must be positive for the refinement search")
-    s2 = scenario.sigma_s2
 
     def pack_eval(v):
         return _innovation_eval(scenario, v[0], v[1], v[2])
@@ -253,14 +276,7 @@ def best_gaussian_codebook_dr(
     alpha = low_de_alpha(scenario, t)
     starts.append([1.0, math.sqrt(t) / alpha, math.sqrt(t) * (1.0 - 1.0 / alpha)])
     # high-De regime: U = S + T, X = beta U  ->  b=beta, c=sqrt(t2), d=0
-    lo, hi = 1e-12 * s2, 1e12 * s2
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if high_de_point(scenario, mid)[0] > de:
-            lo = mid
-        else:
-            hi = mid
-    t2 = 0.5 * (lo + hi)
+    t2 = _high_de_sigma_t2(scenario, de)
     starts.append([high_de_beta(scenario, t2), math.sqrt(t2), 0.0])
     rng = np.random.default_rng(seed)
     for _ in range(restarts):

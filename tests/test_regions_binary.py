@@ -13,10 +13,12 @@ from authdist.regions_binary import (
     qe_boundary,
     rate_gap,
     _best_decoder,
+    _boundary_seed,
     _de_value_grad,
     _dr_value_grad,
     _evaluate,
     _gap_value_grad,
+    _inv_entropy,
 )
 
 H_02 = 0.7219280948873623
@@ -218,6 +220,65 @@ class TestOptimizeRateFn:
             if wde <= de and wdr <= dr:
                 best = max(best, rate_gap(w, p))
         assert res.value >= best - 1e-3
+
+
+    @pytest.mark.parametrize("de, dr, p, K", [(0.1, 0.15, 0.05, 7), (0.25, 0.201, 0.2, 7),
+                                              (0.0, 0.01, 0.2, 7), (0.2, 0.3, 0.2, 3)])
+    def test_start_record(self, de, dr, p, K):
+        res = optimize_rate_fn(de, dr, p, cardinality=K, restarts=4, seed=0)
+        assert len(res.starts) == res.restarts_used
+        seeds = [kind for kind, _ in _boundary_seed(de, dr, p, K)] if K >= 4 else []
+        kinds = [s.kind for s in res.starts]
+        assert kinds == seeds + ["random"] * 4
+        for s in res.starts:
+            assert 1 <= len(s.nit) <= 4 and all(n >= 0 for n in s.nit)
+        winners = [s for s in res.starts if s.won]
+        assert np.isfinite(res.value)
+        assert len(winners) == 1
+        assert winners[0].feasible and winners[0].value == res.value
+        assert all(s.value <= res.value for s in res.starts if s.feasible)
+
+    def test_start_record_without_a_feasible_start(self):
+        res = optimize_rate_fn(0.0, 0.0, 0.2, restarts=4, max_iter=1, seed=0)
+        assert res.value == -np.inf
+        assert len(res.starts) == res.restarts_used
+        assert not any(s.won or s.feasible for s in res.starts)
+
+    def test_start_kinds_of_the_parametric_seeds(self):
+        # family member only: the budgets do not allow the tau = p quantizer
+        assert [k for k, _ in _boundary_seed(0.1, 0.15, 0.2, 7)] == ["family"]
+        assert [k for k, _ in _boundary_seed(0.25, 0.201, 0.2, 7)] == ["family", "capacity"]
+        assert [k for k, _ in _boundary_seed(0.0, 0.0, 0.2, 7)] == []
+
+
+def _capped_inv_entropy(target):
+    """The former 80-step bisection, kept as the oracle where it converged."""
+    lo, hi = 0.0, 0.5
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if binary_entropy(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_inv_entropy_small_targets():
+    # 80 halvings of [0, 1/2] leave a bracket of 4e-25, too wide below ~1e-7
+    rng = np.random.default_rng(5)
+    for t in [*(10.0 ** -k for k in range(7, 14)), *10 ** rng.uniform(-13, -7, 200)]:
+        x = _inv_entropy(float(t))
+        # x is the float where h crosses t (h itself is only accurate to about
+        # 1e-16 absolute here, so h(x) / t need not be 1)
+        assert binary_entropy(np.nextafter(x, 0.0)) <= t <= binary_entropy(np.nextafter(x, 1.0))
+    assert binary_entropy(_inv_entropy(1e-12)) / 1e-12 == 1.0
+    assert _inv_entropy(0.0) == 0.0
+
+
+def test_inv_entropy_matches_capped_bisection_where_it_converged():
+    rng = np.random.default_rng(6)
+    for t in [*rng.uniform(1e-6, 1.0, 500), *10 ** rng.uniform(-6, 0, 500), 1.0]:
+        assert _inv_entropy(float(t)) == _capped_inv_entropy(float(t))
 
 
 def _central_differences(f, z, h=1e-6):

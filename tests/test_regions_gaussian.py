@@ -5,6 +5,7 @@ import pytest
 
 from authdist.regions_gaussian import (
     GaussianScenario,
+    _high_de_sigma_t2,
     best_gaussian_codebook_dr,
     envelope_dr,
     high_de_beta,
@@ -161,6 +162,36 @@ def test_refinement_dominates_both_regimes():
                 hi = mid
         assert refined <= high_de_point(SCN, lo)[1] + 1e-6
         assert refined >= inner_bound_dr(SCN, de) - 1e-9
+
+
+def _high_de_sigma_t2_200_steps(scn, de):
+    """The former fixed-length bisection, kept as the oracle."""
+    lo, hi = 1e-12 * scn.sigma_s2, 1e12 * scn.sigma_s2
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if high_de_point(scn, mid)[0] > de:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_high_de_bisection_matches_200_step_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        scn = GaussianScenario(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3))
+        # budgets from far below sigma_s2 to far above sigma_n2
+        de = 10 ** rng.uniform(-3, 3) * (scn.sigma_s2 if rng.random() < 0.5 else scn.sigma_n2)
+        assert _high_de_sigma_t2(scn, de) == _high_de_sigma_t2_200_steps(scn, de)
+
+
+def test_high_de_bisection_rejects_a_budget_above_its_start():
+    de_at_lo = high_de_point(SCN, 1e-12 * SCN.sigma_s2)[0]
+    for de in (de_at_lo, 2 * de_at_lo):
+        with pytest.raises(ValueError):
+            _high_de_sigma_t2(SCN, de)
+        with pytest.raises(ValueError):
+            best_gaussian_codebook_dr(SCN, de, restarts=0)
 
 
 def test_scenario_validation():
