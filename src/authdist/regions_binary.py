@@ -350,6 +350,7 @@ def _budget_constraint(de: float, dr: float, K: int, g: np.ndarray) -> dict:
                          dr - 0.5 * float(zz[miss].sum())])
 
     def jacobian(zz):
+        # SLSQP copies the rows into its own matrix, so one array serves
         jac[0] = -_de_value_grad(zz, K)[1]
         return jac
 

@@ -221,7 +221,6 @@ class TestOptimizeRateFn:
                 best = max(best, rate_gap(w, p))
         assert res.value >= best - 1e-3
 
-
     @pytest.mark.parametrize("de, dr, p, K", [(0.1, 0.15, 0.05, 7), (0.25, 0.201, 0.2, 7),
                                               (0.0, 0.01, 0.2, 7), (0.2, 0.3, 0.2, 3)])
     def test_start_record(self, de, dr, p, K):
