@@ -49,20 +49,23 @@ CHEAP_SHA = {
 SLSQP_TOTALS = {"nit": 12132, "nfev": 44198}
 
 SCRIPT = r"""
-import csv, hashlib, json, pathlib, sys, tempfile
+import csv, hashlib, json, pathlib, shutil, sys, tempfile
 import numpy as np
 from authdist import regions_binary
 from authdist.cli import main
 
 root = pathlib.Path(sys.argv[1])
 cheap = json.loads(sys.argv[2])
-totals = {"nit": 0, "nfev": 0}
 inner = regions_binary.minimize
+# one line per SLSQP call, appended to a file: calls made in forked worker
+# processes inherit this wrapper and land in the same file
+counts = pathlib.Path(tempfile.mkdtemp()) / "slsqp.txt"
+counts.touch()
 
 def counted(*a, **k):
     res = inner(*a, **k)
-    totals["nit"] += int(res.nit)
-    totals["nfev"] += int(res.nfev)
+    with open(counts, "a") as fh:
+        fh.write(f"{int(res.nit)} {int(res.nfev)}\n")
     return res
 
 regions_binary.minimize = counted
@@ -88,7 +91,9 @@ for name, (de, dr, p, k, max_iter) in cheap.items():
     h.update(np.asarray(res.decoder, dtype=np.int64).tobytes())
     h.update(f"{bool(res.converged)},{int(res.restarts_used)}".encode())
     out["cheap"][name] = h.hexdigest()
-out["slsqp"] = totals
+calls = [line.split() for line in counts.read_text().splitlines()]
+out["slsqp"] = {"nit": sum(int(n) for n, _ in calls), "nfev": sum(int(f) for _, f in calls)}
+shutil.rmtree(counts.parent)
 print(json.dumps(out))
 """
 
