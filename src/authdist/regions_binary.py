@@ -24,6 +24,8 @@ general auxiliary alphabet, used to confirm the parametric region.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,15 +249,18 @@ class StartRecord:
 
     ``kind`` is "family" (best member of the parametric family), "capacity"
     (the capacity-achieving quantizer) or "random"; ``value`` is the rate gap
-    of the start's end point, feasible or not; ``nit`` holds SLSQP's
-    iteration count for each decoder alternation; ``won`` marks the start
-    whose end point is reported.
+    of the start's end point, feasible or not; ``nit`` and ``nfev`` hold
+    SLSQP's iteration and function-evaluation counts for each decoder
+    alternation; ``seconds`` is the start's wall time in its worker process;
+    ``won`` marks the start whose end point is reported.
     """
 
     kind: str
     feasible: bool
     value: float
     nit: tuple[int, ...]
+    nfev: tuple[int, ...]
+    seconds: float
     won: bool
 
 
@@ -441,6 +446,48 @@ def _boundary_seed(de: float, dr: float, p: float, K: int) -> list[tuple[str, np
     return seeds
 
 
+def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, z0: np.ndarray) -> tuple:
+    """One start of ``optimize_rate_fn``: up to four SLSQP alternations with
+    hard-decoder updates from ``z0``, then the end point's evaluation.
+
+    Returns ``(ok, feasible, value, zz, g, nit, nfev, seconds)``: whether any
+    SLSQP run reported success, the feasibility and rate gap of the clipped
+    end point ``zz``, the last hard decoder, SLSQP's iterations and function
+    evaluations per alternation, and the start's wall time.
+    """
+    t0 = time.perf_counter()
+    bounds = [(0.0, 1.0)] * (4 * K)
+    simplex_jac = np.concatenate([np.kron(np.eye(2), np.ones((1, K))), np.zeros((2, 2 * K))], axis=1)
+    simplex = {"type": "eq", "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
+               "jac": lambda zz: simplex_jac}
+
+    def neg_gap(zz):
+        val, grad = _gap_value_grad(zz, K, p)
+        return -val, -grad
+
+    z = np.asarray(z0, dtype=float)
+    q0 = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
+    g = _best_decoder(q0 / q0.sum(axis=1, keepdims=True))
+    ok = False
+    nit, nfev = [], []
+    for _ in range(4):
+        res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
+                       constraints=[simplex, _budget_constraint(de, dr, K, g)],
+                       options={"maxiter": max_iter, "ftol": 1e-12})
+        nit.append(int(res.nit))
+        nfev.append(int(res.nfev))
+        z = np.clip(res.x, 0.0, 1.0)
+        ok = ok or res.success
+        qn = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
+        g_new = _best_decoder(qn / qn.sum(axis=1, keepdims=True))
+        if (g_new == g).all():
+            break
+        g = g_new
+    val, de_got, dr_got, zz = _evaluate(z, K, p)
+    feasible = de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL
+    return ok, feasible, val, zz, g, tuple(nit), tuple(nfev), time.perf_counter() - t0
+
+
 def optimize_rate_fn(
     de: float,
     dr: float,
@@ -462,10 +509,16 @@ def optimize_rate_fn(
 
     Each SLSQP point costs one objective call, which returns value and
     gradient from one pass of logarithms, and one call of a single
-    inequality holding both budgets.  ``starts`` on the result records every
-    start's kind, end value, feasibility and iterations; the ``optimize``
-    command leaves it out of its checksummed results.  With more than one
-    BLAS thread the last bits of the result can depend on the thread count.
+    inequality holding both budgets.  The starts are independent: they run
+    in forked worker processes, one per CPU this process may run on (fewer
+    if there are fewer starts), in a pool that is shut down before the call
+    returns.  The parent picks the winner in start order, so the result does
+    not depend on the number of workers; ``taskset`` restricts it.
+    ``starts`` on the result records every start's kind, end value,
+    feasibility, SLSQP iterations and function evaluations, and wall time;
+    the ``optimize`` command leaves it out of its checksummed results.  With
+    more than one BLAS thread the last bits of the result can depend on the
+    thread count.
     """
     if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
         raise ValueError("distortion budgets must be in [0, 1/2]")
@@ -473,6 +526,10 @@ def optimize_rate_fn(
         raise ValueError(f"crossover must be in [0, 1/2], got {p}")
     if cardinality < 2:
         raise ValueError("auxiliary cardinality must be >= 2")
+    # imported here, not at module top, so importing the CLI stays as cheap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     K = int(cardinality)
     rng = np.random.default_rng(seed)
 
@@ -482,44 +539,25 @@ def optimize_rate_fn(
         r0 = rng.random((K, 2))
         starts.append(("random", np.concatenate([q0.reshape(-1), r0.reshape(-1)])))
 
-    bounds = [(0.0, 1.0)] * (4 * K)
-    simplex_jac = np.concatenate([np.kron(np.eye(2), np.ones((1, K))), np.zeros((2, 2 * K))], axis=1)
-    simplex = {"type": "eq", "fun": lambda zz: zz[: 2 * K].reshape(2, K).sum(axis=1) - 1.0,
-               "jac": lambda zz: simplex_jac}
-
-    def neg_gap(zz):
-        val, grad = _gap_value_grad(zz, K, p)
-        return -val, -grad
+    # fork, named because the default start method differs across Python
+    # versions and platforms: the workers inherit the imported modules
+    # (spawn would import scipy again in each) and the module global
+    # ``minimize``.  At least one worker: the pool refuses zero, and an
+    # empty map starts no process.
+    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
+    n = len(starts)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
+        ends = list(ex.map(_run_start, [de] * n, [dr] * n, [p] * n, [K] * n,
+                           [max_iter] * n, [z0 for _, z0 in starts]))
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     winner = -1
     converged = False
-    ends = []
-    for i, (kind, z0) in enumerate(starts):
-        z = np.asarray(z0, dtype=float)
-        q0 = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
-        g = _best_decoder(q0 / q0.sum(axis=1, keepdims=True))
-        ok = False
-        nit = []
-        for _ in range(4):
-            res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
-                           constraints=[simplex, _budget_constraint(de, dr, K, g)],
-                           options={"maxiter": max_iter, "ftol": 1e-12})
-            nit.append(int(res.nit))
-            z = np.clip(res.x, 0.0, 1.0)
-            ok = ok or res.success
-            qn = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
-            g_new = _best_decoder(qn / qn.sum(axis=1, keepdims=True))
-            if (g_new == g).all():
-                break
-            g = g_new
-        val, de_got, dr_got, zz = _evaluate(z, K, p)
-        feasible = de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL
+    for i, (ok, feasible, val, zz, g, *_) in enumerate(ends):
         if feasible and (best is None or val > best[0]):
             best = (val, zz, g)
             winner = i
             converged = converged or ok
-        ends.append((kind, feasible, val, tuple(nit)))
     if best is None:
         # the uniform independent auxiliary is always feasible when dr ~ 1/2,
         # otherwise report the (infeasible-start) sentinel
@@ -530,5 +568,7 @@ def optimize_rate_fn(
         converged = False
     q = best[1][: 2 * K].reshape(2, K)
     r = best[1][2 * K:].reshape(K, 2)
-    records = tuple(StartRecord(*end, won=i == winner) for i, end in enumerate(ends))
+    records = tuple(StartRecord(kind, feasible, val, nit, nfev, seconds, won=i == winner)
+                    for i, ((kind, _), (_, feasible, val, _, _, nit, nfev, seconds))
+                    in enumerate(zip(starts, ends)))
     return RateFnResult(best[0], q, r, best[2], converged, len(starts), records)

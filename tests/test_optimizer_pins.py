@@ -12,6 +12,10 @@ Pinned:
 - the sha256 of (value, witnesses, decoder, converged, restarts_used) for
   cheap calls with 4 restarts, one of them the infeasible sentinel;
 - the SLSQP iterations and function evaluations summed over all those calls.
+
+The starts of one call run in a pool of forked workers, one per usable CPU;
+a last test checks that the cheap calls come out the same on one CPU as on
+all of them.
 """
 
 import json
@@ -98,15 +102,57 @@ print(json.dumps(out))
 """
 
 
-@pytest.fixture(scope="module")
-def pinned_run():
+WORKERS_SCRIPT = r"""
+import json, multiprocessing, os, pathlib, sys, tempfile
+import numpy as np
+from authdist import regions_binary
+
+cheap = json.loads(sys.argv[1])
+if sys.argv[2] == "one_cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+inner = regions_binary.minimize
+# the pid of every SLSQP call, appended to a file by the forked workers
+pids = pathlib.Path(tempfile.mkdtemp()) / "pids.txt"
+
+def traced(*a, **k):
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return inner(*a, **k)
+
+regions_binary.minimize = traced
+out = {"cpus": len(os.sched_getaffinity(0)), "calls": {}}
+for name, (de, dr, p, k, max_iter) in cheap.items():
+    pids.write_text("")
+    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
+                                          max_iter=max_iter, seed=0)
+    out["calls"][name] = {
+        "result": [repr(float(res.value)), res.q_u_given_s.tobytes().hex(),
+                   res.p_x1_given_us.tobytes().hex(), res.decoder.tolist(),
+                   bool(res.converged), int(res.restarts_used)],
+        "starts": [[s.kind, bool(s.feasible), repr(float(s.value)), list(s.nit),
+                    list(s.nfev), s.won] for s in res.starts],
+        "workers": len(set(pids.read_text().split())),
+        "left_running": len(multiprocessing.active_children()),
+    }
+pids.unlink()
+pids.parent.rmdir()
+print(json.dumps(out))
+"""
+
+
+def _run(script, *args):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT), json.dumps(CHEAP)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def pinned_run():
+    return _run(SCRIPT, str(ROOT), json.dumps(CHEAP))
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_SHA))
@@ -121,3 +167,18 @@ def test_cheap_call_result_hash(pinned_run, name):
 
 def test_slsqp_iteration_totals(pinned_run):
     assert pinned_run["slsqp"] == SLSQP_TOTALS
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_worker_count_does_not_change_the_result():
+    one = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "one_cpu")
+    every = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "every_cpu")
+    assert one["cpus"] == 1
+    for name in CHEAP:
+        a, b = one["calls"][name], every["calls"][name]
+        assert a["result"] == b["result"], name
+        assert a["starts"] == b["starts"], name
+        assert a["left_running"] == b["left_running"] == 0, name
+        assert a["workers"] == 1 and 1 <= b["workers"] <= every["cpus"], name
+    if every["cpus"] > 1:
+        assert max(c["workers"] for c in every["calls"].values()) > 1

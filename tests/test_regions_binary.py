@@ -231,6 +231,8 @@ class TestOptimizeRateFn:
         assert kinds == seeds + ["random"] * 4
         for s in res.starts:
             assert 1 <= len(s.nit) <= 4 and all(n >= 0 for n in s.nit)
+            assert len(s.nfev) == len(s.nit) and all(n >= 1 for n in s.nfev)
+            assert s.seconds >= 0.0
         winners = [s for s in res.starts if s.won]
         assert np.isfinite(res.value)
         assert len(winners) == 1
