@@ -27,6 +27,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -446,6 +447,19 @@ def _boundary_seed(de: float, dr: float, p: float, K: int) -> list[tuple[str, np
     return seeds
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: have Linux kill the worker when its parent dies.
+
+    A worker whose parent is killed mid-call would otherwise wait on the task
+    queue for ever, holding open every pipe it inherited from the parent."""
+    import ctypes
+    import signal
+
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)   # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != parent:                   # the parent died before that
+        os._exit(1)
+
+
 def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, z0: np.ndarray) -> tuple:
     """One start of ``optimize_rate_fn``: up to four SLSQP alternations with
     hard-decoder updates from ``z0``, then the end point's evaluation.
@@ -545,10 +559,9 @@ def optimize_rate_fn(
     # ``minimize``.  At least one worker: the pool refuses zero, and an
     # empty map starts no process.
     workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
-    n = len(starts)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        ends = list(ex.map(_run_start, [de] * n, [dr] * n, [p] * n, [K] * n,
-                           [max_iter] * n, [z0 for _, z0 in starts]))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as ex:
+        ends = list(ex.map(partial(_run_start, de, dr, p, K, max_iter), [z0 for _, z0 in starts]))
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     winner = -1

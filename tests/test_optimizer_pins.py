@@ -23,6 +23,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,12 +141,30 @@ print(json.dumps(out))
 """
 
 
+KILLED_SCRIPT = r"""
+import pathlib, sys
+from authdist import regions_binary
+inner = regions_binary.minimize
+started = pathlib.Path(sys.argv[1])
+
+def announced(*a, **k):
+    started.touch()
+    return inner(*a, **k)
+
+regions_binary.minimize = announced
+regions_binary.optimize_rate_fn(0.25, 0.201, 0.2, restarts=32, seed=0)
+"""
+
+
+def _env():
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
 def _run(script, *args):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -182,3 +201,17 @@ def test_worker_count_does_not_change_the_result():
         assert a["workers"] == 1 and 1 <= b["workers"] <= every["cpus"], name
     if every["cpus"] > 1:
         assert max(c["workers"] for c in every["calls"].values()) > 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers die with their parent on Linux")
+def test_workers_exit_when_the_caller_is_killed(tmp_path):
+    started = tmp_path / "started"
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_SCRIPT, str(started)], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 120
+    while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert started.exists() and proc.poll() is None
+    proc.kill()
+    # the workers inherited both pipes: they reach EOF only once every worker is gone
+    proc.communicate(timeout=60)
