@@ -447,17 +447,32 @@ def _boundary_seed(de: float, dr: float, p: float, K: int) -> list[tuple[str, np
     return seeds
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: have Linux kill the worker when its parent dies.
+def _init_worker(parent: int) -> None:
+    """Pool initializer: have Linux kill the worker when its parent dies, and
+    run every OpenBLAS the process has loaded on one thread.
 
     A worker whose parent is killed mid-call would otherwise wait on the task
-    queue for ever, holding open every pipe it inherited from the parent."""
+    queue for ever, holding open every pipe it inherited from the parent.
+    The workers already use every CPU, and SLSQP's small BLAS calls gain
+    nothing from more threads, whose waits spin: two workers with two
+    OpenBLAS threads each on two CPUs ran a call 2.6 times slower than with
+    one.  One thread also makes the result independent of the BLAS thread
+    count the process started with."""
     import ctypes
     import signal
 
     ctypes.CDLL(None).prctl(1, signal.SIGKILL)   # 1 = PR_SET_PDEATHSIG
     if os.getppid() != parent:                   # the parent died before that
         os._exit(1)
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        # the names of a plain build and of the scipy-openblas wheels
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
 
 
 def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, z0: np.ndarray) -> tuple:
@@ -527,12 +542,12 @@ def optimize_rate_fn(
     in forked worker processes, one per CPU this process may run on (fewer
     if there are fewer starts), in a pool that is shut down before the call
     returns.  The parent picks the winner in start order, so the result does
-    not depend on the number of workers; ``taskset`` restricts it.
+    not depend on the number of workers; ``taskset`` restricts it.  Each
+    worker runs OpenBLAS on one thread, so with OpenBLAS builds of numpy and
+    scipy the result does not depend on the BLAS thread count either.
     ``starts`` on the result records every start's kind, end value,
     feasibility, SLSQP iterations and function evaluations, and wall time;
-    the ``optimize`` command leaves it out of its checksummed results.  With
-    more than one BLAS thread the last bits of the result can depend on the
-    thread count.
+    the ``optimize`` command leaves it out of its checksummed results.
     """
     if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
         raise ValueError("distortion budgets must be in [0, 1/2]")
@@ -560,7 +575,7 @@ def optimize_rate_fn(
     # empty map starts no process.
     workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as ex:
+                             initializer=_init_worker, initargs=(os.getpid(),)) as ex:
         ends = list(ex.map(partial(_run_start, de, dr, p, K, max_iter), [z0 for _, z0 in starts]))
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None

@@ -1,8 +1,8 @@
 """Bit-for-bit pins of the rate-function optimizer.
 
-``optimize`` output depends on the BLAS thread count (SLSQP's LAPACK calls
-reduce in a thread-dependent order), so every pinned call runs in one
-subprocess with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``.
+SLSQP's LAPACK calls reduce in a thread-dependent order, so the pins hold
+at one BLAS thread: every pinned call runs in one subprocess with
+``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``.
 
 Pinned:
 - the sha256 of the two benchmark ``optimize`` files (acceptance 02's call
@@ -13,9 +13,10 @@ Pinned:
   cheap calls with 4 restarts, one of them the infeasible sentinel;
 - the SLSQP iterations and function evaluations summed over all those calls.
 
-The starts of one call run in a pool of forked workers, one per usable CPU;
-a last test checks that the cheap calls come out the same on one CPU as on
-all of them.
+The starts of one call run in a pool of forked workers, one per usable CPU,
+each with one OpenBLAS thread; the last tests check that the cheap calls come
+out the same on one CPU as on all of them, and with one BLAS thread as with
+two.
 """
 
 import json
@@ -105,7 +106,6 @@ print(json.dumps(out))
 
 WORKERS_SCRIPT = r"""
 import json, multiprocessing, os, pathlib, sys, tempfile
-import numpy as np
 from authdist import regions_binary
 
 cheap = json.loads(sys.argv[1])
@@ -121,7 +121,9 @@ def traced(*a, **k):
     return inner(*a, **k)
 
 regions_binary.minimize = traced
-out = {"cpus": len(os.sched_getaffinity(0)), "calls": {}}
+with open("/proc/self/maps") as fh:
+    openblas = any("openblas" in line for line in fh)
+out = {"cpus": len(os.sched_getaffinity(0)), "openblas": openblas, "calls": {}}
 for name, (de, dr, p, k, max_iter) in cheap.items():
     pids.write_text("")
     res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
@@ -156,15 +158,15 @@ regions_binary.optimize_rate_fn(0.25, 0.201, 0.2, restarts=32, seed=0)
 """
 
 
-def _env():
-    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+def _env(blas_threads="1"):
+    return {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads, "OMP_NUM_THREADS": blas_threads,
             "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
 
 
-def _run(script, *args):
+def _run(script, *args, blas_threads="1"):
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=_env(), capture_output=True, text=True, timeout=600)
+                          env=_env(blas_threads), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -201,6 +203,17 @@ def test_worker_count_does_not_change_the_result():
         assert a["workers"] == 1 and 1 <= b["workers"] <= every["cpus"], name
     if every["cpus"] > 1:
         assert max(c["workers"] for c in every["calls"].values()) > 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_blas_thread_count_does_not_change_the_result():
+    one = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "every_cpu")
+    two = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "every_cpu", blas_threads="2")
+    if not two["openblas"]:
+        pytest.skip("the workers set the thread count of OpenBLAS only")
+    for name in CHEAP:
+        assert one["calls"][name]["result"] == two["calls"][name]["result"], name
+        assert one["calls"][name]["starts"] == two["calls"][name]["starts"], name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers die with their parent on Linux")
