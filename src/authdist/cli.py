@@ -58,6 +58,17 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def _from_db(x: float) -> float:
+    """10^(x/10), refused with ValueError when it is not a finite float."""
+    try:
+        value = 10.0 ** (x / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{_fmt(x)} dB is out of range")
+    return value
+
+
 def _checksum(results) -> str:
     return hashlib.sha256(json.dumps(results, sort_keys=True, indent=2).encode()).hexdigest()
 
@@ -83,7 +94,7 @@ def cmd_region_gaussian(args) -> int:
     lines = ["snr_db,curve,de_over_n_db,dr_over_n_db"]
     de_db_grid = np.linspace(DB_GRID_LO, DB_GRID_HI, args.resolution)
     for snr_db in args.snr_db:
-        scn = GaussianScenario(sigma_s2=10.0 ** (snr_db / 10.0), sigma_n2=1.0)
+        scn = GaussianScenario(sigma_s2=_from_db(snr_db), sigma_n2=1.0)
         de_grid = 10.0 ** (de_db_grid / 10.0) * scn.sigma_n2
         env = envelope_dr(scn, de_grid)
         for name, values in (
@@ -100,13 +111,13 @@ def cmd_region_gaussian(args) -> int:
 def cmd_region_layered(args) -> int:
     sigma_n2 = 1.0
     scn = LayeredScenario(
-        sigma_s2=10.0 ** (args.snr_db / 10.0) * sigma_n2,
+        sigma_s2=_from_db(args.snr_db) * sigma_n2,
         sigma_n2=sigma_n2,
-        sigma_v2=10.0 ** (args.sigma_v_db / 10.0) * sigma_n2,
+        sigma_v2=_from_db(args.sigma_v_db) * sigma_n2,
     )
     lines = ["de_db,kind,drf_db,drc_db"]
     for de_db in args.de_db:
-        de = 10.0 ** (de_db / 10.0) * sigma_n2
+        de = _from_db(de_db) * sigma_n2
         pts = region_slice(scn, de, args.resolution)
         for sp in pts:
             lines.append(f"{_fmt(de_db)},layered,{_fmt(_db(sp.triple.drf))},{_fmt(_db(sp.triple.drc))}")
@@ -142,7 +153,7 @@ def _run_sim(args) -> dict:
     elif args.kind == "gaussian":
         sigma_n2 = 1.0
         config = GaussSimConfig(n=args.n, rate=args.rate,
-                                sigma_s2=10.0 ** (args.snr_db / 10.0) * sigma_n2,
+                                sigma_s2=_from_db(args.snr_db) * sigma_n2,
                                 sigma_n2=sigma_n2, trials=args.trials,
                                 seed_public=args.seed, seed_secret=args.seed_secret,
                                 gamma=args.gamma)

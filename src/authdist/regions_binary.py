@@ -136,8 +136,11 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
     fixed (tau, nu) pair the gap is linear in alpha, so feasibility reduces
     to an alpha interval whose endpoints are the only candidates for the
     linear objective; the search is a vectorized sweep over the (tau, nu)
-    grid.  Infeasible grid points report D_r = 1/2, which is always
-    achievable by ignoring the channel output.
+    grid.  The sweep builds what does not depend on D_e (the smallest
+    feasible alpha, tau - nu and the D_r end at that alpha) once per call,
+    and the alpha limit min(1, D_e / tau) once per tau row; ties go to the
+    first cell in (tau, nu) order.  Infeasible grid points report
+    D_r = 1/2, which is always achievable by ignoring the channel output.
     """
     de_grid = _de_grid(p, resolution)
     if p == 0.0:
@@ -153,26 +156,28 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
         # smallest alpha with alpha B1 + (1-alpha) B2 >= 0
         a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
     a_min = np.clip(a_min, 0.0, np.inf)
+    tau = T[:, :1]
+    slope = T - V
+    with np.errstate(invalid="ignore"):
+        # D_r = nu + alpha (tau - nu) is linear in alpha: check both ends;
+        # the a_min end does not depend on D_e (nan or inf only where
+        # a_min is inf, a cell no budget makes feasible)
+        dr_lo = V + a_min * slope
 
     dr_out = np.full(resolution, 0.5)
     wit_out: list[BinaryAuxParams | None] = [None] * resolution
     for i, de in enumerate(de_grid):
-        with np.errstate(divide="ignore"):
-            a_max = np.minimum(1.0, de / T)
+        a_max = np.minimum(1.0, de / tau)     # one per tau row
         feasible = a_min <= a_max + 1e-15
         if not feasible.any():
             continue
-        a_lo = np.where(feasible, a_min, 0.0)
-        a_hi = np.where(feasible, a_max, 0.0)
-        # D_r = nu + alpha (tau - nu) is linear in alpha: check both ends
-        dr_lo = V + a_lo * (T - V)
-        dr_hi = V + a_hi * (T - V)
+        dr_hi = V + a_max * slope
         dr_cell = np.where(feasible, np.minimum(dr_lo, dr_hi), 0.5)
         j = np.unravel_index(np.argmin(dr_cell), dr_cell.shape)
         best = float(dr_cell[j])
         if best < 0.5:
             dr_out[i] = best
-            a_star = float(a_lo[j] if dr_lo[j] <= dr_hi[j] else a_hi[j])
+            a_star = float(a_min[j] if dr_lo[j] <= dr_hi[j] else a_max[j[0], 0])
             wit_out[i] = BinaryAuxParams(a_star, float(T[j]), float(V[j]))
     dr_out = np.minimum.accumulate(dr_out)  # budget is a <=, frontier is monotone
     return RegionCurve(de_grid, dr_out, tuple(wit_out))
@@ -205,6 +210,11 @@ def _inv_entropy(target: float) -> float:
     The bisection stops at the first step that leaves the bracket unchanged,
     since every later step would repeat it; for targets near 0 that takes
     more than the 80 steps a fixed count used to allow.
+
+    ``binary_entropy`` is 0 at or below ``core.ZERO_MASS`` = 1e-15, so every
+    target in (0, 5.1e-14], below the entropy of the next float above 1e-15,
+    returns 1e-15.  No caller reaches them: ``qe_boundary``'s targets
+    1 - C(D_e) are far larger.
     """
     lo, hi = 0.0, 0.5
     while True:

@@ -119,44 +119,58 @@ def coarse_gap_covariance(scenario: LayeredScenario, params: LayeredParams) -> f
     return i_uy - i_su
 
 
-def _fine_covariances(scenario: LayeredScenario, params: LayeredParams):
+def fine_margins(scenario: LayeredScenario, a2, b2, alpha, beta) -> np.ndarray:
+    """:func:`fine_feasibility_margin` over lanes, bit for bit.
+
+    ``a2``, ``b2``, ``alpha`` and ``beta`` are equal-length sequences holding
+    one lane's sigma_a2, sigma_b2 and scalings each.  A lane's margin is
+    +inf where alpha or beta is 0, where a covariance entry is not finite,
+    or where a determinant's sign is not positive.  One ``slogdet`` call per
+    covariance stack factors each matrix as a call on that matrix alone
+    does; the squares and ``exp`` stay Python's per lane, since numpy's
+    may differ from them in the last ulp.
+    """
+    a2, b2, alpha, beta = (np.asarray(x, dtype=float) for x in (a2, b2, alpha, beta))
+    out = np.full(a2.shape, math.inf)
+    live = np.flatnonzero((alpha != 0.0) & (beta != 0.0))
     s2 = scenario.sigma_s2
-    a2, b2, al, be = params.sigma_a2, params.sigma_b2, params.alpha, params.beta
-    var_t = s2 + b2 / be ** 2
-    var_u = s2 + a2 / al ** 2
-    var_yf = s2 + a2 + b2 + scenario.sigma_n2
-    cov_tu = s2
-    cov_ty = s2 + b2 / be
-    cov_uy = s2 + a2 / al
-    lam_tuy = np.array(
-        [[var_t, cov_tu, cov_ty], [cov_tu, var_u, cov_uy], [cov_ty, cov_uy, var_yf]]
-    )
-    lam_uy = np.array([[var_u, cov_uy], [cov_uy, var_yf]])
-    lam_tus = np.array([[var_t, cov_tu, s2], [cov_tu, var_u, s2], [s2, s2, s2]])
-    lam_us = np.array([[var_u, s2], [s2, s2]])
-    return lam_tuy, lam_uy, lam_tus, lam_us
+    a2, b2, al, be = a2[live], b2[live], alpha[live], beta[live]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        var_t = s2 + b2 / np.array([x ** 2 for x in be.tolist()])
+        var_u = s2 + a2 / np.array([x ** 2 for x in al.tolist()])
+        var_yf = s2 + a2 + b2 + scenario.sigma_n2
+        cov_ty = s2 + b2 / be
+        cov_uy = s2 + a2 / al
+    s = np.full(live.size, s2)
+    lam_tuy = np.stack([var_t, s, cov_ty, s, var_u, cov_uy, cov_ty, cov_uy, var_yf],
+                       -1).reshape(-1, 3, 3)
+    # the four matrices are lam_tuy = Cov[T,U,Y_f], lam_tus = Cov[T,U,S] and
+    # their (U, .) blocks, so lam_tuy holds every entry of them
+    finite = np.isfinite(lam_tuy).all(axis=(1, 2))
+    live, lam_tuy = live[finite], lam_tuy[finite]
+    lam_tus = lam_tuy.copy()
+    lam_tus[:, 2, :] = lam_tus[:, :, 2] = s2
+    ok = np.ones(live.size, dtype=bool)
+    dets = []
+    for m in (lam_tuy, lam_tuy[:, 1:, 1:], lam_tus, lam_tus[:, 1:, 1:]):
+        sign, logdet = np.linalg.slogdet(m)
+        ok &= (sign > 0) & np.isfinite(logdet)
+        dets.append(logdet)
+    d0, d1, d2, d3 = (d[ok] for d in dets)
+    lhs = [math.exp(x) for x in (d0 - d1).tolist()]
+    rhs = [math.exp(x) for x in (d2 - d3).tolist()]
+    out[live[ok]] = np.subtract(lhs, rhs)
+    return out
 
 
 def fine_feasibility_margin(scenario: LayeredScenario, params: LayeredParams) -> float:
     """lhs - rhs of the determinant condition; feasible iff <= 0.
 
     Returns +inf for degenerate (near-singular) covariances so callers see
-    them as infeasible.
+    them as infeasible.  One lane of :func:`fine_margins`.
     """
-    if params.alpha == 0.0 or params.beta == 0.0:
-        return math.inf
-    lam_tuy, lam_uy, lam_tus, lam_us = _fine_covariances(scenario, params)
-    if not all(np.isfinite(m).all() for m in (lam_tuy, lam_uy, lam_tus, lam_us)):
-        return math.inf
-    dets = []
-    for m in (lam_tuy, lam_uy, lam_tus, lam_us):
-        sign, logdet = np.linalg.slogdet(m)
-        if sign <= 0 or not math.isfinite(logdet):
-            return math.inf
-        dets.append(logdet)
-    lhs = math.exp(dets[0] - dets[1])
-    rhs = math.exp(dets[2] - dets[3])
-    return lhs - rhs
+    return float(fine_margins(scenario, [params.sigma_a2], [params.sigma_b2],
+                              [params.alpha], [params.beta])[0])
 
 
 def fine_feasible(scenario: LayeredScenario, params: LayeredParams) -> bool:
@@ -185,28 +199,49 @@ class SlicePoint:
     params: LayeredParams
 
 
-def _max_feasible_beta(scenario: LayeredScenario, a2: float, b2: float, alpha: float):
-    """Largest beta satisfying the determinant condition, by bisection.
+def _max_feasible_betas(scenario: LayeredScenario, a2, b2, alpha) -> list:
+    """Largest beta satisfying the determinant condition for each lane
+    ``(a2[i], b2[i], alpha[i])``, by bisections run in lockstep.
 
     The margin is increasing in beta (stronger refinement needs more
-    information through the fine channel), so the feasible set is an
-    interval (0, beta_max].  The geometric bisection keeps lo feasible and
-    hi infeasible and stops when their midpoint rounds to one of them,
-    i.e. when they are adjacent floats (about 60 steps from [1e-9, 1e9]);
-    it returns lo, the last feasible float.
+    information through the fine channel), so each lane's feasible set is
+    an interval (0, beta_max].  A lane is None when 1e-9 is infeasible and
+    1e9 when 1e9 is feasible.  Otherwise its geometric bisection keeps lo
+    feasible and hi infeasible, and the lane stops on its own when their
+    midpoint rounds to one of them, i.e. when they are adjacent floats
+    (about 60 steps from [1e-9, 1e9]); it returns lo, the last feasible
+    float.  Each step evaluates the margins of all open lanes in one
+    :func:`fine_margins` call.
     """
-    lo = 1e-9
-    if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, lo)) > FEAS_TOL:
-        return None
-    hi = 1e9
-    if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, hi)) <= FEAS_TOL:
-        return hi
-    while (mid := math.sqrt(lo * hi)) not in (lo, hi):
-        if fine_feasibility_margin(scenario, LayeredParams(a2, b2, alpha, mid)) <= FEAS_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    a2, b2, alpha = (np.asarray(x, dtype=float) for x in (a2, b2, alpha))
+
+    def feasible(lanes, beta):
+        return fine_margins(scenario, a2[lanes], b2[lanes], alpha[lanes], beta) <= FEAS_TOL
+
+    out: list = [None] * a2.size
+    lanes = np.arange(a2.size)
+    lanes = lanes[feasible(lanes, np.full(lanes.size, 1e-9))]
+    top = feasible(lanes, np.full(lanes.size, 1e9))
+    for i in lanes[top].tolist():
+        out[i] = 1e9
+    lanes = lanes[~top]
+    lo, hi = np.full(lanes.size, 1e-9), np.full(lanes.size, 1e9)
+    while lanes.size:
+        mid = np.array([math.sqrt(x) for x in (lo * hi).tolist()])
+        done = (mid == lo) | (mid == hi)
+        for i, beta in zip(lanes[done].tolist(), lo[done].tolist()):
+            out[i] = beta
+        lanes, lo, hi, mid = lanes[~done], lo[~done], hi[~done], mid[~done]
+        ok = feasible(lanes, mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return out
+
+
+def _max_feasible_beta(scenario: LayeredScenario, a2: float, b2: float, alpha: float):
+    """Largest beta satisfying the determinant condition: the last feasible
+    float, None or 1e9 as in :func:`_max_feasible_betas`, of which this is
+    one lane."""
+    return _max_feasible_betas(scenario, [a2], [b2], [alpha])[0]
 
 
 def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) -> list[SlicePoint]:
@@ -216,21 +251,22 @@ def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) ->
     sigma_b2 = de - sigma_a2, fixes the coarse scaling at its largest
     feasible root, and pushes the refinement scaling to the edge of the
     determinant condition (drf decreases with beta, drc does not depend on
-    it).  Output is Pareto-minimal, sorted by drf increasing with drc
-    strictly decreasing; :func:`single_codebook_endpoints` reads the
-    time-sharing endpoints off it.
+    it); the beta bisections of all split points run in lockstep, in one
+    :func:`_max_feasible_betas` call.  Output is Pareto-minimal, sorted by
+    drf increasing with drc strictly decreasing;
+    :func:`single_codebook_endpoints` reads the time-sharing endpoints off
+    it.
     """
     if de <= 0:
         raise ValueError("De must be positive")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    frac = np.linspace(1e-3, 1.0 - 1e-3, resolution)
+    a2s = [de * float(f) for f in np.linspace(1e-3, 1.0 - 1e-3, resolution)]
+    b2s = [de - a2 for a2 in a2s]
+    alphas = [coarse_alpha_root(scenario, a2, b2) for a2, b2 in zip(a2s, b2s)]
+    betas = _max_feasible_betas(scenario, a2s, b2s, alphas)
     cands: list[SlicePoint] = []
-    for f in frac:
-        a2 = de * float(f)
-        b2 = de - a2
-        alpha = coarse_alpha_root(scenario, a2, b2)
-        beta = _max_feasible_beta(scenario, a2, b2, alpha)
+    for a2, b2, alpha, beta in zip(a2s, b2s, alphas, betas):
         if beta is None:
             continue
         params = LayeredParams(a2, b2, alpha, beta)

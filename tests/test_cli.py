@@ -239,3 +239,20 @@ def test_a_negative_seed_is_a_configuration_error(tmp_path):
                  ["pk", "--n", "16"]):
         assert main(["sim", *kind, "--trials", "5", "--seed", "-1", "--seed-secret", "2",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["region-gaussian", "--snr-db", "4000"],
+    ["region-gaussian", "--snr-db", "10", "--snr-db", "inf"],
+    ["region-layered", "--snr-db", "4000", "--sigma-v-db", "10", "--de-db", "0"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "4000", "--de-db", "0"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "10", "--de-db", "0",
+     "--de-db", "4000"],
+    ["sim", "gaussian", "--snr-db", "4000", "--seed", "1", "--seed-secret", "2"],
+    ["sim", "gaussian", "--snr-db", "nan", "--seed", "1", "--seed-secret", "2"],
+])
+def test_a_db_argument_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "dB is out of range" in capsys.readouterr().err
+    assert not out.exists()

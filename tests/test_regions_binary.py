@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from authdist.core import binary_entropy, bsc_convolve, mutual_information
+from authdist.core import ZERO_MASS, binary_entropy, bsc_convolve, mutual_information
 from authdist.regions_binary import (
+    FEAS_TOL,
+    GRID_EPS,
     BinaryAuxParams,
     boundary,
     embedding_capacity,
@@ -14,11 +16,13 @@ from authdist.regions_binary import (
     rate_gap,
     _best_decoder,
     _boundary_seed,
+    _de_grid,
     _de_value_grad,
     _dr_value_grad,
     _evaluate,
     _gap_value_grad,
     _inv_entropy,
+    _tau_nu_table,
 )
 
 H_02 = 0.7219280948873623
@@ -105,6 +109,50 @@ def test_params_validation():
 @pytest.fixture(scope="module")
 def boundary_curve():
     return boundary(0.2, resolution=200)
+
+
+def _parent_sweep(p, resolution, ntau, nnu):
+    """The (tau, nu) sweep ``boundary`` ran before it hoisted its per-call
+    terms: every cell's a_max and both D_r ends are rebuilt per grid D_e.
+    Kept as the oracle for the current sweep: (dr, witnesses as tuples)."""
+    de_grid = _de_grid(p, resolution)
+    if p == 0.0:
+        return np.zeros_like(de_grid), [(0.0, 0.25, GRID_EPS)] * resolution
+    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
+    span = B1 - B2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
+    a_min = np.clip(a_min, 0.0, np.inf)
+    dr_out = np.full(resolution, 0.5)
+    wit_out = [None] * resolution
+    for i, de in enumerate(de_grid):
+        with np.errstate(divide="ignore"):
+            a_max = np.minimum(1.0, de / T)
+        feasible = a_min <= a_max + 1e-15
+        if not feasible.any():
+            continue
+        a_lo = np.where(feasible, a_min, 0.0)
+        a_hi = np.where(feasible, a_max, 0.0)
+        dr_lo = V + a_lo * (T - V)
+        dr_hi = V + a_hi * (T - V)
+        dr_cell = np.where(feasible, np.minimum(dr_lo, dr_hi), 0.5)
+        j = np.unravel_index(np.argmin(dr_cell), dr_cell.shape)
+        best = float(dr_cell[j])
+        if best < 0.5:
+            dr_out[i] = best
+            a_star = float(a_lo[j] if dr_lo[j] <= dr_hi[j] else a_hi[j])
+            wit_out[i] = (a_star, float(T[j]), float(V[j]))
+    return np.minimum.accumulate(dr_out), wit_out
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.2, 0.49, 0.5])
+@pytest.mark.parametrize("resolution,ntau,nnu", [(2, 2, 2), (7, 5, 9), (41, 23, 17),
+                                                 (120, 60, 45)])
+def test_boundary_matches_the_parent_sweep(p, resolution, ntau, nnu):
+    curve = boundary(p, resolution, ntau, nnu)
+    dr, witnesses = _parent_sweep(p, resolution, ntau, nnu)
+    assert curve.dr.tobytes() == dr.tobytes()
+    assert [None if w is None else (w.alpha, w.tau, w.nu) for w in curve.witnesses] == witnesses
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +322,16 @@ def test_inv_entropy_small_targets():
         assert binary_entropy(np.nextafter(x, 0.0)) <= t <= binary_entropy(np.nextafter(x, 1.0))
     assert binary_entropy(_inv_entropy(1e-12)) / 1e-12 == 1.0
     assert _inv_entropy(0.0) == 0.0
+
+
+def test_inv_entropy_floor_below_the_entropy_of_zero_mass():
+    # binary_entropy is 0 at or below ZERO_MASS = 1e-15, so targets under the
+    # entropy of the next float (about 5.1e-14) cannot be inverted
+    floor = binary_entropy(np.nextafter(ZERO_MASS, 1.0))
+    assert 5.1e-14 < floor < 5.2e-14
+    for t in (5.1e-14, 1e-14, 1e-20, 1e-300, 5e-324):
+        assert _inv_entropy(t) == ZERO_MASS
+    assert _inv_entropy(5.2e-14) > ZERO_MASS
 
 
 def test_inv_entropy_matches_capped_bisection_where_it_converged():

@@ -15,11 +15,13 @@ from authdist.regions_layered import (
     distortion_triple,
     fine_feasibility_margin,
     fine_feasible,
+    fine_margins,
     region_slice,
     single_codebook_endpoints,
     single_layer_bounds,
     time_share,
     _max_feasible_beta,
+    _max_feasible_betas,
 )
 
 SCN = LayeredScenario(sigma_s2=1000.0, sigma_n2=1.0, sigma_v2=10.0)
@@ -199,3 +201,132 @@ def test_beta_edge_is_last_feasible_float(scn, de):
 def test_endpoints_of_an_empty_slice_are_refused():
     with pytest.raises(ValueError):
         single_codebook_endpoints(SCN, 1.0, [])
+
+
+# The scalar margin and the per-lane bisection that fine_margins and
+# _max_feasible_betas replaced, kept as oracles: the batched code must give
+# the same bits on every lane.
+
+def _scalar_margin(scenario, a2, b2, al, be):
+    if al == 0.0 or be == 0.0:
+        return math.inf
+    s2 = scenario.sigma_s2
+    var_t = s2 + b2 / be ** 2
+    var_u = s2 + a2 / al ** 2
+    var_yf = s2 + a2 + b2 + scenario.sigma_n2
+    cov_tu = s2
+    cov_ty = s2 + b2 / be
+    cov_uy = s2 + a2 / al
+    mats = (np.array([[var_t, cov_tu, cov_ty], [cov_tu, var_u, cov_uy], [cov_ty, cov_uy, var_yf]]),
+            np.array([[var_u, cov_uy], [cov_uy, var_yf]]),
+            np.array([[var_t, cov_tu, s2], [cov_tu, var_u, s2], [s2, s2, s2]]),
+            np.array([[var_u, s2], [s2, s2]]))
+    if not all(np.isfinite(m).all() for m in mats):
+        return math.inf
+    dets = []
+    for m in mats:
+        sign, logdet = np.linalg.slogdet(m)
+        if sign <= 0 or not math.isfinite(logdet):
+            return math.inf
+        dets.append(logdet)
+    return math.exp(dets[0] - dets[1]) - math.exp(dets[2] - dets[3])
+
+
+def _scalar_max_beta(scenario, a2, b2, alpha):
+    feasible = lambda beta: _scalar_margin(scenario, a2, b2, alpha, beta) <= FEAS_TOL
+    lo, hi = 1e-9, 1e9
+    if not feasible(lo):
+        return None
+    if feasible(hi):
+        return hi
+    while (mid := math.sqrt(lo * hi)) not in (lo, hi):
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _random_lanes(seed, scenarios=24, lanes=25):
+    """(scenario, a2, b2, alpha) lane lists at random budgets and splits,
+    alpha at its coarse root; the two scenarios of the beta-edge test come
+    first."""
+    rng = np.random.default_rng(seed)
+    fixed = [SCN, LayeredScenario(sigma_s2=10.0, sigma_n2=1.0, sigma_v2=1.0)]
+    for k in range(scenarios):
+        scn = fixed[k] if k < len(fixed) else LayeredScenario(
+            10 ** rng.uniform(-1, 4), 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-2, 2))
+        de = 10 ** rng.uniform(-2, 2)
+        a2 = (de * rng.uniform(1e-3, 1.0 - 1e-3, lanes)).tolist()
+        b2 = [de - x for x in a2]
+        yield scn, a2, b2, [coarse_alpha_root(scn, x, y) for x, y in zip(a2, b2)]
+
+
+def test_batched_margin_matches_the_scalar_oracle_on_random_lanes():
+    rng = np.random.default_rng(31)
+    for scn, a2, b2, alpha in _random_lanes(30):
+        beta = (10 ** rng.uniform(-9, 9, len(a2))).tolist()
+        want = [_scalar_margin(scn, *lane) for lane in zip(a2, b2, alpha, beta)]
+        assert fine_margins(scn, a2, b2, alpha, beta).tobytes() == np.array(want).tobytes()
+
+
+def test_batched_margin_matches_the_scalar_oracle_where_squares_round_apart():
+    # Python's x ** 2 (libm pow) and x * x differ in the last ulp for about one
+    # float in 1200 here; lanes whose beta or alpha is such a float, with
+    # b2 / beta^2 (or a2 / alpha^2) at 4 sigma_s2 so the ulp reaches the margin
+    rng = np.random.default_rng(41)
+    odd = [x for x in (10 ** rng.uniform(-3, 3, 100_000)).tolist() if x ** 2 != x * x][:40]
+    s2 = SCN.sigma_s2
+    lanes = ([(0.5, 4 * s2 * b * b, 1.0, b) for b in odd]
+             + [(4 * s2 * a * a, 0.5, a, 1.0) for a in odd])
+    want = [_scalar_margin(SCN, *lane) for lane in lanes]
+    assert fine_margins(SCN, *zip(*lanes)).tobytes() == np.array(want).tobytes()
+
+
+def test_batched_margin_matches_the_scalar_oracle_on_degenerate_lanes():
+    alpha = coarse_alpha_root(SCN, 0.5, 0.5)
+    lanes = [
+        (0.5, 0.5, alpha, 1.0),            # regular
+        (0.5, 0.5, 0.0, 1.0),              # alpha = 0
+        (0.5, 0.5, -0.0, 1.0),
+        (0.5, 0.5, alpha, 0.0),            # beta = 0
+        (math.inf, 0.5, alpha, 1.0),       # non-finite entries
+        (0.5, math.inf, alpha, 1.0),
+        (0.5, 0.5, 1e-160, 1.0),           # a2 / alpha^2 overflows
+        (0.5, 0.5, math.nan, 1.0),
+        (0.0, 0.5, alpha, 1.0),            # det Cov[U,S] = 0
+        (-0.5, 0.5, 1.0, 1.0),             # det Cov[U,S] < 0
+        (0.5, 0.5, alpha, 0.3),            # regular
+    ]
+    got = fine_margins(SCN, *zip(*lanes))
+    want = [_scalar_margin(SCN, *lane) for lane in lanes]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.isinf(got[1:10]).all() and np.isfinite(got[[0, 10]]).all()
+    for lane, m in zip(lanes, want):
+        if lane[0] > 0 and math.isfinite(lane[2]):     # lanes LayeredParams accepts
+            assert fine_feasibility_margin(SCN, LayeredParams(*lane)) == m
+    assert fine_margins(SCN, [], [], [], []).shape == (0,)
+
+
+def test_lockstep_beta_matches_the_per_lane_bisection():
+    for scn, a2, b2, alpha in _random_lanes(32):
+        got = _max_feasible_betas(scn, a2, b2, alpha)
+        assert got == [_scalar_max_beta(scn, *lane) for lane in zip(a2, b2, alpha)]
+        assert all(type(beta) is float for beta in got)
+
+
+def test_lockstep_beta_takes_the_none_and_top_branches_per_lane():
+    alpha = coarse_alpha_root(SCN, 0.5, 0.5)
+    # None where 1e-9 is infeasible, beside lanes that bisect
+    lanes = [(0.5, 0.5, alpha), (1e-6, 1e-3 - 1e-6, 1e3), (0.5, 0.5, 0.0), (0.1, 0.9, 0.5)]
+    got = _max_feasible_betas(SCN, *zip(*lanes))
+    assert got == [_scalar_max_beta(SCN, *lane) for lane in lanes]
+    assert got[1] is None and got[2] is None and None not in (got[0], got[3])
+    # 1e9 where 1e9 is feasible: a source of variance 1e-12 is all but known
+    faint = LayeredScenario(1e-12, 1.0, 10.0)
+    lanes = [(a2, de - a2, coarse_alpha_root(faint, a2, de - a2))
+             for de in (1e-12, 1e-3) for a2 in (1e-3 * de, 0.5 * de)]
+    got = _max_feasible_betas(faint, *zip(*lanes))
+    assert got == [_scalar_max_beta(faint, *lane) for lane in lanes]
+    assert got[2:] == [1e9, 1e9] and all(b < 1e9 for b in got[:2])
+    assert _max_feasible_betas(SCN, [], [], []) == []
