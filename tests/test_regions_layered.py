@@ -271,9 +271,10 @@ def test_batched_margin_matches_the_scalar_oracle_on_random_lanes():
 
 
 def test_batched_margin_matches_the_scalar_oracle_where_squares_round_apart():
-    # Python's x ** 2 (libm pow) and x * x differ in the last ulp for about one
-    # float in 1200 here; lanes whose beta or alpha is such a float, with
-    # b2 / beta^2 (or a2 / alpha^2) at 4 sigma_s2 so the ulp reaches the margin
+    # Python's x ** 2 (libm pow) and x * x can differ in the last ulp (about
+    # one float in 1200 with glibc; none where pow rounds correctly); lanes
+    # whose beta or alpha is such a float, with b2 / beta^2 (or a2 / alpha^2)
+    # at 4 sigma_s2 so the ulp reaches the margin
     rng = np.random.default_rng(41)
     odd = [x for x in (10 ** rng.uniform(-3, 3, 100_000)).tolist() if x ** 2 != x * x][:40]
     s2 = SCN.sigma_s2
