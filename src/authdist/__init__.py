@@ -7,57 +7,3 @@ adaptation.
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    AwgnChannel,
-    BscChannel,
-    JointPmf,
-    binary_entropy,
-    bsc_convolve,
-    hamming_distortion,
-    mutual_information,
-    quadratic_distortion,
-)
-from .regions_binary import (
-    BinaryAuxParams,
-    RegionCurve,
-    boundary,
-    embedding_capacity,
-    optimize_rate_fn,
-    param_distortions,
-    qe_boundary,
-    rate_gap,
-)
-from .regions_gaussian import (
-    GaussCurve,
-    GaussianScenario,
-    envelope_dr,
-    high_de_point,
-    inner_bound_dr,
-    low_de_alpha,
-    low_de_point,
-    outer_boundary,
-    qe_dr,
-)
-from .regions_layered import (
-    DistortionTriple,
-    LayeredParams,
-    LayeredScenario,
-    coarse_gap,
-    distortion_triple,
-    fine_feasible,
-    region_slice,
-    single_layer_bounds,
-    time_share,
-)
-from .sim_binary import BinCodebook, SimConfig, apply_bsc, build_codebook, decode, encode
-from .sim_common import DecodeOutcome, TrialStats
-from .sim_gaussian import (
-    GaussCodebook,
-    GaussSimConfig,
-    build_gauss_codebook,
-    gauss_decode,
-    gauss_encode,
-    run_gauss_trials,
-)
-from .pubkey import PublicEncoding, TestDoubleScheme, pk_decode, pk_encode

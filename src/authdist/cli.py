@@ -177,14 +177,17 @@ def _run_sim(args) -> dict:
 
 def _run_pk_trials(args, config: SimConfig, cb):
     """Public-key trials: reference channel, or codeword substitution with a
-    forged random tag when an attacker is requested.  The decoder ignores
-    the marking and accepts only when the carried tag verifies for the
-    decoded index."""
+    forged random tag under the ``substitute_codeword`` attacker, the only
+    one accepted.  The decoder ignores the marking and accepts only when the
+    carried tag verifies for the decoded index."""
     scheme = TestDoubleScheme(args.tag_bits)
     key = b"cli-pk-key"
     rep = args.repetition
     if rep < 1:
         raise ValueError("repetition must be >= 1")
+    if args.attacker not in (None, "substitute_codeword"):
+        raise ValueError(f"sim pk supports only the substitute_codeword attacker, "
+                         f"not {args.attacker}")
 
     def tag_check(idx, k, rng):
         # the carrier passes the reference channel untouched; the attacker

@@ -1,4 +1,4 @@
-"""Shared probability, entropy, channel, and distortion primitives.
+"""Shared probability and entropy primitives.
 
 Conventions used throughout the package:
 
@@ -14,82 +14,11 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 PMF_SUM_TOL = 1e-12
 ZERO_MASS = 1e-15
-
-
-def as_bits(x) -> np.ndarray:
-    """Validate a bit sequence and return it as a uint8 array."""
-    a = np.asarray(x)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("bit vector must be a non-empty 1-D sequence")
-    if not np.isin(a, (0, 1)).all():
-        raise ValueError("bit vector entries must be 0 or 1")
-    return a.astype(np.uint8)
-
-
-def as_reals(x) -> np.ndarray:
-    """Validate a real-valued sample sequence and return it as float64."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("real vector must be a non-empty 1-D sequence")
-    if not np.isfinite(a).all():
-        raise ValueError("real vector entries must be finite")
-    return a
-
-
-@dataclass(frozen=True)
-class BscChannel:
-    """Binary symmetric channel with crossover probability ``p``."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 0.5):
-            raise ValueError(f"crossover probability must be in [0, 1/2], got {self.p}")
-
-
-@dataclass(frozen=True)
-class AwgnChannel:
-    """Additive white Gaussian noise channel with per-sample variance ``sigma_n2``."""
-
-    sigma_n2: float
-
-    def __post_init__(self):
-        if not (self.sigma_n2 > 0 and math.isfinite(self.sigma_n2)):
-            raise ValueError(f"noise variance must be positive, got {self.sigma_n2}")
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Probability mass over a finite product alphabet.
-
-    The table is stored as a read-only ndarray; entries must be nonnegative
-    and sum to 1 within ``PMF_SUM_TOL``.
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim < 1 or t.size == 0:
-            raise ValueError("pmf table must be a non-empty array")
-        if (t < 0).any() or not np.isfinite(t).all():
-            raise ValueError("pmf entries must be finite and >= 0")
-        s = float(t.sum())
-        if abs(s - 1.0) > PMF_SUM_TOL:
-            raise ValueError(f"pmf entries sum to {s!r}, not 1 within {PMF_SUM_TOL}")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def marginal(self, axis: int) -> np.ndarray:
-        axes = tuple(i for i in range(self.table.ndim) if i != axis)
-        return self.table.sum(axis=axes)
 
 
 def binary_entropy(q) -> float:
@@ -130,35 +59,22 @@ def entropy(pmf) -> float:
 
 
 def mutual_information(joint) -> float:
-    """I(A;B) in bits for a joint pmf over a 2-D product alphabet.
+    """I(A;B) in bits for a joint pmf table over a 2-D product alphabet.
 
-    Accepts a :class:`JointPmf` or a raw table; the table is validated either
-    way.  Always >= 0 up to float rounding.
+    The table must be non-empty, finite, nonnegative and sum to 1 within
+    ``PMF_SUM_TOL``.  Always >= 0 up to float rounding.
     """
-    if not isinstance(joint, JointPmf):
-        joint = JointPmf(np.asarray(joint, dtype=float))
-    t = joint.table
-    if t.ndim != 2:
-        raise ValueError("mutual_information expects a joint pmf over two axes")
+    t = np.asarray(joint, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ValueError("mutual_information expects a non-empty joint pmf over two axes")
+    if (t < 0).any() or not np.isfinite(t).all():
+        raise ValueError("pmf entries must be finite and >= 0")
+    s = float(t.sum())
+    if abs(s - 1.0) > PMF_SUM_TOL:
+        raise ValueError(f"pmf entries sum to {s!r}, not 1 within {PMF_SUM_TOL}")
     pa = t.sum(axis=1, keepdims=True)
     pb = t.sum(axis=0, keepdims=True)
     m = t > ZERO_MASS
     val = float((t[m] * np.log2(t[m] / (pa @ pb)[m])).sum())
     return max(val, 0.0)
 
-
-def hamming_distortion(a, b) -> float:
-    """Fraction of positions where the two bit vectors differ."""
-    a, b = as_bits(a), as_bits(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return float(np.count_nonzero(a != b)) / a.size
-
-
-def quadratic_distortion(a, b) -> float:
-    """Mean squared error between two real vectors."""
-    a, b = as_reals(a), as_reals(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    d = a - b
-    return float(d @ d) / a.size

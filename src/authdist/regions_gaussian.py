@@ -35,8 +35,6 @@ from scipy.optimize import minimize
 SWEEP_LO_FACTOR = 1e-4   # sigma_t2 sweep spans [lo * sigma_n2, hi * sigma_s2]
 SWEEP_HI_FACTOR = 1e4
 
-REGIMES = ("inner", "low_de", "high_de", "envelope", "qe")
-
 
 @dataclass(frozen=True)
 class GaussianScenario:
@@ -54,21 +52,16 @@ class GaussianScenario:
 
 @dataclass(frozen=True)
 class GaussCurve:
-    """(D_e, D_r) samples in squared units with a regime tag per point."""
+    """(D_e, D_r) samples in squared units, sorted by D_e."""
 
     de: np.ndarray
     dr: np.ndarray
-    regime: tuple
 
     def __post_init__(self):
         de = np.asarray(self.de, dtype=float)
         dr = np.asarray(self.dr, dtype=float)
         if de.shape != dr.shape or de.ndim != 1:
             raise ValueError("curve needs matching 1-D arrays")
-        if len(self.regime) != de.size:
-            raise ValueError("one regime tag per point")
-        if any(t not in REGIMES for t in self.regime):
-            raise ValueError(f"regime tags must be in {REGIMES}")
         if (de < 0).any() or (dr <= 0).any():
             raise ValueError("De must be >= 0 and Dr > 0")
         if (np.diff(de) < 0).any():
@@ -170,7 +163,7 @@ def outer_boundary(scenario: GaussianScenario, resolution: int = 400) -> GaussCu
     """Lower convex envelope of the two achievable regimes (time sharing)."""
     low, high = sweep_points(scenario, resolution)
     hull = _lower_hull(np.concatenate([low, high]))
-    return GaussCurve(hull[:, 0], hull[:, 1], tuple("envelope" for _ in hull))
+    return GaussCurve(hull[:, 0], hull[:, 1])
 
 
 def envelope_dr(scenario: GaussianScenario, de, resolution: int = 400):

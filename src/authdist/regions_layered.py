@@ -237,13 +237,6 @@ def _max_feasible_betas(scenario: LayeredScenario, a2, b2, alpha) -> list:
     return out
 
 
-def _max_feasible_beta(scenario: LayeredScenario, a2: float, b2: float, alpha: float):
-    """Largest beta satisfying the determinant condition: the last feasible
-    float, None or 1e9 as in :func:`_max_feasible_betas`, of which this is
-    one lane."""
-    return _max_feasible_betas(scenario, [a2], [b2], [alpha])[0]
-
-
 def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) -> list[SlicePoint]:
     """Pareto frontier of (drf, drc) pairs at encoding budget de.
 

@@ -234,6 +234,14 @@ def test_pk_rejects_a_repetition_below_one(repetition, tmp_path, capsys):
     assert not (tmp_path / "pk.json").exists()
 
 
+@pytest.mark.parametrize("attacker", ["heavy_noise", "random_vector"])
+def test_pk_refuses_an_attacker_it_does_not_run(attacker, tmp_path, capsys):
+    assert main(["sim", "pk", "--n", "16", "--trials", "5", "--seed", "5", "--seed-secret", "6",
+                 "--attacker", attacker, "--out", str(tmp_path / "pk.json")]) == 2
+    assert "substitute_codeword" in capsys.readouterr().err
+    assert not (tmp_path / "pk.json").exists()
+
+
 def test_a_negative_seed_is_a_configuration_error(tmp_path):
     for kind in (["binary", "--n", "16"], ["gaussian", "--n", "4", "--rate", "1"],
                  ["pk", "--n", "16"]):

@@ -1,20 +1,10 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from authdist.core import (
-    JointPmf,
-    as_bits,
-    binary_entropy,
-    bsc_convolve,
-    entropy,
-    hamming_distortion,
-    mutual_information,
-    quadratic_distortion,
-)
+from authdist.core import binary_entropy, bsc_convolve, entropy, mutual_information
 
 # mpmath, 40 digits: h(1/5) = 0.721928094887362347870319429489...
 H_02 = 0.7219280948873623
@@ -89,73 +79,21 @@ def test_mutual_information_entropy_identity():
     rng = np.random.default_rng(42)
     for _ in range(50):
         t = rng.dirichlet(np.ones(12)).reshape(3, 4)
-        j = JointPmf(t)
-        ha = entropy(j.marginal(0))
-        hb = entropy(j.marginal(1))
+        ha = entropy(t.sum(axis=1))
+        hb = entropy(t.sum(axis=0))
         hab = entropy(t)
-        assert mutual_information(j) == pytest.approx(ha + hb - hab, abs=1e-10)
-        assert mutual_information(j) >= 0.0
+        assert mutual_information(t) == pytest.approx(ha + hb - hab, abs=1e-10)
+        assert mutual_information(t) >= 0.0
 
 
 def test_joint_pmf_validation():
-    with pytest.raises(ValueError):
-        JointPmf(np.array([[0.6, 0.5]]))          # sums over 1
-    with pytest.raises(ValueError):
-        JointPmf(np.array([[1.2, -0.2]]))         # negative mass
-    t = JointPmf(np.array([[0.25, 0.25], [0.25, 0.25]]))
-    with pytest.raises(ValueError):
-        t.table[0, 0] = 1.0                        # frozen table
-
-
-def test_hamming_examples():
-    assert hamming_distortion([0, 1, 1, 0], [0, 1, 1, 0]) == 0.0
-    assert hamming_distortion([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0
-    assert hamming_distortion([0, 0, 1, 1], [0, 0, 1, 0]) == 0.25
-    with pytest.raises(ValueError):
-        hamming_distortion([0, 1], [0, 1, 1])
-
-
-def test_quadratic_examples():
-    assert quadratic_distortion([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert quadratic_distortion([0.0, 0.0], [1.0, 1.0]) == 1.0
-    assert quadratic_distortion([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]) == pytest.approx(14.0 / 3.0)
-    with pytest.raises(ValueError):
-        quadratic_distortion([1.0], [1.0, 2.0])
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=64),
-       st.lists(st.integers(0, 1), min_size=1, max_size=64))
-def test_hamming_symmetric_zero_iff_equal(a, b):
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    d = hamming_distortion(a, b)
-    assert d == hamming_distortion(b, a)
-    assert (d == 0.0) == (a == b)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
-def test_quadratic_symmetric_zero_on_equal(vals):
-    other = [v + 1.0 for v in vals]
-    assert quadratic_distortion(vals, vals) == 0.0
-    assert quadratic_distortion(vals, other) == pytest.approx(
-        quadratic_distortion(other, vals))
-
-
-def test_as_bits_rejects_non_binary():
-    with pytest.raises(ValueError):
-        as_bits([0, 2, 1])
-    with pytest.raises(ValueError):
-        as_bits([])
-
-
-def test_channel_types_validate():
-    from authdist.core import AwgnChannel, BscChannel
-
-    assert BscChannel(0.2).p == 0.2
-    assert AwgnChannel(2.5).sigma_n2 == 2.5
-    with pytest.raises(ValueError):
-        BscChannel(0.6)
-    with pytest.raises(ValueError):
-        BscChannel(-0.1)
-    with pytest.raises(ValueError):
-        AwgnChannel(0.0)
+    # mutual_information refuses a table that is not a joint pmf over two axes
+    for bad in (
+        np.array([[0.6, 0.5]]),                      # sums over 1
+        np.array([[1.2, -0.2]]),                     # negative mass
+        np.array([[0.5, np.nan], [0.25, 0.25]]),     # NaN
+        np.array([0.5, 0.5]),                        # one axis
+        np.full((2, 2, 2), 0.125),                   # three axes
+    ):
+        with pytest.raises(ValueError):
+            mutual_information(bad)

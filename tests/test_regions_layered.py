@@ -20,7 +20,6 @@ from authdist.regions_layered import (
     single_codebook_endpoints,
     single_layer_bounds,
     time_share,
-    _max_feasible_beta,
     _max_feasible_betas,
 )
 
@@ -191,7 +190,7 @@ def test_beta_edge_is_last_feasible_float(scn, de):
         a2 = de * float(f)
         b2 = de - a2
         alpha = coarse_alpha_root(scn, a2, b2)
-        beta = _max_feasible_beta(scn, a2, b2, alpha)
+        beta = _max_feasible_betas(scn, [a2], [b2], [alpha])[0]
         assert beta is not None
         assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, beta)) <= FEAS_TOL
         above = float(np.nextafter(beta, np.inf))
