@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from .regions_layered import (
     single_codebook_endpoints,
     time_share,
 )
-from .pubkey import TestDoubleScheme, _embed_binary, _extract_binary, index_bits
-from .sim_binary import (SimConfig, bsc_channel, build_codebook, pack_bits, run_attack_trials,
-                         run_binary_trials, run_reference_trials)
-from .sim_common import substitute, wilson_interval
+from .pubkey import TagCarrier, TestDoubleScheme, run_pk_trials
+from .sim_binary import SimConfig, build_codebook, run_attack_trials, run_reference_trials
+from .sim_common import ATTACKERS, wilson_interval
 from .sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
 DB_GRID_LO, DB_GRID_HI = -20.0, 40.0
@@ -138,6 +137,8 @@ def _sim_params(args) -> dict:
 
 
 def _run_sim(args) -> dict:
+    if args.attack_p is not None and args.attacker != "heavy_noise":
+        raise ValueError("--attack-p applies only to the heavy_noise attacker")
     extra = {}
     if args.kind in ("binary", "pk"):
         config = SimConfig(n=args.n, tau=args.tau, gamma=args.gamma, p=args.p,
@@ -158,9 +159,7 @@ def _run_sim(args) -> dict:
                                 seed_public=args.seed, seed_secret=args.seed_secret,
                                 gamma=args.gamma)
         cb = build_gauss_codebook(config)
-        mode = "attack" if args.attacker else "reference"
-        stats = run_gauss_trials(config, mode, args.attacker or "substitute_codeword",
-                                 args.attack_p, codebook=cb)
+        stats = run_gauss_trials(config, args.attacker, args.attack_p, codebook=cb)
     else:
         raise ValueError(f"unknown sim kind {args.kind!r}")
     lo, hi = wilson_interval(stats.attack_successes, stats.attack_trials)
@@ -176,32 +175,9 @@ def _run_sim(args) -> dict:
 
 
 def _run_pk_trials(args, config: SimConfig, cb):
-    """Public-key trials: reference channel, or codeword substitution with a
-    forged random tag under the ``substitute_codeword`` attacker, the only
-    one accepted.  The decoder ignores the marking and accepts only when the
-    carried tag verifies for the decoded index."""
-    scheme = TestDoubleScheme(args.tag_bits)
-    key = b"cli-pk-key"
-    rep = args.repetition
-    if rep < 1:
-        raise ValueError("repetition must be >= 1")
-    if args.attacker not in (None, "substitute_codeword"):
-        raise ValueError(f"sim pk supports only the substitute_codeword attacker, "
-                         f"not {args.attacker}")
-
-    def tag_check(idx, k, rng):
-        # the carrier passes the reference channel untouched; the attacker
-        # draws its forged tag after its substitute codeword
-        tag = (rng.integers(0, 2, scheme.tag_bits).astype(np.uint8) if args.attacker
-               else scheme.sign(index_bits(int(idx), cb.count), key))
-        tag_hat = _extract_binary(_embed_binary(tag, rep), scheme.tag_bits, rep)
-        return scheme.verify(index_bits(int(k), cb.count), tag_hat, key)
-
-    stats = run_binary_trials(
-        config, cb, substitute(cb) if args.attacker else bsc_channel(config),
-        source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
-        attacked=bool(args.attacker), check_admissibility=False, tag_check=tag_check)
-    stats = replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
+    """``run_pk_trials`` at the arguments' tag bits and repetition."""
+    tags = TagCarrier(TestDoubleScheme(args.tag_bits), cb.count, args.repetition)
+    stats = run_pk_trials(config, cb, tags, b"cli-pk-key", args.attacker)
     return stats, {"tag_forgeries_accepted": stats.attack_successes}
 
 
@@ -293,16 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--seed-secret", type=int, default=None)
-    sim.add_argument("--attacker", choices=("substitute_codeword", "heavy_noise", "random_vector"),
-                     default=None)
+    sim.add_argument("--attacker", choices=ATTACKERS, default=None)
     sim.add_argument("--attack-p", type=float, default=None,
-                     help="heavy_noise strength: binary, a BSC crossover probability in "
-                          "(p, 1/2]; gaussian, a per-sample noise variance > 0 "
-                          "(default 4 sigma_n^2)")
+                     help="heavy_noise strength, refused without --attacker heavy_noise: "
+                          "binary, a BSC crossover probability in (p, 1/2]; gaussian, a "
+                          "per-sample noise variance > 0 (default 4 sigma_n^2)")
     sim.add_argument("--rate", type=float, default=2.0, help="gaussian codebook rate (bits/sample)")
     sim.add_argument("--snr-db", type=float, default=20.0, help="gaussian SNR in dB")
     sim.add_argument("--tag-bits", type=int, default=64)
-    sim.add_argument("--repetition", type=int, default=1)
+    sim.add_argument("--repetition", type=int, default=1,
+                     help="pk carrier samples per tag bit; a reference run does not yet "
+                          "send the carrier through the channel")
     sim.add_argument("--from-manifest", default=None)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_sim)

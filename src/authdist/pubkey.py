@@ -11,24 +11,25 @@ codeword decoding, extracts the tag estimate, and accepts only if the
 signature verifies.  Forging therefore requires forging a tag for a new
 index, whatever the admissible fraction was.
 
-Carrier: the tag is repetition-coded, k carrier samples per tag bit.  For
-binary content the carrier samples are the repeated tag bits themselves
-(majority decode); for Gaussian content each bit is embedded by scalar
-quantization with step ``quant_step`` (bit b maps to lattice point b *
-quant_step; extraction rounds to the nearest lattice point and takes its
-parity).
+Carrier: the tag is repetition-coded on a scalar lattice, k carrier
+samples per tag bit: bit b maps to lattice point b * step, and extraction
+rounds each sample to the nearest lattice point and takes the majority of
+the parities.  Binary content uses step 1, so its carrier samples are the
+repeated tag bits themselves; Gaussian content uses ``quant_step``.
+:class:`TagCarrier` is the one place that knows this format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim_binary import BinCodebook, SimConfig, apply_bsc, build_codebook, decode, encode
-from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams
+from .sim_binary import (BinCodebook, SimConfig, apply_bsc, bsc_channel, build_codebook, decode,
+                         encode, pack_bits, run_binary_trials)
+from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams, substitute
 from .sim_gaussian import GaussCodebook, GaussSimConfig, build_gauss_codebook, gauss_decode, gauss_encode
 
 
@@ -69,15 +70,51 @@ def index_bits(index: int, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TagCarrier:
+    """The tag format: the signed codeword index on a repetition-coded
+    lattice carrier.
+
+    Bit b is embedded as ``b * step``, ``repetition`` times; reading rounds
+    each sample to the nearest lattice point and takes the majority of the
+    points' parities (ties read 0).  Binary content uses ``step = 1``, so
+    the carrier samples are the repeated tag bits themselves.
+    """
+
+    scheme: TestDoubleScheme
+    count: int              # codebook size, fixing the index width
+    repetition: int
+    step: float = 1
+
+    def __post_init__(self):
+        if self.repetition < 1:
+            raise ValueError("repetition must be >= 1")
+        if not self.step > 0:
+            raise ValueError("the carrier step must be positive")
+
+    def embed(self, tag: np.ndarray) -> np.ndarray:
+        return np.repeat(tag, self.repetition) * self.step
+
+    def extract(self, carrier) -> np.ndarray:
+        lattice = np.rint(np.divide(carrier, self.step, dtype=float)).astype(np.int64)
+        votes = (lattice & 1).reshape(self.scheme.tag_bits, self.repetition)
+        return (votes.sum(axis=1) * 2 > self.repetition).astype(np.uint8)
+
+    def sign(self, index: int, signing_key: bytes) -> np.ndarray:
+        """The carrier of the tag signing codeword ``index``."""
+        return self.embed(self.scheme.sign(index_bits(index, self.count), signing_key))
+
+    def verify(self, carrier, index: int, public_key: bytes) -> bool:
+        """Whether the tag read off ``carrier`` verifies for ``index``."""
+        return self.scheme.verify(index_bits(index, self.count), self.extract(carrier), public_key)
+
+
+@dataclass(frozen=True)
 class PublicEncoding:
     """Content block plus the tag carrier appended to it."""
 
     content: np.ndarray
-    tag: np.ndarray
     carrier: np.ndarray
     codeword_index: int
-    repetition: int
-    quant_step: float | None
 
     @property
     def block(self) -> np.ndarray:
@@ -87,26 +124,6 @@ class PublicEncoding:
     def embedding_overhead(self) -> float:
         """Carrier fraction of the transmitted block."""
         return self.carrier.size / (self.content.size + self.carrier.size)
-
-
-def _embed_binary(tag: np.ndarray, repetition: int) -> np.ndarray:
-    return np.repeat(tag, repetition).astype(np.uint8)
-
-
-def _extract_binary(carrier: np.ndarray, tag_bits: int, repetition: int) -> np.ndarray:
-    votes = carrier[: tag_bits * repetition].reshape(tag_bits, repetition)
-    return (votes.sum(axis=1) * 2 > repetition).astype(np.uint8)
-
-
-def _embed_quantized(tag: np.ndarray, repetition: int, step: float) -> np.ndarray:
-    return np.repeat(tag.astype(float), repetition) * step
-
-
-def _extract_quantized(carrier: np.ndarray, tag_bits: int, repetition: int, step: float) -> np.ndarray:
-    lattice = np.rint(carrier[: tag_bits * repetition] / step).astype(np.int64)
-    bits = (lattice & 1).astype(np.uint8)
-    votes = bits.reshape(tag_bits, repetition)
-    return (votes.sum(axis=1) * 2 > repetition).astype(np.uint8)
 
 
 def pk_encode(
@@ -127,29 +144,21 @@ def pk_encode(
     Returns a :class:`PublicEncoding` or None when the underlying encoder
     fails.
     """
-    if repetition < 1:
-        raise ValueError("repetition must be >= 1")
     if isinstance(codebook, BinCodebook):
         if delta is None:
             raise ValueError("binary pk_encode needs delta")
-        result = encode(source, codebook, delta)
-        if result is None:
-            return None
-        x, idx = result
-        tag = scheme.sign(index_bits(idx, codebook.count), signing_key)
-        carrier = _embed_binary(tag, repetition)
-        return PublicEncoding(x, tag, carrier, idx, repetition, None)
-    if isinstance(codebook, GaussCodebook):
-        if quant_step is None or quant_step <= 0:
-            raise ValueError("gaussian pk_encode needs a positive quant_step")
-        result = gauss_encode(source, codebook, radius_budget)
-        if result is None:
-            return None
-        x, idx = result
-        tag = scheme.sign(index_bits(idx, codebook.count), signing_key)
-        carrier = _embed_quantized(tag, repetition, quant_step)
-        return PublicEncoding(x, tag, carrier, idx, repetition, quant_step)
-    raise TypeError(f"unsupported codebook type {type(codebook).__name__}")
+        step, result = 1, encode(source, codebook, delta)
+    elif isinstance(codebook, GaussCodebook):
+        if quant_step is None:
+            raise ValueError("gaussian pk_encode needs quant_step")
+        step, result = quant_step, gauss_encode(source, codebook, radius_budget)
+    else:
+        raise TypeError(f"unsupported codebook type {type(codebook).__name__}")
+    tags = TagCarrier(scheme, codebook.count, repetition, step)
+    if result is None:
+        return None
+    x, idx = result
+    return PublicEncoding(x, tags.sign(idx, signing_key), idx)
 
 
 def pk_decode(
@@ -168,7 +177,7 @@ def pk_decode(
 
     The admissibility predicate plays no role: anyone holding the public
     key can decode.  Rejection happens only on decode failure or signature
-    mismatch.
+    mismatch.  Binary carrier samples other than 0 or 1 are refused.
     """
     tag_len = scheme.tag_bits * repetition
     y_block = np.asarray(y_block)
@@ -178,22 +187,41 @@ def pk_decode(
     if isinstance(codebook, BinCodebook):
         if p is None or delta is None:
             raise ValueError("binary pk_decode needs p and delta")
-        tag_hat = _extract_binary(np.asarray(carrier, dtype=np.uint8), scheme.tag_bits, repetition)
-        inner = decode(content, codebook, p, delta, check_admissibility=False)
+        if not np.isin(carrier, (0, 1)).all():
+            raise ValueError("binary carrier samples must be 0 or 1")
+        step, inner = 1, decode(content, codebook, p, delta, check_admissibility=False)
     elif isinstance(codebook, GaussCodebook):
         if radius is None or quant_step is None:
             raise ValueError("gaussian pk_decode needs radius and quant_step")
-        tag_hat = _extract_quantized(np.asarray(carrier, dtype=float),
-                                     scheme.tag_bits, repetition, quant_step)
-        inner = gauss_decode(content, codebook, radius, check_admissibility=False)
+        step, inner = quant_step, gauss_decode(content, codebook, radius, check_admissibility=False)
     else:
         raise TypeError(f"unsupported codebook type {type(codebook).__name__}")
-    if not inner.authentic:
-        return DecodeOutcome.not_authentic()
-    msg = index_bits(inner.codeword_index, codebook.count)
-    if not scheme.verify(msg, tag_hat, public_key):
+    tags = TagCarrier(scheme, codebook.count, repetition, step)
+    if not (inner.authentic and tags.verify(carrier, inner.codeword_index, public_key)):
         return DecodeOutcome.not_authentic()
     return inner
+
+
+def run_pk_trials(config: SimConfig, cb: BinCodebook, tags: TagCarrier, key: bytes,
+                  attacker: str | None) -> TrialStats:
+    """``sim pk`` trials: the reference channel, or codeword substitution
+    with a forged random tag.  The decoder ignores the marking and accepts
+    only when the carried tag verifies for the decoded index."""
+    if attacker not in (None, "substitute_codeword"):
+        raise ValueError(f"sim pk supports only the substitute_codeword attacker, not {attacker}")
+
+    def tag_check(idx, k, rng):
+        # the carrier passes the reference channel untouched; the attacker
+        # draws its forged tag after its substitute codeword
+        carrier = (tags.embed(rng.integers(0, 2, tags.scheme.tag_bits).astype(np.uint8)) if attacker
+                   else tags.sign(int(idx), key))
+        return tags.verify(carrier, int(k), key)
+
+    stats = run_binary_trials(
+        config, cb, substitute(cb) if attacker else bsc_channel(config),
+        source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
+        attacked=bool(attacker), check_admissibility=False, tag_check=tag_check)
+    return replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
 
 
 def binomial_majority_error(repetition: int, p: float) -> float:
@@ -232,23 +260,21 @@ def carrier_channel_robustness(
     if isinstance(config, SimConfig):
         rep = repetition if repetition is not None else repetition_for_recovery(config.p, scheme.tag_bits)
         cb = codebook if codebook is not None else build_codebook(config)
-        embed = lambda tag: _embed_binary(tag, rep)
+        step = 1
         channel = lambda carrier, rng: apply_bsc(carrier, config.p, rng)
-        extract = lambda noisy: _extract_binary(noisy, scheme.tag_bits, rep)
     elif isinstance(config, GaussSimConfig):
         step, sigma_n = 6.0 * math.sqrt(config.sigma_n2), math.sqrt(config.sigma_n2)
         rep = repetition if repetition is not None else 3
         cb = codebook if codebook is not None else build_gauss_codebook(config)
-        embed = lambda tag: _embed_quantized(tag, rep, step)
         channel = lambda carrier, rng: carrier + rng.normal(0.0, sigma_n, size=carrier.size)
-        extract = lambda noisy: _extract_quantized(noisy, scheme.tag_bits, rep, step)
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
+    tags = TagCarrier(scheme, cb.count, rep, step)
     recovered = 0
     for start in range(0, config.trials, CHUNK):
         block = range(start, min(start + CHUNK, config.trials))
         for rng in streams(config.seed_public, CARRIER_KEY, block):
-            tag = scheme.sign(index_bits(int(rng.integers(0, cb.count)), cb.count), key)
-            recovered += int((extract(channel(embed(tag), rng)) == tag).all())
+            idx = int(rng.integers(0, cb.count))
+            recovered += int(tags.verify(channel(tags.sign(idx, key), rng), idx, key))
     return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,
                       matched=recovered, tag_recoveries=recovered)

@@ -22,12 +22,10 @@ from itertools import repeat
 import numpy as np
 
 from .core import binary_entropy
-from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark_admissible,
-                         run_trials, stream, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
+                         mark_admissible, run_trials, stream, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
-
-ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ CARRIER_KEY = 3
 CHUNK = 256    # trials per block of the driver
 MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
 
+ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for (seed, spawn key)."""

@@ -31,13 +31,11 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .sim_common import (CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats, mark_admissible,
-                         run_trials, stream, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
+                         mark_admissible, run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
 CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
-
-GAUSS_ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
 
 @dataclass(frozen=True)
@@ -182,32 +180,28 @@ def gauss_decode(y, cb: GaussCodebook, radius: float,
 
 def run_gauss_trials(
     config: GaussSimConfig,
-    mode: str = "reference",
-    attacker: str = "substitute_codeword",
+    attacker: str | None = None,
     attack_param: float | None = None,
     encode_budget: float | None = None,
     codebook: GaussCodebook | None = None,
 ) -> TrialStats:
     """Reference or attack trials with Gaussian source and noise.
 
-    mode="reference": source -> nearest admissible -> AWGN -> decode.
-    mode="attack": the attacker replaces the channel output; success iff
-    the decoder outputs a reconstruction different from the encoder's.
+    attacker=None: source -> nearest admissible -> AWGN -> decode.
+    Otherwise the attacker replaces the channel output; success iff the
+    decoder outputs a reconstruction different from the encoder's.
     ``attack_param`` is heavy_noise's per-sample noise variance, positive
     (None: 4 sigma_n2).
     """
-    if mode not in ("reference", "attack"):
-        raise ValueError("mode must be 'reference' or 'attack'")
-    if mode == "attack" and attacker not in GAUSS_ATTACKERS:
-        raise ValueError(f"attacker must be one of {GAUSS_ATTACKERS}")
-    if mode == "attack" and attacker == "heavy_noise" and not (
-            attack_param is None or attack_param > 0):
+    if attacker not in (None, *ATTACKERS):
+        raise ValueError(f"attacker must be one of {ATTACKERS}")
+    if attacker == "heavy_noise" and not (attack_param is None or attack_param > 0):
         raise ValueError("heavy_noise needs a positive per-sample noise variance attack_p")
     cb = codebook if codebook is not None else build_gauss_codebook(config)
     n = config.n
     sigma_s = math.sqrt(config.sigma_s2)
     sigma_n = math.sqrt(config.sigma_n2)
-    if mode == "reference":
+    if attacker is None:
         channel = lambda x, rng: x + rng.normal(0.0, sigma_n, size=n)
     elif attacker == "substitute_codeword":
         channel = substitute(cb)
@@ -220,4 +214,4 @@ def run_gauss_trials(
     return run_trials(cb, config.trials, config.seed_public,
                       lambda rng: rng.normal(0.0, sigma_s, size=n), channel,
                       encode_radius=math.inf if encode_budget is None else encode_budget,
-                      decode_radius=config.decode_radius, attacked=mode == "attack")
+                      decode_radius=config.decode_radius, attacked=attacker is not None)

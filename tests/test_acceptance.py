@@ -171,12 +171,12 @@ def test_criterion_08_gaussian_simulation():
     cfg = GaussSimConfig(n=8, rate=2.0, sigma_s2=100.0, sigma_n2=1.0, trials=2000,
                          seed_public=3003, seed_secret=4004)
     cb = build_gauss_codebook(cfg)
-    ref = run_gauss_trials(cfg, "reference", codebook=cb)
+    ref = run_gauss_trials(cfg, codebook=cb)
     assert ref.matched > 0
     assert ref.dr_de_max_gap == 0.0
     cfg_attack = GaussSimConfig(n=8, rate=2.0, sigma_s2=100.0, sigma_n2=1.0,
                                 trials=100000, seed_public=3003, seed_secret=4004)
-    att = run_gauss_trials(cfg_attack, "attack", "substitute_codeword", codebook=cb)
+    att = run_gauss_trials(cfg_attack, "substitute_codeword", codebook=cb)
     target = cb.n_admissible / cb.count
     sigma = binomial_sigma(target, att.attack_trials)
     assert abs(att.attack_rate - target) <= 3 * sigma

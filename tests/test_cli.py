@@ -242,6 +242,22 @@ def test_pk_refuses_an_attacker_it_does_not_run(attacker, tmp_path, capsys):
     assert not (tmp_path / "pk.json").exists()
 
 
+@pytest.mark.parametrize("kind", [
+    ["binary", "--n", "16"],
+    ["binary", "--n", "16", "--attacker", "random_vector"],
+    ["gaussian", "--n", "4", "--rate", "1"],
+    ["gaussian", "--n", "4", "--rate", "1", "--attacker", "substitute_codeword"],
+    ["pk", "--n", "16"],
+    ["pk", "--n", "16", "--attacker", "substitute_codeword"],
+])
+def test_attack_p_without_heavy_noise_is_a_configuration_error(kind, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["sim", *kind, "--trials", "5", "--seed", "1", "--seed-secret", "2",
+                 "--attack-p", "0.3", "--out", str(out)]) == 2
+    assert "only to the heavy_noise attacker" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_negative_seed_is_a_configuration_error(tmp_path):
     for kind in (["binary", "--n", "16"], ["gaussian", "--n", "4", "--rate", "1"],
                  ["pk", "--n", "16"]):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from authdist.pubkey import (
+    TagCarrier,
     TestDoubleScheme,
     binomial_majority_error,
     carrier_channel_robustness,
@@ -11,10 +12,8 @@ from authdist.pubkey import (
     pk_decode,
     pk_encode,
     repetition_for_recovery,
-    _embed_quantized,
-    _extract_quantized,
 )
-from authdist.sim_binary import SimConfig, build_codebook, decode, encode
+from authdist.sim_binary import SimConfig, apply_bsc, build_codebook, decode, encode
 from authdist.sim_common import TrialStats, stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook
 
@@ -179,10 +178,72 @@ def test_carrier_robustness_needs_redundancy(bin_cb, scheme):
 
 def test_quantized_carrier_roundtrip_and_noise():
     tag = stream(3, 0).integers(0, 2, 64).astype(np.uint8)
-    carrier = _embed_quantized(tag, 3, 6.0)
-    assert (_extract_quantized(carrier, 64, 3, 6.0) == tag).all()
+    tags = TagCarrier(TestDoubleScheme(64), 2, 3, 6.0)
+    carrier = tags.embed(tag)
+    assert (tags.extract(carrier) == tag).all()
     noise = stream(3, 1).normal(0.0, 1.0, carrier.size)
-    assert (_extract_quantized(carrier + noise, 64, 3, 6.0) == tag).all()
+    assert (tags.extract(carrier + noise) == tag).all()
+
+
+# the binary and quantized carrier codecs the lattice codec replaced, kept
+# as its oracle
+def _embed_binary(tag, repetition):
+    return np.repeat(tag, repetition).astype(np.uint8)
+
+
+def _extract_binary(carrier, tag_bits, repetition):
+    votes = carrier[: tag_bits * repetition].reshape(tag_bits, repetition)
+    return (votes.sum(axis=1) * 2 > repetition).astype(np.uint8)
+
+
+def _embed_quantized(tag, repetition, step):
+    return np.repeat(tag.astype(float), repetition) * step
+
+
+def _extract_quantized(carrier, tag_bits, repetition, step):
+    lattice = np.rint(carrier[: tag_bits * repetition] / step).astype(np.int64)
+    bits = (lattice & 1).astype(np.uint8)
+    votes = bits.reshape(tag_bits, repetition)
+    return (votes.sum(axis=1) * 2 > repetition).astype(np.uint8)
+
+
+@pytest.mark.parametrize("repetition", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("tag_bits", [8, 64])
+def test_carrier_codec_matches_the_binary_oracle(tag_bits, repetition):
+    # even repetitions tie; both read a tie as 0
+    tags = TagCarrier(TestDoubleScheme(tag_bits), 2, repetition)
+    for t in range(50):
+        rng = stream(tag_bits * 10 + repetition, t)
+        tag = rng.integers(0, 2, tag_bits).astype(np.uint8)
+        carrier = tags.embed(tag)
+        assert carrier.dtype == np.uint8
+        assert np.array_equal(carrier, _embed_binary(tag, repetition))
+        noisy = apply_bsc(carrier, rng.uniform(0.0, 0.5), rng)
+        assert np.array_equal(tags.extract(noisy), _extract_binary(noisy, tag_bits, repetition))
+
+
+@pytest.mark.parametrize("repetition", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("step", [6.0, 0.7])
+def test_carrier_codec_matches_the_quantized_oracle(step, repetition):
+    tags = TagCarrier(TestDoubleScheme(64), 2, repetition, step)
+    for t in range(50):
+        rng = stream(int(step * 10) + repetition, t)
+        tag = rng.integers(0, 2, 64).astype(np.uint8)
+        carrier = tags.embed(tag)
+        assert carrier.dtype == np.float64
+        assert np.array_equal(carrier, _embed_quantized(tag, repetition, step))
+        noisy = carrier + rng.normal(0.0, rng.uniform(0.0, step), carrier.size)
+        assert np.array_equal(tags.extract(noisy), _extract_quantized(noisy, 64, repetition, step))
+
+
+def test_binary_pk_decode_refuses_a_carrier_sample_other_than_0_or_1(bin_cb, scheme):
+    s = stream(1, 0).integers(0, 2, 16).astype(np.uint8)
+    block = pk_encode(s, bin_cb, scheme, KS, delta=0.12).block
+    assert pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12).authentic
+    # the old vote count read a 2 as two votes for 1, a parity read as 0
+    block[-1] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12)
 
 
 def test_gaussian_pk_roundtrip():
@@ -203,6 +264,19 @@ def test_gaussian_pk_roundtrip():
             forged = np.concatenate([cb.codewords[j], pe.carrier])
             assert not pk_decode(forged, cb, scheme, KP, radius=cfg.decode_radius,
                                  quant_step=6.0, repetition=3).authentic
+
+
+@pytest.mark.parametrize("quant_step", [0.0, -6.0, math.nan])
+def test_gaussian_pk_decode_refuses_a_step_that_is_not_positive(quant_step):
+    cfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=10,
+                         seed_public=5, seed_secret=6)
+    cb = build_gauss_codebook(cfg)
+    scheme = TestDoubleScheme(64)
+    pe = pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, scheme, KS, quant_step=6.0)
+    with pytest.raises(ValueError, match="step must be positive"):
+        pk_decode(pe.block, cb, scheme, KP, radius=cfg.decode_radius, quant_step=quant_step)
+    with pytest.raises(ValueError, match="step must be positive"):
+        pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, scheme, KS, quant_step=quant_step)
 
 
 def test_gaussian_carrier_robustness():

@@ -88,8 +88,8 @@ def test_decode_roundtrip_and_radius(codebook):
 
 def test_reference_trials_identity_and_reproducibility(codebook):
     cfg = make_config(trials=400)
-    stats = run_gauss_trials(cfg, "reference", codebook=codebook)
-    assert stats == run_gauss_trials(cfg, "reference", codebook=codebook)
+    stats = run_gauss_trials(cfg, codebook=codebook)
+    assert stats == run_gauss_trials(cfg, codebook=codebook)
     assert stats.matched > 0
     assert stats.dr_de_max_gap == 0.0
 
@@ -98,7 +98,7 @@ def test_decode_success_approaches_one_as_noise_vanishes():
     # epsilon held fixed while the channel noise shrinks: the decoding
     # sphere then dwarfs the perturbation and every trial authenticates
     cfg = make_config(sigma_n2=1e-6, epsilon=0.25, trials=300)
-    stats = run_gauss_trials(cfg, "reference")
+    stats = run_gauss_trials(cfg)
     assert stats.decode_failures + stats.wrong_codeword == 0
     assert stats.matched == stats.trials_run
 
@@ -107,14 +107,14 @@ def test_encoding_distortion_decreases_with_rate():
     des = []
     for rate in (1.0, 1.5, 2.0):
         cfg = make_config(rate=rate, gamma=0.25, trials=150)
-        stats = run_gauss_trials(cfg, "reference")
+        stats = run_gauss_trials(cfg)
         des.append(stats.empirical_de)
     assert des[0] > des[1] > des[2]
 
 
 def test_substitute_attack_rate(codebook):
     cfg = make_config(trials=3000)
-    stats = run_gauss_trials(cfg, "attack", "substitute_codeword", codebook=codebook)
+    stats = run_gauss_trials(cfg, "substitute_codeword", codebook=codebook)
     target = codebook.n_admissible / codebook.count
     sigma = binomial_sigma(target, stats.attack_trials)
     assert abs(stats.attack_rate - target) <= 3 * sigma
@@ -126,14 +126,14 @@ def test_every_attacker_respects_the_marking_bound(codebook):
     for attacker, param in (("substitute_codeword", None),
                             ("heavy_noise", 25.0),
                             ("random_vector", None)):
-        stats = run_gauss_trials(cfg, "attack", attacker, param, codebook=codebook)
+        stats = run_gauss_trials(cfg, attacker, param, codebook=codebook)
         sigma = binomial_sigma(bound, max(stats.attack_trials, 1))
         assert stats.attack_rate <= bound + 3 * sigma
 
 
 def test_encode_budget_counts_failures(codebook):
     cfg = make_config(trials=200)
-    stats = run_gauss_trials(cfg, "reference", encode_budget=1e-6, codebook=codebook)
+    stats = run_gauss_trials(cfg, encode_budget=1e-6, codebook=codebook)
     assert stats.encode_failures == stats.trials_run
 
 

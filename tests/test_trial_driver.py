@@ -42,11 +42,12 @@ PATHS = {
         BIN_CFG, "heavy_noise", 0.3, b, fresh_marking=True),
     "binary random_vector": lambda b, k, g: run_attack_trials(BIN_CFG, "random_vector", codebook=b),
     "gaussian reference, encode budget": lambda b, k, g: run_gauss_trials(
-        G_CFG, "reference", encode_budget=12.0, codebook=g),
-    "gaussian substitute": lambda b, k, g: run_gauss_trials(G_CFG, "attack", codebook=g),
-    "gaussian heavy_noise": lambda b, k, g: run_gauss_trials(G_CFG, "attack", "heavy_noise", 1.2,
+        G_CFG, encode_budget=12.0, codebook=g),
+    "gaussian substitute": lambda b, k, g: run_gauss_trials(
+        G_CFG, "substitute_codeword", codebook=g),
+    "gaussian heavy_noise": lambda b, k, g: run_gauss_trials(G_CFG, "heavy_noise", 1.2,
                                                              codebook=g),
-    "gaussian random_vector": lambda b, k, g: run_gauss_trials(G_CFG, "attack", "random_vector",
+    "gaussian random_vector": lambda b, k, g: run_gauss_trials(G_CFG, "random_vector",
                                                                codebook=g),
     "pk reference": lambda b, k, g: _run_pk_trials(_pk(None), PK_CFG, k)[0],
     "pk substitute": lambda b, k, g: _run_pk_trials(_pk("substitute_codeword"), PK_CFG, k)[0],
@@ -148,4 +149,4 @@ def test_every_accepted_small_gaussian_config_finishes_every_attacker(n, rate, s
                          seed_public=seed, seed_secret=seed + 1)
     cb = build_gauss_codebook(cfg)
     for attacker in ("substitute_codeword", "heavy_noise", "random_vector"):
-        _finishes_or_refuses(lambda: run_gauss_trials(cfg, "attack", attacker, codebook=cb), cb)
+        _finishes_or_refuses(lambda: run_gauss_trials(cfg, attacker, codebook=cb), cb)
