@@ -187,7 +187,7 @@ def pk_decode(
     if isinstance(codebook, BinCodebook):
         if p is None or delta is None:
             raise ValueError("binary pk_decode needs p and delta")
-        if not np.isin(carrier, (0, 1)).all():
+        if not ((carrier == 0) | (carrier == 1)).all():
             raise ValueError("binary carrier samples must be 0 or 1")
         step, inner = 1, decode(content, codebook, p, delta, check_admissibility=False)
     elif isinstance(codebook, GaussCodebook):
@@ -220,7 +220,7 @@ def run_pk_trials(config: SimConfig, cb: BinCodebook, tags: TagCarrier, key: byt
     stats = run_binary_trials(
         config, cb, substitute(cb) if attacker else bsc_channel(config),
         source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
-        attacked=bool(attacker), check_admissibility=False, tag_check=tag_check)
+        attacked=bool(attacker), tag_check=tag_check)
     return replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
 
 

@@ -565,6 +565,8 @@ def optimize_rate_fn(
         raise ValueError(f"crossover must be in [0, 1/2], got {p}")
     if cardinality < 2:
         raise ValueError("auxiliary cardinality must be >= 2")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     # imported here, not at module top, so importing the CLI stays as cheap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 SWEEP_LO_FACTOR = 1e-4   # sigma_t2 sweep spans [lo * sigma_n2, hi * sigma_s2]
 SWEEP_HI_FACTOR = 1e4
@@ -44,10 +43,6 @@ class GaussianScenario:
     def __post_init__(self):
         if not (self.sigma_s2 > 0 and self.sigma_n2 > 0):
             raise ValueError("variances must be positive")
-
-    @property
-    def snr(self) -> float:
-        return self.sigma_s2 / self.sigma_n2
 
 
 @dataclass(frozen=True)
@@ -189,101 +184,3 @@ def qe_dr(scenario: GaussianScenario, de: float) -> float:
         raise ValueError("De must be >= 0")
     return scenario.sigma_s2 / (1.0 + de / scenario.sigma_n2)
 
-
-def _innovation_eval(scenario: GaussianScenario, b: float, c: float, d: float):
-    """Distortions and gap for U = S + cT, X = bU + dT with T ~ N(0, 1).
-
-    Returns (de, dr, gap_bits) computed from the joint Gaussian covariance.
-    """
-    s2, n2 = scenario.sigma_s2, scenario.sigma_n2
-    # X = b S + (b c + d) T
-    coef_t = b * c + d
-    de = (b - 1.0) ** 2 * s2 + coef_t ** 2
-    var_u = s2 + c * c
-    var_x = b * b * s2 + coef_t ** 2
-    var_y = var_x + n2
-    cov_uy = b * s2 + c * coef_t
-    cov_us = s2
-    dr = s2 - cov_us ** 2 / var_u
-    det_uy = var_u * var_y - cov_uy ** 2
-    det_us = var_u * s2 - cov_us ** 2
-    if det_uy <= 0 or det_us <= 0:
-        return de, max(dr, 1e-300), -math.inf
-    i_uy = 0.5 * math.log2(var_u * var_y / det_uy)
-    i_su = 0.5 * math.log2(var_u * s2 / det_us)
-    return de, dr, i_uy - i_su
-
-
-def _high_de_sigma_t2(scenario: GaussianScenario, de: float) -> float:
-    """sigma_t2 at which the high-De regime spends the budget de.
-
-    Geometric bisection on [1e-12, 1e12] * sigma_s2 keeping the regime's D_e
-    above de at lo; it stops at the first step that leaves the bracket
-    unchanged, since every later step would repeat it.
-    """
-    lo, hi = 1e-12 * scenario.sigma_s2, 1e12 * scenario.sigma_s2
-    if not high_de_point(scenario, lo)[0] > de:
-        raise ValueError(f"De={de} is not below the high-De regime's distortion "
-                         f"at sigma_t2={lo}")
-    while True:
-        mid = math.sqrt(lo * hi)
-        if high_de_point(scenario, mid)[0] > de:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def best_gaussian_codebook_dr(
-    scenario: GaussianScenario,
-    de: float,
-    restarts: int = 12,
-    seed: int = 0,
-) -> float:
-    """Refinement search over general Gaussian innovations (b, c, d).
-
-    Minimizes D_r subject to the information gap >= 0 and encoding
-    distortion <= de; always at least as good as the two closed-form
-    regimes at the same budget (they are feasible starting points).
-    """
-    if de <= 0:
-        raise ValueError("De must be positive for the refinement search")
-
-    def pack_eval(v):
-        return _innovation_eval(scenario, v[0], v[1], v[2])
-
-    def objective(v):
-        return pack_eval(v)[1]
-
-    cons = [
-        {"type": "ineq", "fun": lambda v: pack_eval(v)[2]},
-        {"type": "ineq", "fun": lambda v: de - pack_eval(v)[0]},
-    ]
-    starts = []
-    # low-De regime: U = S + T/alpha, X = S + T  ->  b=1, c=sqrt(t)/alpha, d adjusts
-    t = de
-    alpha = low_de_alpha(scenario, t)
-    starts.append([1.0, math.sqrt(t) / alpha, math.sqrt(t) * (1.0 - 1.0 / alpha)])
-    # high-De regime: U = S + T, X = beta U  ->  b=beta, c=sqrt(t2), d=0
-    t2 = _high_de_sigma_t2(scenario, de)
-    starts.append([high_de_beta(scenario, t2), math.sqrt(t2), 0.0])
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append([rng.uniform(0.2, 2.0), rng.uniform(0.01, 3.0) * math.sqrt(de),
-                       rng.uniform(-1.0, 1.0) * math.sqrt(de)])
-
-    best = math.inf
-    for v0 in starts:
-        d0, r0, g0 = pack_eval(v0)
-        if g0 >= -1e-9 and d0 <= de * (1 + 1e-9):
-            best = min(best, r0)
-        res = minimize(objective, v0, method="SLSQP", constraints=cons,
-                       options={"maxiter": 200, "ftol": 1e-14})
-        d1, r1, g1 = pack_eval(res.x)
-        if g1 >= -1e-7 and d1 <= de * (1 + 1e-7):
-            best = min(best, r1)
-    return best

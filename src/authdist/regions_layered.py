@@ -18,7 +18,8 @@ MMSE decoding of S from U (coarse) and from (U, T) (fine) gives
 
 The coarse layer must satisfy I(U;Y_c) - I(S;U) >= 0, which is the
 single-layer low-distortion condition with the auxiliary variance replaced
-by sigma_a2 and the noise by sigma_n2 + sigma_v2 + sigma_b2.  The fine
+by sigma_a2 and the noise by sigma_n2 + sigma_v2 + sigma_b2, so its root
+and gap are :mod:`regions_gaussian`'s at that noise.  The fine
 layer must satisfy I(T;Y_f|U) - I(S;T|U) >= 0, evaluated through the
 equivalent Gaussian determinant condition
 
@@ -31,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .regions_gaussian import GaussianScenario, inner_bound_dr, low_de_alpha, low_de_gap
 
 FEAS_TOL = 1e-9
 
@@ -83,24 +86,23 @@ def distortion_triple(scenario: LayeredScenario, params: LayeredParams) -> Disto
     return DistortionTriple(de, drc, drf)
 
 
+def _coarse_channel(scenario: LayeredScenario, sigma_b2: float) -> GaussianScenario:
+    """The single-layer scenario the coarse layer faces: the refinement
+    noise B adds to the harsh channel's noise."""
+    return GaussianScenario(scenario.sigma_s2, scenario.sigma_n2 + scenario.sigma_v2 + sigma_b2)
+
+
 def coarse_alpha_root(scenario: LayeredScenario, sigma_a2: float, sigma_b2: float) -> float:
     """Largest coarse scaling with nonnegative gap; the refinement noise B
     adds to the effective channel noise seen by the coarse layer."""
     if sigma_a2 <= 0 or sigma_b2 < 0:
         raise ValueError("invalid innovation variances")
-    s2 = scenario.sigma_s2
-    eff_n2 = scenario.sigma_n2 + scenario.sigma_v2 + sigma_b2
-    return (1.0 + math.sqrt(1.0 + sigma_a2 / s2 + eff_n2 / s2)) / (1.0 + eff_n2 / sigma_a2)
+    return low_de_alpha(_coarse_channel(scenario, sigma_b2), sigma_a2)
 
 
 def coarse_gap(scenario: LayeredScenario, params: LayeredParams) -> float:
     """I(U;Y_c) - I(S;U) in bits, closed form."""
-    s2 = scenario.sigma_s2
-    a2, b2, al = params.sigma_a2, params.sigma_b2, params.alpha
-    eff = scenario.sigma_n2 + scenario.sigma_v2 + b2
-    num = a2 * (a2 + s2 + eff)
-    den = a2 * s2 * (1.0 - al) ** 2 + eff * (a2 + al ** 2 * s2)
-    return 0.5 * math.log2(num / den)
+    return low_de_gap(_coarse_channel(scenario, params.sigma_b2), params.sigma_a2, params.alpha)
 
 
 def coarse_gap_covariance(scenario: LayeredScenario, params: LayeredParams) -> float:
@@ -184,13 +186,9 @@ def single_layer_bounds(scenario: LayeredScenario, de: float) -> tuple[float, fl
     The coarse decoder faces noise sigma_n2 + sigma_v2, the fine decoder
     sigma_n2 alone; any layered point must lie above both.
     """
-    if de < 0:
-        raise ValueError("De must be >= 0")
-    s2, n2, v2 = scenario.sigma_s2, scenario.sigma_n2, scenario.sigma_v2
-    root = (math.sqrt(de) + math.sqrt(s2)) ** 2
-    drc = s2 * (n2 + v2) / (n2 + v2 + root)
-    drf = s2 * n2 / (n2 + root)
-    return drc, drf
+    s2, n2 = scenario.sigma_s2, scenario.sigma_n2
+    return (inner_bound_dr(GaussianScenario(s2, n2 + scenario.sigma_v2), de),
+            inner_bound_dr(GaussianScenario(s2, n2), de))
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,11 @@ class SimConfig:
             raise ValueError("blocklength must be >= 8")
         if not (0.0 < self.tau < 0.5):
             raise ValueError("tau must be in (0, 1/2)")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not (0.0 <= self.p <= 0.5):
             raise ValueError("p must be in [0, 1/2]")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -106,8 +106,6 @@ class BinCodebook(Codebook):
     tau: float
     words: np.ndarray          # (count, W) packed codewords
     admissible: np.ndarray     # (count,) bool
-    seed_public: int
-    seed_secret: int
 
     @property
     def rows(self) -> np.ndarray:
@@ -158,8 +156,7 @@ def build_codebook(config: SimConfig) -> BinCodebook:
     n_adm = min(max(n_adm, 1), count)
     words = _random_words(stream(config.seed_public, CODEBOOK_KEY), count, config.n)
     admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
-    return BinCodebook(config.n, config.tau, words, admissible,
-                       config.seed_public, config.seed_secret)
+    return BinCodebook(config.n, config.tau, words, admissible)
 
 
 def _radius(n: int, fraction: float) -> float:

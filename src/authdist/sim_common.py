@@ -7,6 +7,8 @@ to bit-identical results no matter how trials are batched:
 
 - ``(seed_public, (0,))``   codebook generation
 - ``(seed_secret, (0,))``   admissibility marking
+- ``(seed_secret, (0, t))`` fresh admissibility marking of trial t in
+  ``sim_binary.run_attack_trials(fresh_marking=True)``
 - ``(seed_public, (1, t))`` source and reference-channel noise of trial t
 - ``(seed_public, (2, t))`` attacker randomness of trial t (public knowledge)
 - ``(seed_public, (3, t))`` tag and carrier noise of trial t in
@@ -241,7 +243,7 @@ def substitute(cb):
 
 def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: float,
                decode_radius: float, attacked: bool = False, marking=None,
-               check_admissibility: bool = True, tag_check=None) -> TrialStats:
+               tag_check=None) -> TrialStats:
     """source -> encode -> channel or attacker -> decode over a
     :class:`Codebook`, tallied over trials.
 
@@ -250,9 +252,10 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     fed from ``(seed, (2, t))`` and every encoded trial is an attack, won
     by a wrong reconstruction.  The encoder takes the nearest admissible
     codeword within ``encode_radius``; the decoder the nearest codeword,
-    rejected beyond ``decode_radius``, when forbidden (if
-    ``check_admissibility``; ``marking(t)`` replaces the admissible mask of
-    trial t) or when ``tag_check(encoded, decoded, rng)`` fails.
+    rejected beyond ``decode_radius`` and when forbidden (``marking(t)``
+    replaces the admissible mask of trial t); a given
+    ``tag_check(encoded, decoded, rng)`` replaces the admissibility check,
+    rejecting when it fails.
 
     Trials run in blocks of CHUNK (fewer when per-trial masks would exceed
     MARKING_BYTES) and every sum is one ``math.fsum`` over per-trial values,
@@ -282,9 +285,9 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
                         else [rngs[i] for i in ok])
         k, dist = cb.nearest(np.stack([channel(row, rng) for row, rng in zip(x, channel_rngs)]))
         accept = dist <= decode_radius
-        if check_admissibility:
+        if tag_check is None:
             accept &= cb.admissible[k] if masks is None else [masks[i][j] for i, j in zip(ok, k)]
-        if tag_check is not None:
+        else:
             accept &= [a and tag_check(*args) for a, *args in zip(accept, idx, k, channel_rngs)]
         same = accept & (cb.rows[k] == x).all(axis=1)
         d_r = cb.distortion(k, sources)

@@ -53,7 +53,7 @@ class GaussSimConfig:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("blocklength must be >= 4")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
         if self.n * self.rate > LOG2_GAUSS_CAP:
             raise ValueError(
@@ -66,11 +66,11 @@ class GaussSimConfig:
             raise ValueError("trials must be >= 1")
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 / math.sqrt(self.n))
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", self.sigma_n2 / 4.0)
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
     @property
@@ -83,9 +83,6 @@ class GaussSimConfig:
 class GaussCodebook(Codebook):
     codewords: np.ndarray       # (count, n) float
     admissible: np.ndarray      # (count,) bool
-    sigma_s2: float
-    seed_public: int
-    seed_secret: int
 
     @property
     def rows(self) -> np.ndarray:
@@ -149,8 +146,7 @@ def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
     rng = stream(config.seed_public, CODEBOOK_KEY)
     codewords = rng.normal(0.0, math.sqrt(config.sigma_s2), size=(count, config.n))
     admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
-    return GaussCodebook(codewords, admissible, config.sigma_s2,
-                         config.seed_public, config.seed_secret)
+    return GaussCodebook(codewords, admissible)
 
 
 def gauss_encode(source, cb: GaussCodebook, radius_budget: float | None = None):

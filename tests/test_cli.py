@@ -280,3 +280,29 @@ def test_a_db_argument_out_of_range_is_a_configuration_error(argv, tmp_path, cap
     assert main([*argv, "--out", str(out)]) == 2
     assert "dB is out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["binary", "--n", "16", "--delta", "nan"], "delta"),
+    (["binary", "--n", "16", "--gamma", "nan"], "gamma"),
+    (["gaussian", "--n", "4", "--gamma", "nan"], "gamma"),
+    (["gaussian", "--n", "4", "--rate", "nan"], "rate"),
+])
+def test_a_nan_parameter_is_a_configuration_error_naming_it(argv, name, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["sim", *argv, "--trials", "5", "--seed", "1", "--seed-secret", "2",
+                 "--out", str(out)]) == 2
+    assert f"{name} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_restarts_are_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.2",
+                 "--restarts", "-3", "--out", str(out)]) == 2
+    assert "restarts must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    # no random start, the parametric seeds only
+    assert main(["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.2",
+                 "--restarts", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["params"]["restarts"] == 0

@@ -244,6 +244,11 @@ def test_binary_pk_decode_refuses_a_carrier_sample_other_than_0_or_1(bin_cb, sch
     block[-1] = 2
     with pytest.raises(ValueError, match="0 or 1"):
         pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12)
+    for bad in (math.nan, 0.5, -1.0):
+        floats = block.astype(float)
+        floats[-1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            pk_decode(floats, bin_cb, scheme, KP, p=0.0, delta=0.12)
 
 
 def test_gaussian_pk_roundtrip():

@@ -330,3 +330,59 @@ def test_lockstep_beta_takes_the_none_and_top_branches_per_lane():
     assert got == [_scalar_max_beta(faint, *lane) for lane in lanes]
     assert got[2:] == [1e9, 1e9] and all(b < 1e9 for b in got[:2])
     assert _max_feasible_betas(SCN, [], [], []) == []
+
+
+# The bodies coarse_alpha_root, coarse_gap and single_layer_bounds had before
+# they delegated to regions_gaussian at the coarse layer's effective noise,
+# kept as oracles: the delegating code must give the same bits.
+
+def _former_coarse_alpha_root(scenario, sigma_a2, sigma_b2):
+    s2 = scenario.sigma_s2
+    eff_n2 = scenario.sigma_n2 + scenario.sigma_v2 + sigma_b2
+    return (1.0 + math.sqrt(1.0 + sigma_a2 / s2 + eff_n2 / s2)) / (1.0 + eff_n2 / sigma_a2)
+
+
+def _former_coarse_gap(scenario, params):
+    s2 = scenario.sigma_s2
+    a2, b2, al = params.sigma_a2, params.sigma_b2, params.alpha
+    eff = scenario.sigma_n2 + scenario.sigma_v2 + b2
+    num = a2 * (a2 + s2 + eff)
+    den = a2 * s2 * (1.0 - al) ** 2 + eff * (a2 + al ** 2 * s2)
+    return 0.5 * math.log2(num / den)
+
+
+def _former_single_layer_bounds(scenario, de):
+    s2, n2, v2 = scenario.sigma_s2, scenario.sigma_n2, scenario.sigma_v2
+    root = (math.sqrt(de) + math.sqrt(s2)) ** 2
+    return s2 * (n2 + v2) / (n2 + v2 + root), s2 * n2 / (n2 + root)
+
+
+def test_single_layer_formulas_match_the_former_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(43)
+    var = lambda: float(10 ** rng.uniform(-5, 5))
+    extremes = [LayeredScenario(s, n, v) for s in (1e-5, 1e5) for n in (1e-5, 1e5)
+                for v in (1e-5, 1e5)]
+    got, want = [], []
+    for scn in extremes + [LayeredScenario(var(), var(), var()) for _ in range(1200)]:
+        a2, b2 = var(), var()
+        for b in (0.0, b2):
+            got.append(coarse_alpha_root(scn, a2, b))
+            want.append(_former_coarse_alpha_root(scn, a2, b))
+        for alpha in (got[-1], float(rng.uniform(-3.0, 3.0)), 0.0):
+            params = LayeredParams(a2, b2, alpha, 1.0)
+            got.append(coarse_gap(scn, params))
+            want.append(_former_coarse_gap(scn, params))
+        for de in (0.0, var()):
+            got.extend(single_layer_bounds(scn, de))
+            want.extend(_former_single_layer_bounds(scn, de))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_coarse_root_and_bounds_refuse_invalid_arguments():
+    # b2 < 0 leaves the coarse layer's effective noise positive here, so the
+    # single-layer scenario alone would not refuse it
+    for a2, b2 in ((0.5, -1e-3), (0.0, 0.5), (-0.5, 0.5)):
+        with pytest.raises(ValueError):
+            coarse_alpha_root(SCN, a2, b2)
+    with pytest.raises(ValueError):
+        single_layer_bounds(SCN, -1.0)

@@ -30,7 +30,7 @@ def make_config(**kw):
 
 def handmade_codebook(patterns, admissible, n, tau=0.2):
     words = np.stack([pack_bits(np.array(p, dtype=np.uint8)) for p in patterns])
-    return BinCodebook(n, tau, words, np.array(admissible, dtype=bool), 0, 0)
+    return BinCodebook(n, tau, words, np.array(admissible, dtype=bool))
 
 
 @pytest.mark.parametrize("n", [8, 16, 63, 64, 65, 100])

@@ -38,6 +38,9 @@ def test_config_defaults_and_validation():
         make_config(rate=3.0)            # 8 * 3 = 24 > 22 cap
     with pytest.raises(ValueError):
         make_config(sigma_n2=0.0)
+    for name in ("rate", "gamma", "epsilon"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            make_config(**{name: math.nan})
 
 
 def test_codebook_sizes_and_variance(codebook):
@@ -141,7 +144,7 @@ def test_encode_budget_counts_failures(codebook):
 
 def _hand_codebook(rows):
     rows = np.asarray(rows, dtype=float)
-    return GaussCodebook(rows, np.ones(len(rows), dtype=bool), 1.0, 0, 0)
+    return GaussCodebook(rows, np.ones(len(rows), dtype=bool))
 
 
 def _brute_nearest(cb, targets, among=None):
