@@ -90,6 +90,8 @@ def cmd_region_binary(args) -> int:
 
 
 def cmd_region_gaussian(args) -> int:
+    if args.resolution < 2:
+        raise ValueError("resolution must be >= 2")
     lines = ["snr_db,curve,de_over_n_db,dr_over_n_db"]
     de_db_grid = np.linspace(DB_GRID_LO, DB_GRID_HI, args.resolution)
     for snr_db in args.snr_db:

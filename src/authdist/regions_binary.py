@@ -30,13 +30,24 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import binary_entropy, binary_entropy_arr, bsc_convolve
+from .core import binary_entropy, binary_entropy_arr
 
 GRID_EPS = 1e-4          # open-interval clamp for tau, nu grids
 FEAS_TOL = 1e-9          # mutual-information feasibility tolerance
 LN2 = math.log(2.0)
+
+
+def __getattr__(name: str):
+    """Import scipy's ``minimize`` on the first lookup of the module global
+    of that name, so that only ``optimize_rate_fn`` pays for scipy.optimize.
+    Once bound, the global is found without this hook, and a replacement
+    assigned to it stays in place."""
+    if name == "minimize":
+        global minimize
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -88,22 +99,6 @@ class RegionCurve:
     def dr_at(self, de: float) -> float:
         """Piecewise-linear interpolation of the frontier."""
         return float(np.interp(de, self.de, self.dr))
-
-
-def rate_gap(params: BinaryAuxParams, p: float) -> float:
-    """I(U;Y) - I(U;S) for the parametric family at reference crossover p."""
-    if not (0.0 <= p <= 0.5):
-        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
-    a, t, v = params.alpha, params.tau, params.nu
-    coded = binary_entropy(t) - binary_entropy(p)
-    uncoded = binary_entropy(v) - binary_entropy(bsc_convolve(p, v))
-    return a * coded + (1.0 - a) * uncoded
-
-
-def param_distortions(params: BinaryAuxParams) -> tuple[float, float]:
-    """(D_e, D_r) = (alpha tau, alpha tau + (1 - alpha) nu)."""
-    de = params.alpha * params.tau
-    return de, de + (1.0 - params.alpha) * params.nu
 
 
 def _de_grid(p: float, resolution: int) -> np.ndarray:
@@ -579,13 +574,17 @@ def optimize_rate_fn(
         q0 = rng.dirichlet(np.ones(K), size=2)
         r0 = rng.random((K, 2))
         starts.append(("random", np.concatenate([q0.reshape(-1), r0.reshape(-1)])))
+    if not starts:
+        raise ValueError("no start to run: restarts must be >= 1 where no parametric "
+                         "seed applies (cardinality < 4 or no family member within the budgets)")
+    if "minimize" not in globals():
+        __getattr__("minimize")
 
     # fork, named because the default start method differs across Python
     # versions and platforms: the workers inherit the imported modules
-    # (spawn would import scipy again in each) and the module global
-    # ``minimize``.  At least one worker: the pool refuses zero, and an
-    # empty map starts no process.
-    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
+    # (spawn would import scipy again in each) and ``minimize`` as bound
+    # above, which ``_run_start`` calls through the module global.
+    workers = min(len(starts), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(),)) as ex:
         ends = list(ex.map(partial(_run_start, de, dr, p, K, max_iter), [z0 for _, z0 in starts]))

@@ -87,13 +87,6 @@ def low_de_alpha(scenario: GaussianScenario, sigma_t2: float) -> float:
     return (1.0 + math.sqrt(1.0 + sigma_t2 / s2 + n2 / s2)) / (1.0 + n2 / sigma_t2)
 
 
-def information_embedding_alpha(scenario: GaussianScenario, sigma_t2: float) -> float:
-    """The classical embedding (dirty-paper) scaling for the same noises."""
-    if sigma_t2 <= 0:
-        raise ValueError("sigma_t2 must be positive")
-    return sigma_t2 / (sigma_t2 + scenario.sigma_n2)
-
-
 def low_de_gap(scenario: GaussianScenario, sigma_t2: float, alpha: float) -> float:
     """I(U;Y) - I(S;U) in bits for the distortion-compensated encoder."""
     t, s, n = sigma_t2, scenario.sigma_s2, scenario.sigma_n2

@@ -105,22 +105,6 @@ def coarse_gap(scenario: LayeredScenario, params: LayeredParams) -> float:
     return low_de_gap(_coarse_channel(scenario, params.sigma_b2), params.sigma_a2, params.alpha)
 
 
-def coarse_gap_covariance(scenario: LayeredScenario, params: LayeredParams) -> float:
-    """Same gap evaluated from the joint Gaussian covariance (oracle route)."""
-    s2 = scenario.sigma_s2
-    a2, b2, al = params.sigma_a2, params.sigma_b2, params.alpha
-    var_u = s2 + a2 / al ** 2
-    var_yc = s2 + a2 + b2 + scenario.sigma_n2 + scenario.sigma_v2
-    cov_uyc = s2 + a2 / al
-    det_uy = var_u * var_yc - cov_uyc ** 2
-    det_us = var_u * s2 - s2 * s2
-    if det_uy <= 0 or det_us <= 0:
-        return -math.inf
-    i_uy = 0.5 * math.log2(var_u * var_yc / det_uy)
-    i_su = 0.5 * math.log2(var_u * s2 / det_us)
-    return i_uy - i_su
-
-
 def fine_margins(scenario: LayeredScenario, a2, b2, alpha, beta) -> np.ndarray:
     """:func:`fine_feasibility_margin` over lanes, bit for bit.
 
@@ -173,11 +157,6 @@ def fine_feasibility_margin(scenario: LayeredScenario, params: LayeredParams) ->
     """
     return float(fine_margins(scenario, [params.sigma_a2], [params.sigma_b2],
                               [params.alpha], [params.beta])[0])
-
-
-def fine_feasible(scenario: LayeredScenario, params: LayeredParams) -> bool:
-    """Whether the refinement layer's information constraint holds."""
-    return fine_feasibility_margin(scenario, params) <= FEAS_TOL
 
 
 def single_layer_bounds(scenario: LayeredScenario, de: float) -> tuple[float, float]:

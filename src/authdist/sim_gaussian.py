@@ -14,7 +14,8 @@ the codebook for the decoder, one over the admissible rows for the
 encoder, each built once per codebook), which keep the lowest-index tie
 rule of the ``Codebook`` protocol: the decoder's tie check counts the rows
 within a relative 1e-9 of the nearest distance, the encoder's finds the
-second nearest row.
+second nearest row.  The trees are scipy.spatial's ``cKDTree``, imported
+when the first tree is built, so importing this module loads no scipy.
 
 Desk-scale caveat: at the blocklengths the tractability cap allows, the
 empirical distortions sit well above the asymptotic sigma_n2 value; the
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
                          mark_admissible, run_trials, stream, substitute)
@@ -79,6 +79,12 @@ class GaussSimConfig:
         return self.sigma_n2 + self.epsilon
 
 
+def _kd_tree(points: np.ndarray):
+    """A k-d tree over the rows of ``points``."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
 @dataclass(frozen=True)
 class GaussCodebook(Codebook):
     codewords: np.ndarray       # (count, n) float
@@ -97,12 +103,12 @@ class GaussCodebook(Codebook):
         return np.arange(self.count)
 
     @cached_property
-    def _tree(self) -> cKDTree:
-        return cKDTree(self.codewords)
+    def _tree(self):
+        return _kd_tree(self.codewords)
 
     @cached_property
-    def _admissible_tree(self) -> cKDTree:
-        return cKDTree(self.codewords[self.admissible_indices])
+    def _admissible_tree(self):
+        return _kd_tree(self.codewords[self.admissible_indices])
 
     def nearest(self, targets: np.ndarray, among: np.ndarray | None = None):
         """Index and per-sample squared distance of the nearest codeword to
@@ -123,7 +129,7 @@ class GaussCodebook(Codebook):
             tied = tree.query_ball_point(targets, dist * (1 + 1e-9), return_length=True) > 1
         else:
             tree = (self._admissible_tree if among is self.admissible_indices
-                    else cKDTree(self.codewords[among]))
+                    else _kd_tree(self.codewords[among]))
             dist, pos = tree.query(targets, k=2)
             tied, pos = dist[:, 0] == dist[:, 1], pos[:, 0]
         idx = among[pos]

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ import pytest
 from authdist.cli import main
 from authdist.regions_gaussian import GaussianScenario, envelope_dr, inner_bound_dr, qe_dr
 from authdist.regions_layered import LayeredScenario, single_layer_bounds
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -306,3 +313,67 @@ def test_negative_restarts_are_a_configuration_error(tmp_path, capsys):
     assert main(["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.2",
                  "--restarts", "0", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["manifest"]["params"]["restarts"] == 0
+
+
+def test_optimize_with_no_start_to_run_is_a_configuration_error(tmp_path, capsys):
+    # below cardinality 4 there is no parametric seed, so restarts 0 runs nothing
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.2",
+                 "--cardinality", "2", "--restarts", "0", "--out", str(out)]) == 2
+    assert "no start to run" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["region-binary", "--p", "0.2"],
+    ["region-gaussian", "--snr-db", "10"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "10", "--de-db", "0"],
+])
+def test_a_region_resolution_below_two_is_a_configuration_error(argv, resolution, tmp_path,
+                                                                capsys):
+    out = tmp_path / "region.csv"
+    assert main([*argv, "--resolution", resolution, "--out", str(out)]) == 2
+    assert "resolution must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NO_SCIPY_SCRIPT = r"""
+import json, pathlib, sys
+from authdist.cli import main
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
+
+out = pathlib.Path(sys.argv[1]) / "out"
+seeds = ["--trials", "20", "--seed", "1", "--seed-secret", "2"]
+report = {"import authdist.cli": loaded()}
+for name, argv in (
+        ("region-binary", ["region-binary", "--p", "0.2", "--resolution", "11"]),
+        ("region-gaussian", ["region-gaussian", "--snr-db", "10", "--resolution", "5"]),
+        ("region-layered", ["region-layered", "--snr-db", "30", "--sigma-v-db", "10",
+                            "--de-db", "0", "--resolution", "5"]),
+        ("sim binary", ["sim", "binary", "--n", "16", *seeds]),
+        ("sim pk", ["sim", "pk", "--n", "16", *seeds])):
+    assert main([*argv, "--out", str(out)]) == 0, name
+    report[name] = loaded()
+
+from authdist import regions_binary
+import scipy.optimize
+report["minimize"] = regions_binary.minimize is scipy.optimize.minimize
+print(json.dumps(report))
+"""
+
+
+def test_import_and_commands_that_call_no_scipy_load_no_scipy(tmp_path):
+    # only optimize (SLSQP) and sim gaussian (k-d trees) call scipy; a fresh
+    # interpreter shows what the import and every other command load
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # the module global that the optimizer's workers call resolves to scipy's
+    assert report.pop("minimize") is True
+    assert report == {name: [] for name in report}

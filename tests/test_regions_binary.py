@@ -10,10 +10,8 @@ from authdist.regions_binary import (
     boundary,
     embedding_capacity,
     optimize_rate_fn,
-    param_distortions,
     params_to_joint,
     qe_boundary,
-    rate_gap,
     _best_decoder,
     _boundary_seed,
     _de_grid,
@@ -26,6 +24,23 @@ from authdist.regions_binary import (
 )
 
 H_02 = 0.7219280948873623
+
+
+def rate_gap(params: BinaryAuxParams, p: float) -> float:
+    """I(U;Y) - I(U;S) for the parametric family at reference crossover p,
+    closed form (the family's rate gap of the regions_binary docstring)."""
+    if not (0.0 <= p <= 0.5):
+        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
+    a, t, v = params.alpha, params.tau, params.nu
+    coded = binary_entropy(t) - binary_entropy(p)
+    uncoded = binary_entropy(v) - binary_entropy(bsc_convolve(p, v))
+    return a * coded + (1.0 - a) * uncoded
+
+
+def param_distortions(params: BinaryAuxParams) -> tuple[float, float]:
+    """(D_e, D_r) = (alpha tau, alpha tau + (1 - alpha) nu)."""
+    de = params.alpha * params.tau
+    return de, de + (1.0 - params.alpha) * params.nu
 
 
 def family_joint_tables(alpha, tau, nu, p):

@@ -9,7 +9,6 @@ from authdist.regions_gaussian import (
     envelope_dr,
     high_de_beta,
     high_de_point,
-    information_embedding_alpha,
     inner_bound_dr,
     low_de_alpha,
     low_de_gap,
@@ -20,6 +19,13 @@ from authdist.regions_gaussian import (
 )
 
 SCN = GaussianScenario(sigma_s2=100.0, sigma_n2=1.0)
+
+
+def information_embedding_alpha(scenario: GaussianScenario, sigma_t2: float) -> float:
+    """The classical embedding (dirty-paper) scaling for the same noises."""
+    if sigma_t2 <= 0:
+        raise ValueError("sigma_t2 must be positive")
+    return sigma_t2 / (sigma_t2 + scenario.sigma_n2)
 
 
 def quadratic_residual(scn, t2, alpha):

@@ -11,10 +11,8 @@ from authdist.regions_layered import (
     LayeredScenario,
     coarse_alpha_root,
     coarse_gap,
-    coarse_gap_covariance,
     distortion_triple,
     fine_feasibility_margin,
-    fine_feasible,
     fine_margins,
     region_slice,
     single_codebook_endpoints,
@@ -24,6 +22,27 @@ from authdist.regions_layered import (
 )
 
 SCN = LayeredScenario(sigma_s2=1000.0, sigma_n2=1.0, sigma_v2=10.0)
+
+
+def coarse_gap_covariance(scenario: LayeredScenario, params: LayeredParams) -> float:
+    """The coarse gap evaluated from the joint Gaussian covariance (oracle route)."""
+    s2 = scenario.sigma_s2
+    a2, b2, al = params.sigma_a2, params.sigma_b2, params.alpha
+    var_u = s2 + a2 / al ** 2
+    var_yc = s2 + a2 + b2 + scenario.sigma_n2 + scenario.sigma_v2
+    cov_uyc = s2 + a2 / al
+    det_uy = var_u * var_yc - cov_uyc ** 2
+    det_us = var_u * s2 - s2 * s2
+    if det_uy <= 0 or det_us <= 0:
+        return -math.inf
+    i_uy = 0.5 * math.log2(var_u * var_yc / det_uy)
+    i_su = 0.5 * math.log2(var_u * s2 / det_us)
+    return i_uy - i_su
+
+
+def fine_feasible(scenario: LayeredScenario, params: LayeredParams) -> bool:
+    """Whether the refinement layer's information constraint holds."""
+    return fine_feasibility_margin(scenario, params) <= FEAS_TOL
 
 
 def test_distortion_triple_exact_values():
