@@ -35,6 +35,11 @@ from .core import binary_entropy, binary_entropy_arr
 
 GRID_EPS = 1e-4          # open-interval clamp for tau, nu grids
 FEAS_TOL = 1e-9          # mutual-information feasibility tolerance
+NEAR_ONE = 8 * 2.0 ** -53  # boundary's full-scan bound on (1 - a_max) * nu step
+CANDIDATE_CHUNK = 32     # grid points per block of boundary's candidate evaluation
+# largest auxiliary alphabet optimize_rate_fn takes: one SLSQP start took
+# 5.7 s at 32 symbols, 38 s at 64 and over 120 s at 128
+MAX_CARDINALITY = 32
 LN2 = math.log(2.0)
 
 
@@ -113,6 +118,8 @@ def _de_grid(p: float, resolution: int) -> np.ndarray:
 def _tau_nu_table(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
     """(T, V, B1, B2) over the (tau, nu) grid, indexed [tau, nu]: the flip
     rates and the coded and uncoded gap brackets (the uncoded one <= 0)."""
+    if ntau < 1 or nnu < 1:
+        raise ValueError("the (tau, nu) grid needs ntau >= 1 and nnu >= 1")
     tau = np.linspace(GRID_EPS, 0.5 - GRID_EPS, ntau)
     if 0.0 < p < 0.5:
         # the flat part of the frontier needs tau == p exactly
@@ -123,19 +130,64 @@ def _tau_nu_table(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
     return (*np.meshgrid(tau, nu, indexing="ij"), *np.meshgrid(b1, b2, indexing="ij"))
 
 
+def _alpha_floor(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
+    """(T, V, a_min) over the (tau, nu) grid: the flip rates and each cell's
+    smallest alpha with rate gap alpha B1 + (1 - alpha) B2 >= 0, inf where
+    no alpha in [0, 1] reaches it."""
+    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
+    span = B1 - B2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
+    return T, V, np.clip(a_min, 0.0, np.inf)
+
+
+def _alpha_limit(de, tau):
+    """min(1, D_e / tau), the largest alpha within the encoding budget."""
+    with np.errstate(over="ignore"):     # a subnormal tau = p
+        return np.minimum(1.0, de / tau)
+
+
+def _scan(a_max: np.ndarray, a_min: np.ndarray, V: np.ndarray, slope: np.ndarray,
+          dr_lo: np.ndarray) -> tuple[float, int]:
+    """The whole (tau, nu) table at one grid D_e, given the alpha limit of
+    each tau row as a column: D_r and flat index of the best cell, ties to
+    the first in (tau, nu) order, with infeasible cells at D_r = 1/2."""
+    dr_cell = np.where(a_min <= a_max + 1e-15, np.minimum(dr_lo, V + a_max * slope), 0.5)
+    j = int(np.argmin(dr_cell))
+    return float(dr_cell.flat[j]), j
+
+
 def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -> RegionCurve:
     """Lower frontier D_r(D_e) of the achievable region on a D_e grid.
 
     For each grid D_e, minimizes D_r over all parameter triples with
     ``alpha * tau <= D_e`` (the encoding budget) and rate gap >= 0.  For a
-    fixed (tau, nu) pair the gap is linear in alpha, so feasibility reduces
-    to an alpha interval whose endpoints are the only candidates for the
-    linear objective; the search is a vectorized sweep over the (tau, nu)
-    grid.  The sweep builds what does not depend on D_e (the smallest
-    feasible alpha, tau - nu and the D_r end at that alpha) once per call,
-    and the alpha limit min(1, D_e / tau) once per tau row; ties go to the
-    first cell in (tau, nu) order.  Infeasible grid points report
+    fixed (tau, nu) cell the gap is linear in alpha, so feasibility reduces
+    to an alpha interval [a_min, a_max], a_max = min(1, D_e / tau), and
+    D_r = nu + alpha (tau - nu), linear too, is least at one of its ends.
+    The frontier point is the least such D_r over the (tau, nu) grid, ties
+    to the first cell in (tau, nu) order.  Infeasible grid points report
     D_r = 1/2, which is always achievable by ignoring the channel output.
+
+    Rather than scan the whole table at every grid point (``_scan``), the
+    search evaluates one candidate cell per tau row plus one, with the
+    scan's expressions, so curve and witnesses are bit for bit the scan's.
+    a_max does not decrease along the grid, so a cell stays feasible from
+    the grid index one ``searchsorted`` per row finds.  Cells with
+    tau >= nu give their a_min end, which does not depend on D_e: the
+    first feasible one in (D_r, cell) order is the candidate.  Cells with
+    tau < nu give their a_max end, which rises with nu while a_max < 1:
+    a row's candidate is its smallest-nu feasible cell, or, at a_max = 1,
+    its best cell, found once.
+
+    A grid point runs the full scan where that order may fail: where a row
+    has a_max < 1 and (1 - a_max) * dnu <= NEAR_ONE, dnu the nu step (each
+    computed D_r in (0, 1/2) is within 1.5 * 2^-53 of the exact one), and
+    where a cell is feasible through the 1e-15 slack alone
+    (a_max < a_min <= a_max + 1e-15).  Both occur: at a grid D_e less than
+    1e-15 * p below p, the tau = p row has a_min = 1 and a_max just below
+    1.  The witness alpha of a slack cell at a_max = 1, up to 1 + 1e-15, is
+    reported as 1.
     """
     de_grid = _de_grid(p, resolution)
     if p == 0.0:
@@ -145,36 +197,72 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
         wit = tuple(BinaryAuxParams(0.0, 0.25, GRID_EPS) for _ in de_grid)
         return RegionCurve(de_grid, dr, wit)
 
-    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
-    span = B1 - B2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # smallest alpha with alpha B1 + (1-alpha) B2 >= 0
-        a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
-    a_min = np.clip(a_min, 0.0, np.inf)
-    tau = T[:, :1]
+    T, V, a_min = _alpha_floor(p, ntau, nnu)
     slope = T - V
     with np.errstate(invalid="ignore"):
-        # D_r = nu + alpha (tau - nu) is linear in alpha: check both ends;
-        # the a_min end does not depend on D_e (nan or inf only where
-        # a_min is inf, a cell no budget makes feasible)
+        # the a_min end of D_r (nan or inf only where a_min is inf, a cell
+        # no budget makes feasible)
         dr_lo = V + a_min * slope
+    rows, cols = T.shape
+    none = rows * cols                        # flat index standing for "no cell"
+    tau = T[:, :1]
+    steps = np.arange(resolution)
+    down = slope < 0
 
-    dr_out = np.full(resolution, 0.5)
+    # grid index from which each cell is feasible (resolution if never)
+    first = np.empty(T.shape, dtype=np.intp)
+    for r in range(rows):
+        first[r] = np.searchsorted(_alpha_limit(de_grid, tau[r]) + 1e-15, a_min[r])
+    # the grid points where the ordering may fail: cells feasible through
+    # the slack alone, until a_max reaches a_min, and rows just below 1
+    fallback = np.zeros(resolution, dtype=bool)
+    slack = _alpha_limit(de_grid[np.minimum(first, resolution - 1)], tau) < a_min
+    for r, n in zip(*np.nonzero(slack & (first < resolution))):
+        fallback[first[r, n]:np.searchsorted(_alpha_limit(de_grid, tau[r]), a_min[r, n])] = True
+    near_one = 1.0 - NEAR_ONE / np.diff(V[0]).min(initial=np.inf)
+
+    # tau >= nu: the first cell in (D_r, cell) order feasible at each grid index
+    level = np.flatnonzero(~down & (first < resolution))
+    level = level[np.argsort(dr_lo.flat[level], kind="stable")]
+    pos = np.searchsorted(-np.minimum.accumulate(first.flat[level]), -steps)
+    level_best = np.append(level, none)[pos]
+    level_dr = np.append(dr_lo.flat[level], np.inf)[pos]
+    # tau < nu: per row, the flat index of the best cell at a_max = 1
+    # (where V + slope is the scan's V + a_max * slope), and per row and
+    # grid index, that of the smallest-nu feasible cell
+    fixed = np.where(down & (a_min <= 1.0 + 1e-15), np.minimum(dr_lo, V + slope), np.inf)
+    fixed_best = np.where(fixed.min(axis=1) < np.inf,
+                          np.arange(rows) * cols + fixed.argmin(axis=1), none)
+    rising = np.full((rows, resolution + 1), none)
+    cell = np.flatnonzero(down)
+    np.minimum.at(rising, (cell // cols, first.flat[cell]), cell)
+    np.minimum.accumulate(rising, axis=1, out=rising)
+
+    best = np.empty(resolution)
+    win = np.empty(resolution, dtype=np.intp)
+    for s in range(0, resolution, CANDIDATE_CHUNK):
+        i = steps[s:s + CANDIDATE_CHUNK]
+        a_max = _alpha_limit(de_grid[i], tau)
+        fallback[i] |= ((a_max < 1.0) & (a_max >= near_one)).any(axis=0)
+        c = np.where(a_max < 1.0, rising[:, i], fixed_best[:, None])
+        k = np.minimum(c, none - 1)
+        dr_c = np.where(c < none, np.minimum(dr_lo.flat[k], V.flat[k] + a_max * slope.flat[k]),
+                        np.inf)
+        dr_c = np.vstack([dr_c, level_dr[i]])
+        best[i] = dr_c.min(axis=0)
+        win[i] = np.where(dr_c == best[i], np.vstack([c, level_best[i]]), none).min(axis=0)
+    for i in np.flatnonzero(fallback):
+        best[i], win[i] = _scan(_alpha_limit(de_grid[i], tau), a_min, V, slope, dr_lo)
+
+    ok = np.flatnonzero(best < 0.5)
+    j = win[ok]
+    a_max = _alpha_limit(de_grid[ok], tau[j // cols, 0])
+    alpha = np.where(dr_lo.flat[j] <= V.flat[j] + a_max * slope.flat[j], a_min.flat[j], a_max)
     wit_out: list[BinaryAuxParams | None] = [None] * resolution
-    for i, de in enumerate(de_grid):
-        a_max = np.minimum(1.0, de / tau)     # one per tau row
-        feasible = a_min <= a_max + 1e-15
-        if not feasible.any():
-            continue
-        dr_hi = V + a_max * slope
-        dr_cell = np.where(feasible, np.minimum(dr_lo, dr_hi), 0.5)
-        j = np.unravel_index(np.argmin(dr_cell), dr_cell.shape)
-        best = float(dr_cell[j])
-        if best < 0.5:
-            dr_out[i] = best
-            a_star = float(a_min[j] if dr_lo[j] <= dr_hi[j] else a_max[j[0], 0])
-            wit_out[i] = BinaryAuxParams(a_star, float(T[j]), float(V[j]))
-    dr_out = np.minimum.accumulate(dr_out)  # budget is a <=, frontier is monotone
+    for i, jj, a in zip(ok, j, np.minimum(alpha, 1.0)):
+        wit_out[i] = BinaryAuxParams(float(a), float(T.flat[jj]), float(V.flat[jj]))
+    # budget is a <=, frontier is monotone
+    dr_out = np.minimum.accumulate(np.where(best < 0.5, best, 0.5))
     return RegionCurve(de_grid, dr_out, tuple(wit_out))
 
 
@@ -558,8 +646,9 @@ def optimize_rate_fn(
         raise ValueError("distortion budgets must be in [0, 1/2]")
     if not (0.0 <= p <= 0.5):
         raise ValueError(f"crossover must be in [0, 1/2], got {p}")
-    if cardinality < 2:
-        raise ValueError("auxiliary cardinality must be >= 2")
+    if not (2 <= cardinality <= MAX_CARDINALITY):
+        raise ValueError(f"auxiliary cardinality must be in [2, {MAX_CARDINALITY}], "
+                         f"got {cardinality}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     # imported here, not at module top, so importing the CLI stays as cheap

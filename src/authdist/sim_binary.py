@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import binary_entropy
 from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
-                         mark_admissible, run_trials, stream, substitute)
+                         mark_admissible, run_trials, stream, streams, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
 
@@ -264,8 +264,8 @@ def run_attack_trials(
         channel = lambda x, rng: _random_words(rng, 1, n)[0]
     marking = None
     if fresh_marking:
-        marking = lambda t: mark_admissible(
-            stream(config.seed_secret, CODEBOOK_KEY, t), cb.count, cb.n_admissible)
+        marking = lambda ts: [mark_admissible(rng, cb.count, cb.n_admissible)
+                              for rng in streams(config.seed_secret, CODEBOOK_KEY, ts)]
     stats = run_binary_trials(config, cb, channel, attacked=True, marking=marking)
     # binary attack runs report the encoding distortion only
     return replace(stats, empirical_dr=0.0, dr_de_max_gap=0.0)

@@ -252,10 +252,10 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     fed from ``(seed, (2, t))`` and every encoded trial is an attack, won
     by a wrong reconstruction.  The encoder takes the nearest admissible
     codeword within ``encode_radius``; the decoder the nearest codeword,
-    rejected beyond ``decode_radius`` and when forbidden (``marking(t)``
-    replaces the admissible mask of trial t); a given
-    ``tag_check(encoded, decoded, rng)`` replaces the admissibility check,
-    rejecting when it fails.
+    rejected beyond ``decode_radius`` and when forbidden (``marking(ts)``
+    returns one admissible mask per trial of the block ``ts``, replacing
+    the codebook's); a given ``tag_check(encoded, decoded, rng)`` replaces
+    the admissibility check, rejecting when it fails.
 
     Trials run in blocks of CHUNK (fewer when per-trial masks would exceed
     MARKING_BYTES) and every sum is one ``math.fsum`` over per-trial values,
@@ -270,7 +270,7 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
         ts = range(start, min(start + block, trials))
         rngs = streams(seed, TRIAL_KEY, ts)
         sources = np.stack([source(rng) for rng in rngs])
-        masks = None if marking is None else [marking(t) for t in ts]
+        masks = None if marking is None else marking(ts)
         among = (cb.admissible_indices if masks is None
                  else (np.flatnonzero(m) for m in masks))
         idx, dist = cb.nearest(sources, among)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from authdist.cli import main
+from authdist.regions_binary import MAX_CARDINALITY
 from authdist.regions_gaussian import GaussianScenario, envelope_dr, inner_bound_dr, qe_dr
 from authdist.regions_layered import LayeredScenario, single_layer_bounds
 
@@ -324,6 +325,19 @@ def test_optimize_with_no_start_to_run_is_a_configuration_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cardinality", ["1", "33", "100000"])
+def test_optimize_refuses_a_cardinality_outside_its_range(cardinality, tmp_path, capsys):
+    # 100000 used to die in a pool worker with a numpy memory error, and
+    # 128 ran for minutes; the refusal comes before any start or import
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.2",
+                 "--cardinality", cardinality, "--restarts", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"configuration error: auxiliary cardinality must be in "
+                                f"[2, {MAX_CARDINALITY}], got {cardinality}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("resolution", ["0", "1"])
 @pytest.mark.parametrize("argv", [
     ["region-binary", "--p", "0.2"],
@@ -341,6 +355,7 @@ def test_a_region_resolution_below_two_is_a_configuration_error(argv, resolution
 NO_SCIPY_SCRIPT = r"""
 import json, pathlib, sys
 from authdist.cli import main
+from authdist.regions_binary import MAX_CARDINALITY
 
 def loaded():
     return sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)

@@ -4,7 +4,51 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from authdist.core import binary_entropy, bsc_convolve, entropy, mutual_information
+from authdist.core import ZERO_MASS, binary_entropy
+
+# The BSC cascade, entropy and mutual information below are oracles of the
+# test suite (tests/test_regions_binary.py imports them too); pmfs must sum
+# to 1 within PMF_SUM_TOL and are rejected, not renormalized.
+PMF_SUM_TOL = 1e-12
+
+
+def bsc_convolve(a, b) -> float:
+    """Crossover probability of two cascaded BSCs: a(1-b) + (1-a)b."""
+    a, b = float(a), float(b)
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError(f"bsc_convolve arguments must be in [0, 1], got {(a, b)}")
+    return a * (1.0 - b) + (1.0 - a) * b
+
+
+def entropy(pmf) -> float:
+    """Shannon entropy (bits) of a pmf given as an array of any shape."""
+    p = np.asarray(pmf, dtype=float).ravel()
+    if (p < 0).any() or abs(p.sum() - 1.0) > PMF_SUM_TOL:
+        raise ValueError("entropy argument must be a valid pmf")
+    m = p > ZERO_MASS
+    return float(-(p[m] * np.log2(p[m])).sum())
+
+
+def mutual_information(joint) -> float:
+    """I(A;B) in bits for a joint pmf table over a 2-D product alphabet.
+
+    The table must be non-empty, finite, nonnegative and sum to 1 within
+    ``PMF_SUM_TOL``.  Always >= 0 up to float rounding.
+    """
+    t = np.asarray(joint, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ValueError("mutual_information expects a non-empty joint pmf over two axes")
+    if (t < 0).any() or not np.isfinite(t).all():
+        raise ValueError("pmf entries must be finite and >= 0")
+    s = float(t.sum())
+    if abs(s - 1.0) > PMF_SUM_TOL:
+        raise ValueError(f"pmf entries sum to {s!r}, not 1 within {PMF_SUM_TOL}")
+    pa = t.sum(axis=1, keepdims=True)
+    pb = t.sum(axis=0, keepdims=True)
+    m = t > ZERO_MASS
+    val = float((t[m] * np.log2(t[m] / (pa @ pb)[m])).sum())
+    return max(val, 0.0)
+
 
 # mpmath, 40 digits: h(1/5) = 0.721928094887362347870319429489...
 H_02 = 0.7219280948873623

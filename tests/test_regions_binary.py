@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from authdist.core import ZERO_MASS, binary_entropy, bsc_convolve, mutual_information
+import authdist.regions_binary as regions_binary
+from authdist.core import ZERO_MASS, binary_entropy
 from authdist.regions_binary import (
     FEAS_TOL,
     GRID_EPS,
@@ -22,6 +23,7 @@ from authdist.regions_binary import (
     _inv_entropy,
     _tau_nu_table,
 )
+from test_core import bsc_convolve, mutual_information
 
 H_02 = 0.7219280948873623
 
@@ -141,7 +143,7 @@ def _parent_sweep(p, resolution, ntau, nnu):
     dr_out = np.full(resolution, 0.5)
     wit_out = [None] * resolution
     for i, de in enumerate(de_grid):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             a_max = np.minimum(1.0, de / T)
         feasible = a_min <= a_max + 1e-15
         if not feasible.any():
@@ -168,6 +170,44 @@ def test_boundary_matches_the_parent_sweep(p, resolution, ntau, nnu):
     dr, witnesses = _parent_sweep(p, resolution, ntau, nnu)
     assert curve.dr.tobytes() == dr.tobytes()
     assert [None if w is None else (w.alpha, w.tau, w.nu) for w in curve.witnesses] == witnesses
+
+
+def _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu):
+    """Bit for bit, witnesses included.  A cell feasible through the 1e-15
+    slack alone can give the sweep a witness alpha in (1, 1 + 1e-15], which
+    ``boundary`` reports as 1 (a larger alpha is no valid parameter)."""
+    curve = boundary(p, resolution, ntau, nnu)
+    dr, witnesses = _parent_sweep(p, resolution, ntau, nnu)
+    assert curve.dr.tobytes() == dr.tobytes()
+    assert ([None if w is None else (w.alpha, w.tau, w.nu) for w in curve.witnesses]
+            == [None if w is None else (min(w[0], 1.0), *w[1:]) for w in witnesses])
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.floats(0.0, 0.5), resolution=st.integers(2, 60), ntau=st.integers(1, 40),
+       nnu=st.integers(1, 40))
+def test_boundary_matches_the_parent_sweep_on_random_grids(p, resolution, ntau, nnu):
+    _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu)
+
+
+@pytest.mark.parametrize("p,resolution,ntau,nnu", [
+    # a grid D_e (0.1, 0.2) lies one ulp below p: the tau = p row has
+    # a_max = 1 - 1.1e-16, and its cells, at a_min = 1, are feasible
+    # through the slack alone
+    (float(np.nextafter(0.1, 1.0)), 6, 5, 9),
+    (float(np.nextafter(0.1, 1.0)), 6, 200, 200),
+    (float(np.nextafter(0.2, 1.0)), 6, 23, 17),
+    # a tau row just below p, with a_min in (1, 1 + 1e-15]: feasible
+    # through the slack alone from a_max = 1 on, witness alpha above 1
+    (0.25, 67, 51, 55),
+])
+def test_boundary_full_scan_fallback_matches_the_parent_sweep(p, resolution, ntau, nnu,
+                                                              monkeypatch):
+    scanned = []
+    scan = regions_binary._scan
+    monkeypatch.setattr(regions_binary, "_scan", lambda *a: scanned.append(a) or scan(*a))
+    _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu)
+    assert scanned
 
 
 @pytest.fixture(scope="module")
