@@ -37,9 +37,19 @@ GRID_EPS = 1e-4          # open-interval clamp for tau, nu grids
 FEAS_TOL = 1e-9          # mutual-information feasibility tolerance
 NEAR_ONE = 8 * 2.0 ** -53  # boundary's full-scan bound on (1 - a_max) * nu step
 CANDIDATE_CHUNK = 32     # grid points per block of boundary's candidate evaluation
-# largest auxiliary alphabet optimize_rate_fn takes: one SLSQP start took
-# 5.7 s at 32 symbols, 38 s at 64 and over 120 s at 128
+# largest auxiliary alphabet optimize_rate_fn takes.  At 32 symbols (one BLAS
+# thread, 2-core host) a start's screen took 0.4-0.5 s and its polish 3.9-7.5 s,
+# against 3.6-8.6 s for one run to 1e-12; a start run to 1e-12 took 38 s at 64
+# symbols and over 120 s at 128
 MAX_CARDINALITY = 32
+# optimize_rate_fn runs every start to SCREEN_FTOL, then the POLISH_COUNT best
+# feasible ends again to POLISH_FTOL.  Over acceptance 02's 40 calls this came
+# within 3.4e-9 of running every start to 1e-12, with 28% of the function
+# evaluations; screening at 1e-4 fell short by up to 4e-5, a tenth of the
+# smallest margin those calls resolve.
+SCREEN_FTOL = 1e-6
+POLISH_FTOL = 1e-12
+POLISH_COUNT = 4
 LN2 = math.log(2.0)
 
 
@@ -342,11 +352,15 @@ class StartRecord:
     """How one start of ``optimize_rate_fn`` ended.
 
     ``kind`` is "family" (best member of the parametric family), "capacity"
-    (the capacity-achieving quantizer) or "random"; ``value`` is the rate gap
-    of the start's end point, feasible or not; ``nit`` and ``nfev`` hold
-    SLSQP's iteration and function-evaluation counts for each decoder
-    alternation; ``seconds`` is the start's wall time in its worker process;
-    ``won`` marks the start whose end point is reported.
+    (the capacity-achieving quantizer) or "random"; ``value`` and
+    ``feasible`` describe the point the start keeps: the best feasible one
+    among its screened end, its polished end if it was polished and, for a
+    parametric seed, its own start point; with none feasible, the screened
+    end.  ``nit`` and ``nfev`` hold SLSQP's iteration and
+    function-evaluation counts for each decoder alternation, the screen's
+    alternations first and then the polish's; ``seconds`` is the start's wall
+    time in its worker processes, both rounds summed; ``won`` marks the start
+    whose point is reported; ``polished`` marks the starts run a second time.
     """
 
     kind: str
@@ -356,6 +370,7 @@ class StartRecord:
     nfev: tuple[int, ...]
     seconds: float
     won: bool
+    polished: bool
 
 
 @dataclass(frozen=True)
@@ -473,6 +488,14 @@ def _evaluate(z: np.ndarray, K: int, p: float) -> tuple[float, float, float, np.
     return val, de, dr, zz
 
 
+def _checked(z: np.ndarray, de: float, dr: float, K: int,
+             p: float) -> tuple[bool, float, np.ndarray]:
+    """Feasibility within both budgets (up to ``FEAS_TOL``), rate gap and
+    clipped variables of the point ``z``."""
+    val, de_got, dr_got, zz = _evaluate(z, K, p)
+    return de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL, val, zz
+
+
 def params_to_joint(params: BinaryAuxParams, K: int = 7) -> np.ndarray:
     """Embed the parametric witness into the packed optimizer variables."""
     if K < 4:
@@ -568,14 +591,16 @@ def _init_worker(parent: int) -> None:
                 getattr(lib, name)(1)
 
 
-def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, z0: np.ndarray) -> tuple:
-    """One start of ``optimize_rate_fn``: up to four SLSQP alternations with
-    hard-decoder updates from ``z0``, then the end point's evaluation.
+def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, ftol: float,
+               z0: np.ndarray) -> tuple:
+    """One round of one start of ``optimize_rate_fn``: up to four SLSQP
+    alternations to tolerance ``ftol`` with hard-decoder updates from
+    ``z0``, then the end point's evaluation.
 
-    Returns ``(ok, feasible, value, zz, g, nit, nfev, seconds)``: whether any
-    SLSQP run reported success, the feasibility and rate gap of the clipped
-    end point ``zz``, the last hard decoder, SLSQP's iterations and function
-    evaluations per alternation, and the start's wall time.
+    Returns ``(ok, feasible, value, zz, g, nit, nfev, seconds)``: whether the
+    last SLSQP run met its stopping test, the feasibility and rate gap of the
+    clipped end point ``zz``, the last hard decoder, SLSQP's iterations and
+    function evaluations per alternation, and the round's wall time.
     """
     t0 = time.perf_counter()
     bounds = [(0.0, 1.0)] * (4 * K)
@@ -590,24 +615,36 @@ def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, z0: np.nda
     z = np.asarray(z0, dtype=float)
     q0 = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
     g = _best_decoder(q0 / q0.sum(axis=1, keepdims=True))
-    ok = False
     nit, nfev = [], []
     for _ in range(4):
         res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
                        constraints=[simplex, _budget_constraint(de, dr, K, g)],
-                       options={"maxiter": max_iter, "ftol": 1e-12})
+                       options={"maxiter": max_iter, "ftol": ftol})
         nit.append(int(res.nit))
         nfev.append(int(res.nfev))
         z = np.clip(res.x, 0.0, 1.0)
-        ok = ok or res.success
         qn = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
         g_new = _best_decoder(qn / qn.sum(axis=1, keepdims=True))
         if (g_new == g).all():
             break
         g = g_new
-    val, de_got, dr_got, zz = _evaluate(z, K, p)
-    feasible = de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL
-    return ok, feasible, val, zz, g, tuple(nit), tuple(nfev), time.perf_counter() - t0
+    feasible, val, zz = _checked(z, de, dr, K, p)
+    return (bool(res.success), feasible, val, zz, g, tuple(nit), tuple(nfev),
+            time.perf_counter() - t0)
+
+
+def _starts(de: float, dr: float, p: float, K: int, restarts: int,
+            seed: int) -> list[tuple[str, np.ndarray]]:
+    """The starts of ``optimize_rate_fn`` as (kind, packed variables): the
+    parametric seeds (from 4 auxiliary symbols up), then ``restarts`` random
+    points drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    starts = _boundary_seed(de, dr, p, K) if K >= 4 else []
+    for _ in range(restarts):
+        q0 = rng.dirichlet(np.ones(K), size=2)
+        r0 = rng.random((K, 2))
+        starts.append(("random", np.concatenate([q0.reshape(-1), r0.reshape(-1)])))
+    return starts
 
 
 def optimize_rate_fn(
@@ -625,22 +662,33 @@ def optimize_rate_fn(
     the given cardinality and (not necessarily deterministic) p(x|u, s);
     the reconstruction map is the minimum-distortion estimator of S from U.
     Maximization alternates SLSQP over the distributions with updates of
-    the hard decoder (at most four alternations per start), from parametric
+    the hard decoder (at most four alternations per round), from parametric
     seeds plus random restarts; the reported value is always attained by a
     feasible witness, so it is a lower bound on the true supremum.
 
+    The starts run in up to two rounds.  The screen runs every start to
+    SLSQP's ``SCREEN_FTOL``; the polish runs the ``POLISH_COUNT`` best feasible
+    screened ends, ranked by value and then start order, again from where
+    they ended, to ``POLISH_FTOL``.  A polished start keeps the better of its
+    two feasible ends, and a parametric seed's own start point competes too,
+    so a feasible seed is never reported worse than it started.  The winner
+    is the first start, in start order, whose kept point has the largest
+    value; ``converged`` is the stopping test of the winner's last SLSQP run.
+
     Each SLSQP point costs one objective call, which returns value and
     gradient from one pass of logarithms, and one call of a single
-    inequality holding both budgets.  The starts are independent: they run
-    in forked worker processes, one per CPU this process may run on (fewer
-    if there are fewer starts), in a pool that is shut down before the call
-    returns.  The parent picks the winner in start order, so the result does
-    not depend on the number of workers; ``taskset`` restricts it.  Each
+    inequality holding both budgets.  The starts of a round are independent:
+    they run in forked worker processes, one per CPU this process may run on
+    (fewer if there are fewer starts), in one pool for both rounds that is
+    shut down before the call returns.  Which starts are polished and which
+    wins depend only on the round results, in start order, so the result
+    does not depend on the number of workers; ``taskset`` restricts it.  Each
     worker runs OpenBLAS on one thread, so with OpenBLAS builds of numpy and
     scipy the result does not depend on the BLAS thread count either.
-    ``starts`` on the result records every start's kind, end value,
-    feasibility, SLSQP iterations and function evaluations, and wall time;
-    the ``optimize`` command leaves it out of its checksummed results.
+    ``starts`` on the result records every start's kind, kept value,
+    feasibility, SLSQP iterations and function evaluations, wall time and
+    whether it was polished; the ``optimize`` command leaves it out of its
+    checksummed results.
     """
     if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
         raise ValueError("distortion budgets must be in [0, 1/2]")
@@ -656,13 +704,7 @@ def optimize_rate_fn(
     from concurrent.futures import ProcessPoolExecutor
 
     K = int(cardinality)
-    rng = np.random.default_rng(seed)
-
-    starts = _boundary_seed(de, dr, p, K) if K >= 4 else []
-    for _ in range(restarts):
-        q0 = rng.dirichlet(np.ones(K), size=2)
-        r0 = rng.random((K, 2))
-        starts.append(("random", np.concatenate([q0.reshape(-1), r0.reshape(-1)])))
+    starts = _starts(de, dr, p, K, restarts, seed)
     if not starts:
         raise ValueError("no start to run: restarts must be >= 1 where no parametric "
                          "seed applies (cardinality < 4 or no family member within the budgets)")
@@ -676,27 +718,43 @@ def optimize_rate_fn(
     workers = min(len(starts), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(),)) as ex:
-        ends = list(ex.map(partial(_run_start, de, dr, p, K, max_iter), [z0 for _, z0 in starts]))
+        screened = list(ex.map(partial(_run_start, de, dr, p, K, max_iter, SCREEN_FTOL),
+                               [z0 for _, z0 in starts]))
+        # a stable sort: equal values keep start order
+        leaders = sorted((i for i, end in enumerate(screened) if end[1]),
+                         key=lambda i: -screened[i][2])[:POLISH_COUNT]
+        polished = dict(zip(leaders, ex.map(partial(_run_start, de, dr, p, K, max_iter, POLISH_FTOL),
+                                            [screened[i][3] for i in leaders])))
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    winner = -1
-    converged = False
-    for i, (ok, feasible, val, zz, g, *_) in enumerate(ends):
-        if feasible and (best is None or val > best[0]):
-            best = (val, zz, g)
-            winner = i
-            converged = converged or ok
-    if best is None:
+    # each start keeps its best feasible point, the first of equal values in
+    # the order (a parametric seed's start point,) screened end, polished end;
+    # with none feasible, its screened end
+    rounds = [[end, polished[i]] if i in polished else [end] for i, end in enumerate(screened)]
+    kept = []
+    for (kind, z0), ends in zip(starts, rounds):
+        points = [(feasible, val, zz, g) for _, feasible, val, zz, g, *_ in ends]
+        if kind != "random":
+            feasible, val, zz = _checked(z0, de, dr, K, p)
+            points.insert(0, (feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K))))
+        kept.append(max((pt for pt in points if pt[0]), key=lambda pt: pt[1], default=points[-1]))
+
+    # max keeps the first of equal values: the winner is picked in start order
+    winner = max((i for i, pt in enumerate(kept) if pt[0]), key=lambda i: kept[i][1], default=-1)
+    if winner >= 0:
+        _, value, zz, g = kept[winner]
+        converged = rounds[winner][-1][0]
+    else:
         # the uniform independent auxiliary is always feasible when dr ~ 1/2,
         # otherwise report the (infeasible-start) sentinel
         z = np.concatenate([np.full(2 * K, 1.0 / K), np.full(2 * K, 0.5)])
-        val, de_got, dr_got, zz = _evaluate(z, K, p)
-        feasible = de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL
-        best = (val if feasible else -np.inf, zz, _best_decoder(zz[: 2 * K].reshape(2, K)))
+        feasible, value, zz = _checked(z, de, dr, K, p)
+        value = value if feasible else -np.inf
+        g = _best_decoder(zz[: 2 * K].reshape(2, K))
         converged = False
-    q = best[1][: 2 * K].reshape(2, K)
-    r = best[1][2 * K:].reshape(K, 2)
-    records = tuple(StartRecord(kind, feasible, val, nit, nfev, seconds, won=i == winner)
-                    for i, ((kind, _), (_, feasible, val, _, _, nit, nfev, seconds))
-                    in enumerate(zip(starts, ends)))
-    return RateFnResult(best[0], q, r, best[2], converged, len(starts), records)
+    records = tuple(
+        StartRecord(kind, feasible, val, sum((e[5] for e in ends), ()),
+                    sum((e[6] for e in ends), ()), sum(e[7] for e in ends),
+                    won=i == winner, polished=len(ends) == 2)
+        for i, ((kind, _), (feasible, val, *_), ends) in enumerate(zip(starts, kept, rounds)))
+    return RateFnResult(value, zz[: 2 * K].reshape(2, K), zz[2 * K:].reshape(K, 2), g, converged,
+                        len(starts), records)

@@ -11,7 +11,8 @@ Pinned:
   benchmark does);
 - the sha256 of (value, witnesses, decoder, converged, restarts_used) for
   cheap calls with 4 restarts, one of them the infeasible sentinel;
-- the SLSQP iterations and function evaluations summed over all those calls.
+- the SLSQP iterations and function evaluations summed over all those calls,
+  screen and polish rounds together.
 
 The starts of one call run in a pool of forked workers, one per usable CPU,
 each with one OpenBLAS thread; the last tests check that the cheap calls come
@@ -31,8 +32,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 BENCH_SHA = {
-    "above": "1bd3568bb7ba7321a86e567781f06aff7da274c49bddcf9008993c0a1e98947a",
-    "below": "94117bc6300b98cd4458677b75f0f8ee01918a094947110e05eb2e68ef65596b",
+    "above": "0fc9848fd001244acc6b7ec9bb0aba49055fbcfa4a82656066760ca3a4c9e80e",
+    "below": "03ecba9248236bf7f1f227590e83e52121ba53b4fbd5101d4a8166b451b63181",
 }
 
 # (de, dr, p, cardinality, max_iter) with restarts=4, seed=0
@@ -45,14 +46,14 @@ CHEAP = {
 }
 
 CHEAP_SHA = {
-    "p0.05": "c9d55e85d72d695da0210b3883e16a4371b1e96595f8fef1b3907b4cd15fc5a3",
-    "p0.20_above": "c44976dc1125585a1c43a83e41bbe3ddb484d1707e379e6d52b2b20a16e40e14",
-    "p0.20_below": "6cab550ab45946a01864c960f60afca2accb1b12610729d344a3103905a2aab2",
-    "k3_no_seeds": "8aa2270a8c2a13f9fa1805ca388c8aa1121d1bbcd616401275fc578b8a77c749",
+    "p0.05": "2e8c1ba972ee5e4eedc37257ba711f5c3fac5c0bac0d18c9fc4ff070ca29e7fe",
+    "p0.20_above": "5f1d08bc86806dc8a36bb03033b4a16fd3f7977ae303307816833818c5d07122",
+    "p0.20_below": "b7ce561b68dcf0a30703654a2f6d913acd991972c6d171df83c2f0a504ecc940",
+    "k3_no_seeds": "80c9e9b23c6a7f938e21780e7e5fd62cd0c68fe30aa386a86ff1b60b1bbbaf67",
     "sentinel": "ab44cbaece786246c7e87152ea4c17a78fe403e2ea6b27ec5a39c36971feb654",
 }
 
-SLSQP_TOTALS = {"nit": 12132, "nfev": 44198}
+SLSQP_TOTALS = {"nit": 5469, "nfev": 20790}
 
 SCRIPT = r"""
 import csv, hashlib, json, pathlib, shutil, sys, tempfile

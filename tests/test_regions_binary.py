@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from authdist.core import ZERO_MASS, binary_entropy
 from authdist.regions_binary import (
     FEAS_TOL,
     GRID_EPS,
+    POLISH_COUNT,
+    POLISH_FTOL,
     BinaryAuxParams,
     boundary,
     embedding_capacity,
@@ -15,12 +19,14 @@ from authdist.regions_binary import (
     qe_boundary,
     _best_decoder,
     _boundary_seed,
+    _checked,
     _de_grid,
     _de_value_grad,
     _dr_value_grad,
     _evaluate,
     _gap_value_grad,
     _inv_entropy,
+    _starts,
     _tau_nu_table,
 )
 from test_core import bsc_convolve, mutual_information
@@ -332,8 +338,9 @@ class TestOptimizeRateFn:
         seeds = [kind for kind, _ in _boundary_seed(de, dr, p, K)] if K >= 4 else []
         kinds = [s.kind for s in res.starts]
         assert kinds == seeds + ["random"] * 4
+        # up to four decoder alternations per round, two rounds if polished
         for s in res.starts:
-            assert 1 <= len(s.nit) <= 4 and all(n >= 0 for n in s.nit)
+            assert 1 <= len(s.nit) <= (8 if s.polished else 4) and all(n >= 0 for n in s.nit)
             assert len(s.nfev) == len(s.nit) and all(n >= 1 for n in s.nfev)
             assert s.seconds >= 0.0
         winners = [s for s in res.starts if s.won]
@@ -341,6 +348,7 @@ class TestOptimizeRateFn:
         assert len(winners) == 1
         assert winners[0].feasible and winners[0].value == res.value
         assert all(s.value <= res.value for s in res.starts if s.feasible)
+        assert sum(s.polished for s in res.starts) <= POLISH_COUNT
 
     def test_start_record_without_a_feasible_start(self):
         res = optimize_rate_fn(0.0, 0.0, 0.2, restarts=4, max_iter=1, seed=0)
@@ -353,6 +361,118 @@ class TestOptimizeRateFn:
         assert [k for k, _ in _boundary_seed(0.1, 0.15, 0.2, 7)] == ["family"]
         assert [k for k, _ in _boundary_seed(0.25, 0.201, 0.2, 7)] == ["family", "capacity"]
         assert [k for k, _ in _boundary_seed(0.0, 0.0, 0.2, 7)] == []
+
+
+BUDGETS = (0.5, 0.5, 0.2, 7)
+# Two feasible points of the parametric family: B has the larger rate gap.  The
+# auxiliary symbol 6 has no mass in either, so its Bernoulli parameters tell
+# the fakes below which point they were given.
+POINT_A = params_to_joint(BinaryAuxParams(0.5, 0.1, 0.05), 7)
+POINT_B = params_to_joint(BinaryAuxParams(0.9, 0.1, 0.05), 7)
+POINT_B[-1] = 1.0
+# uniform auxiliary, X = not S: E[d_e] = 1, outside any budget
+POINT_OFF = np.concatenate([np.full(14, 1 / 7), np.tile([1.0, 0.0], 7)])
+
+
+def _two_points(z):
+    """A and B are their own images, so a round ends after one alternation."""
+    return POINT_A if z[-1] <= 0.5 else POINT_B
+
+
+def _fake_minimize(screen, polish, success=lambda x0: True):
+    """Stand-in for scipy's SLSQP: maps its start point through ``screen`` or
+    ``polish`` according to the tolerance it is asked for.  The optimizer's
+    forked workers inherit it through the module global."""
+    def fake(fun, x0, jac, method, bounds, constraints, options):
+        move = polish if options["ftol"] == POLISH_FTOL else screen
+        return SimpleNamespace(x=np.array(move(x0), dtype=float), nit=1, nfev=1,
+                               success=success(x0))
+    return fake
+
+
+def _oracle(screen, polish, restarts=12):
+    """What optimize_rate_fn should report at BUDGETS when SLSQP is replaced by
+    the maps ``screen`` and ``polish``: the polished starts, in (value, start
+    index) order, and each start's kept (feasible, value)."""
+    de, dr, p, K = BUDGETS
+    starts = _starts(de, dr, p, K, restarts, 0)
+    screened = [_checked(screen(z0), de, dr, K, p) for _, z0 in starts]
+    leaders = [i for i in sorted(range(len(starts)), key=lambda i: (-screened[i][1], i))
+               if screened[i][0]][:POLISH_COUNT]
+    kept = []
+    for i, (kind, z0) in enumerate(starts):
+        points = [screened[i][:2]]
+        if i in leaders:
+            points.append(_checked(polish(screened[i][2]), de, dr, K, p)[:2])
+        if kind != "random":
+            points.append(_checked(z0, de, dr, K, p)[:2])
+        feasible = [v for f, v in points if f]
+        kept.append((True, max(feasible)) if feasible else points[0])
+    return leaders, kept
+
+
+class TestScreenAndPolish:
+    @pytest.mark.parametrize("screen", [lambda z: z, _two_points], ids=["identity", "two_points"])
+    def test_polished_set_is_the_top_feasible_screened_ends(self, monkeypatch, screen):
+        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(screen, lambda z: z))
+        res = optimize_rate_fn(*BUDGETS, restarts=12, seed=0)
+        leaders, kept = _oracle(screen, lambda z: z)
+        # the identity leaves some starts infeasible; the two points tie many
+        assert len(leaders) == POLISH_COUNT
+        assert [i for i, s in enumerate(res.starts) if s.polished] == sorted(leaders)
+
+    def test_polished_start_keeps_the_better_of_its_two_ends(self, monkeypatch):
+        # polish moves half the starts to the best family member and the
+        # other half off the budgets, so both ends get kept
+        family = _boundary_seed(*BUDGETS)[0][1]
+
+        def polish(z):
+            return family if z[-1] <= 0.5 else POINT_OFF
+
+        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(lambda z: z, polish))
+        res = optimize_rate_fn(*BUDGETS, restarts=12, seed=0)
+        leaders, kept = _oracle(lambda z: z, polish)
+        assert [(s.feasible, s.value) for s in res.starts] == kept
+        screened_only = _oracle(lambda z: z, lambda z: POINT_OFF)[1]
+        gains = [kept[i][1] > screened_only[i][1] for i in leaders]
+        assert any(gains) and not all(gains)
+
+    def test_polish_leaves_a_feasible_seed_its_start_point(self, monkeypatch):
+        # every SLSQP run ends outside the budgets: only the seeds' own start
+        # points are feasible, and the best of them wins
+        monkeypatch.setattr(regions_binary, "minimize",
+                            _fake_minimize(lambda z: POINT_OFF, lambda z: POINT_OFF))
+        res = optimize_rate_fn(*BUDGETS, restarts=4, seed=0)
+        de, dr, p, K = BUDGETS
+        seeds = [_checked(z0, de, dr, K, p) for _, z0 in _boundary_seed(de, dr, p, K)]
+        assert len(seeds) == 2 and all(f for f, _, _ in seeds)
+        best = max(range(2), key=lambda i: seeds[i][1])
+        assert res.value == seeds[best][1]
+        assert np.array_equal(res.q_u_given_s.reshape(-1), seeds[best][2][:2 * K])
+        assert [s.won for s in res.starts] == [i == best for i in range(6)]
+        assert [s.feasible for s in res.starts] == [True] * 2 + [False] * 4
+        assert not any(s.polished for s in res.starts)
+
+    @pytest.mark.parametrize("de, dr, p", [(0.25, 0.201, 0.2), (0.1, 0.15, 0.05), (0.2, 0.2, 0.2)])
+    def test_polish_never_reports_less_than_a_feasible_seed(self, de, dr, p):
+        res = optimize_rate_fn(de, dr, p, restarts=4, seed=0)
+        for _, z0 in _boundary_seed(de, dr, p, 7):
+            feasible, val, _ = _checked(z0, de, dr, 7, p)
+            if feasible:
+                assert res.value >= val
+
+    def test_polish_converged_is_the_winners_final_slsqp_run(self, monkeypatch):
+        # without the seeds, which would win, and at seed 1, start 0 screens
+        # to A and stops there, a later start at B wins, and its polish, started at B, fails
+        # its stopping test
+        monkeypatch.setattr(regions_binary, "_boundary_seed", lambda *args: [])
+        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(
+            _two_points, lambda z: z, success=lambda x0: not np.array_equal(x0, POINT_B)))
+        res = optimize_rate_fn(*BUDGETS, restarts=12, seed=1)
+        won = [i for i, s in enumerate(res.starts) if s.won]
+        assert len(won) == 1 and 0 < won[0] and res.starts[won[0]].polished
+        assert res.starts[0].feasible and res.starts[0].value < res.value
+        assert res.converged is False
 
 
 def _capped_inv_entropy(target):
