@@ -38,18 +38,29 @@ FEAS_TOL = 1e-9          # mutual-information feasibility tolerance
 NEAR_ONE = 8 * 2.0 ** -53  # boundary's full-scan bound on (1 - a_max) * nu step
 CANDIDATE_CHUNK = 32     # grid points per block of boundary's candidate evaluation
 # largest auxiliary alphabet optimize_rate_fn takes.  At 32 symbols (one BLAS
-# thread, 2-core host) a start's screen took 0.4-0.5 s and its polish 3.9-7.5 s,
-# against 3.6-8.6 s for one run to 1e-12; a start run to 1e-12 took 38 s at 64
-# symbols and over 120 s at 128
+# thread, 2-core host) the screen of 34 starts took 0.10-0.15 s and a polish
+# 0.01-0.13 s, while one SLSQP run to 1e-12 from a random start took 3.6-8.6 s;
+# such a run took 38 s at 64 symbols and over 120 s at 128
 MAX_CARDINALITY = 32
-# optimize_rate_fn runs every start to SCREEN_FTOL, then the POLISH_COUNT best
-# feasible ends again to POLISH_FTOL.  Over acceptance 02's 40 calls this came
-# within 3.4e-9 of running every start to 1e-12, with 28% of the function
-# evaluations; screening at 1e-4 fell short by up to 4e-5, a tenth of the
-# smallest margin those calls resolve.
-SCREEN_FTOL = 1e-6
+# optimize_rate_fn screens every start by augmented-Lagrangian ascent
+# (_screen): SCREEN_ROUNDS multiplier updates, SCREEN_STEPS steps apart, at
+# penalty weight SCREEN_RHO and first step size SCREEN_ETA, then polishes the
+# POLISH_COUNT best feasible ends through SLSQP to POLISH_FTOL.  Against
+# screening through SLSQP at ftol 1e-6, acceptance 02's 40 calls fell short by
+# at most 2.3e-12 (4.6e-10 at seed 1, 6.6e-11 at p = 0.1).  With a penalty
+# weight of 50 or 200, a first step of 0.01 or 1, 10 rounds or 10 steps a round
+# they fell short by at most 7.2e-9; without the 1e-3 floor under p(u,s), by
+# 9.8e-7 at p = 0.1.
+SCREEN_ROUNDS = 15
+SCREEN_STEPS = 20
+SCREEN_RHO = 100.0
+SCREEN_ETA = 0.1
+SCREEN_FLOOR = 1e-3
+SCREEN_SNAP = 1e-3
+SCREEN_GAIN_TOL = 1e-9
 POLISH_FTOL = 1e-12
 POLISH_COUNT = 4
+AGREE_TOL = 1e-9
 LN2 = math.log(2.0)
 
 
@@ -356,11 +367,12 @@ class StartRecord:
     ``feasible`` describe the point the start keeps: the best feasible one
     among its screened end, its polished end if it was polished and, for a
     parametric seed, its own start point; with none feasible, the screened
-    end.  ``nit`` and ``nfev`` hold SLSQP's iteration and
-    function-evaluation counts for each decoder alternation, the screen's
-    alternations first and then the polish's; ``seconds`` is the start's wall
-    time in its worker processes, both rounds summed; ``won`` marks the start
-    whose point is reported; ``polished`` marks the starts run a second time.
+    end.  ``nit`` and ``nfev`` hold one entry for the screen (its accepted
+    steps and objective evaluations) and then, if the start was polished,
+    SLSQP's iterations and function evaluations for each decoder
+    alternation; ``seconds`` is the start's wall time in the worker
+    processes, its share of the screen plus its polish; ``won`` marks the
+    start whose point is reported; ``polished`` marks the starts SLSQP ran.
     """
 
     kind: str
@@ -390,64 +402,73 @@ def _xlog(a: np.ndarray) -> np.ndarray:
     return np.where(a > 1e-15, np.log2(np.maximum(a, 1e-300)), 0.0)
 
 
-def _gap_value_grad(z: np.ndarray, K: int, p: float) -> tuple[float, np.ndarray]:
-    """Objective I(U;Y) - I(S;U) and its gradient wrt the packed variables."""
-    q = np.clip(z[: 2 * K].reshape(2, K), 1e-15, None)
-    r = z[2 * K:].reshape(K, 2)
+def _gap_value_grad(z: np.ndarray, K: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objective I(U;Y) - I(S;U) and its gradient wrt the packed variables,
+    for each row of the (B, 4K) array ``z``.  Each row's numbers depend on
+    that row alone: the passes are elementwise or reduce within a row."""
+    B = len(z)
+    q = np.clip(z[:, : 2 * K].reshape(B, 2, K), 1e-15, None)
+    r = z[:, 2 * K:].reshape(B, K, 2)
     w1 = p + r * (1.0 - 2.0 * p)                      # P(Y=1 | u, s)
     # the two joints and three marginals share one buffer, so one pass takes
-    # all the logs: [jus | juy | pu | ps | py].  jus keeps the column-major
-    # layout of 0.5 * q.T, which fixes the summation order of i_su.
-    buf = np.empty(5 * K + 4)
-    jus = np.multiply(0.5, q, out=buf[: 2 * K].reshape(2, K)).T    # (K, 2) joint of (U, S)
-    juy = buf[2 * K: 4 * K].reshape(K, 2)                           # (K, 2) joint of (U, Y)
-    pu, ps, py = buf[4 * K: 5 * K], buf[5 * K: 5 * K + 2], buf[5 * K + 2:]
-    jus.sum(axis=1, out=pu)
-    (jus * w1).sum(axis=1, out=juy[:, 1])
-    np.subtract(pu, juy[:, 1], out=juy[:, 0])
-    jus.sum(axis=0, out=ps)
-    juy.sum(axis=0, out=py)
+    # all the logs: [jus | juy | pu | ps | py] per row.  jus is a transposed
+    # view of 0.5 * q, which fixes the summation order of i_su.
+    buf = np.empty((B, 5 * K + 4))
+    jus = np.multiply(0.5, q, out=buf[:, : 2 * K].reshape(B, 2, K)).transpose(0, 2, 1)
+    juy = buf[:, 2 * K: 4 * K].reshape(B, K, 2)                     # joint of (U, Y)
+    pu, ps, py = buf[:, 4 * K: 5 * K], buf[:, 5 * K: 5 * K + 2], buf[:, 5 * K + 2:]
+    jus.sum(axis=2, out=pu)
+    (jus * w1).sum(axis=2, out=juy[:, :, 1])
+    np.subtract(pu, juy[:, :, 1], out=juy[:, :, 0])
+    jus.sum(axis=1, out=ps)
+    juy.sum(axis=1, out=py)
 
     lg = _xlog(buf)
-    l_pu = lg[4 * K: 5 * K, None]
-    l_su = lg[: 2 * K].reshape(2, K).T - l_pu - lg[None, 5 * K: 5 * K + 2]
-    l_uy = lg[2 * K: 4 * K].reshape(K, 2) - l_pu - lg[None, 5 * K + 2:]
-    i_su = float((jus * l_su).sum())
-    i_uy = float((juy * l_uy).sum())
+    l_pu = lg[:, 4 * K: 5 * K, None]
+    l_su = lg[:, : 2 * K].reshape(B, 2, K).transpose(0, 2, 1) - l_pu - lg[:, None, 5 * K: 5 * K + 2]
+    l_uy = lg[:, 2 * K: 4 * K].reshape(B, K, 2) - l_pu - lg[:, None, 5 * K + 2:]
+    i_su = (jus * l_su).sum(axis=(1, 2))
+    i_uy = (juy * l_uy).sum(axis=(1, 2))
 
     # exact unconstrained gradients: all three marginals vary with the joint
     g_su = l_su - 1.0 / LN2
     g_uy = l_uy - 1.0 / LN2
 
-    grad = np.empty(4 * K)
-    grad[: 2 * K].reshape(2, K).T[...] = 0.5 * (g_uy[:, :1] * (1.0 - w1) + g_uy[:, 1:] * w1 - g_su)
-    np.multiply((g_uy[:, 1] - g_uy[:, 0])[:, None] * jus, 1.0 - 2.0 * p,
-                out=grad[2 * K:].reshape(K, 2))
+    grad = np.empty((B, 4 * K))
+    grad[:, : 2 * K].reshape(B, 2, K).transpose(0, 2, 1)[...] = 0.5 * (
+        g_uy[:, :, :1] * (1.0 - w1) + g_uy[:, :, 1:] * w1 - g_su)
+    np.multiply((g_uy[:, :, 1] - g_uy[:, :, 0])[:, :, None] * jus, 1.0 - 2.0 * p,
+                out=grad[:, 2 * K:].reshape(B, K, 2))
     return i_uy - i_su, grad
 
 
-def _de_value(q: np.ndarray, r: np.ndarray) -> float:
-    return 0.5 * float((q[0] * r[:, 0]).sum() + (q[1] * (1.0 - r[:, 1])).sum())
-
-
-def _de_value_grad(z: np.ndarray, K: int) -> tuple[float, np.ndarray]:
-    q = z[: 2 * K].reshape(2, K)
-    r = z[2 * K:].reshape(K, 2)
-    d_q = 0.5 * np.stack([r[:, 0], 1.0 - r[:, 1]])
-    d_r = 0.5 * np.stack([q[0], -q[1]], axis=1)
-    return _de_value(q, r), np.concatenate([d_q.reshape(-1), d_r.reshape(-1)])
+def _de_value_grad(z: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[d_e] and its gradient for each row of the (B, 4K) array ``z``."""
+    B = len(z)
+    q = z[:, : 2 * K].reshape(B, 2, K)
+    r = z[:, 2 * K:].reshape(B, K, 2)
+    grad = np.empty((B, 4 * K))
+    d_q = grad[:, : 2 * K].reshape(B, 2, K)
+    np.multiply(0.5, r[:, :, 0], out=d_q[:, 0])
+    np.subtract(0.5, 0.5 * r[:, :, 1], out=d_q[:, 1])
+    d_r = grad[:, 2 * K:].reshape(B, K, 2)
+    np.multiply(0.5, q[:, 0], out=d_r[:, :, 0])
+    np.multiply(-0.5, q[:, 1], out=d_r[:, :, 1])
+    return (q * d_q).sum(axis=(1, 2)), grad
 
 
 def _misses(g: np.ndarray) -> np.ndarray:
-    return g[None, :] != np.arange(2)[:, None]        # (2, K): decoder misses s
+    """(..., 2, K) mask of the symbols whose hard decoder g (..., K) misses s."""
+    return g[..., None, :] != np.arange(2)[:, None]
 
 
-def _dr_value_grad(z: np.ndarray, K: int, g: np.ndarray) -> tuple[float, np.ndarray]:
-    q = z[: 2 * K].reshape(2, K)
-    mis = _misses(g)
-    val = 0.5 * float(q[mis].sum())
-    d_q = 0.5 * mis.astype(float)
-    return val, np.concatenate([d_q.reshape(-1), np.zeros(2 * K)])
+def _dr_value_grad(z: np.ndarray, K: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[d_r] and its gradient for each row of the (B, 4K) array ``z`` under
+    the hard decoders ``g`` (B, K)."""
+    B = len(z)
+    grad = np.zeros((B, 4 * K))
+    grad[:, : 2 * K] = 0.5 * _misses(g).reshape(B, 2 * K)
+    return (z[:, : 2 * K] * grad[:, : 2 * K]).sum(axis=1), grad
 
 
 def _budget_constraint(de: float, dr: float, K: int, g: np.ndarray) -> dict:
@@ -456,24 +477,23 @@ def _budget_constraint(de: float, dr: float, K: int, g: np.ndarray) -> dict:
     fixed g, so its miss indices and Jacobian row are built once."""
     miss = np.flatnonzero(_misses(g))
     jac = np.empty((2, 4 * K))
-    jac[1] = -_dr_value_grad(np.zeros(4 * K), K, g)[1]
+    jac[1] = -_dr_value_grad(np.zeros((1, 4 * K)), K, g[None])[1][0]
 
     def fun(zz):
-        q = zz[: 2 * K].reshape(2, K)
-        return np.array([de - _de_value(q, zz[2 * K:].reshape(K, 2)),
-                         dr - 0.5 * float(zz[miss].sum())])
+        return np.array([de - _de_value_grad(zz[None], K)[0][0], dr - 0.5 * float(zz[miss].sum())])
 
     def jacobian(zz):
         # SLSQP copies the rows into its own matrix, so one array serves
-        jac[0] = -_de_value_grad(zz, K)[1]
+        jac[0] = -_de_value_grad(zz[None], K)[1][0]
         return jac
 
     return {"type": "ineq", "fun": fun, "jac": jacobian}
 
 
 def _best_decoder(q: np.ndarray) -> np.ndarray:
-    jus = 0.5 * q.T
-    return (jus[:, 1] > jus[:, 0]).astype(int)
+    """The minimum-distortion estimate of S from each symbol: 1 where
+    q(u|1) > q(u|0), for q of shape (..., 2, K)."""
+    return (q[..., 1, :] > q[..., 0, :]).astype(int)
 
 
 def _evaluate(z: np.ndarray, K: int, p: float) -> tuple[float, float, float, np.ndarray]:
@@ -481,11 +501,10 @@ def _evaluate(z: np.ndarray, K: int, p: float) -> tuple[float, float, float, np.
     q = q / q.sum(axis=1, keepdims=True)
     r = np.clip(z[2 * K:].reshape(K, 2), 0.0, 1.0)
     zz = np.concatenate([q.reshape(-1), r.reshape(-1)])
-    g = _best_decoder(q)
-    val, _ = _gap_value_grad(zz, K, p)
-    de, _ = _de_value_grad(zz, K)
-    dr, _ = _dr_value_grad(zz, K, g)
-    return val, de, dr, zz
+    val = _gap_value_grad(zz[None], K, p)[0][0]
+    de = _de_value_grad(zz[None], K)[0][0]
+    dr = _dr_value_grad(zz[None], K, _best_decoder(q)[None])[0][0]
+    return float(val), float(de), float(dr), zz
 
 
 def _checked(z: np.ndarray, de: float, dr: float, K: int,
@@ -591,16 +610,126 @@ def _init_worker(parent: int) -> None:
                 getattr(lib, name)(1)
 
 
-def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, ftol: float,
-               z0: np.ndarray) -> tuple:
-    """One round of one start of ``optimize_rate_fn``: up to four SLSQP
-    alternations to tolerance ``ftol`` with hard-decoder updates from
-    ``z0``, then the end point's evaluation.
+def _snap(z: np.ndarray, de: float, dr: float, K: int) -> np.ndarray:
+    """The rows of the (B, 4K) array ``z`` that exceed a budget by at most
+    ``SCREEN_SNAP``, pulled onto it: q(.|s) is mixed with its own mass on the
+    symbols its best decoder maps to s, which scales E[d_r] down and keeps
+    that decoder, then p(x=1|u,s) is mixed with x = s, which scales E[d_e]
+    down and leaves q alone."""
+    B = len(z)
+    q = z[:, : 2 * K].reshape(B, 2, K)
+    g = _best_decoder(q)
+    d_r = _dr_value_grad(z, K, g)[0]
+    hit = np.where(_misses(g), 0.0, q)
+    mass = hit.sum(axis=2, keepdims=True)
+    over = (d_r > dr) & (d_r <= dr + SCREEN_SNAP) & (mass > 0.0).all(axis=(1, 2))
+    t = np.where(over, 1.0 - dr / np.where(over, d_r, 1.0), 0.0)[:, None, None]
+    z = np.concatenate([((1.0 - t) * q + t * hit / np.maximum(mass, 1e-300)).reshape(B, 2 * K),
+                        z[:, 2 * K:]], axis=1)
+    d_e = _de_value_grad(z, K)[0]
+    over = (d_e > de) & (d_e <= de + SCREEN_SNAP)
+    keep = (de / np.where(over, d_e, 1.0))[:, None]
+    s = np.tile(np.arange(2.0), K)          # x = s for each (u, s)
+    r = z[:, 2 * K:]
+    z[:, 2 * K:] = np.where(over[:, None], s + keep * (r - s), r)
+    return z
 
-    Returns ``(ok, feasible, value, zz, g, nit, nfev, seconds)``: whether the
-    last SLSQP run met its stopping test, the feasibility and rate gap of the
-    clipped end point ``zz``, the last hard decoder, SLSQP's iterations and
-    function evaluations per alternation, and the round's wall time.
+
+def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[tuple]:
+    """The screen of ``optimize_rate_fn``: every start advanced at once, as
+    one (B, 4K) array, by augmented-Lagrangian ascent on both budgets.
+
+    A step moves each row of q(u|s) by an exponentiated-gradient step and
+    p(x=1|u,s) by a gradient step scaled by 1 / p(u,s) (floored at
+    ``SCREEN_FLOOR``) and clipped to [0, 1].  A start keeps the step only if
+    it raises its augmented Lagrangian, with penalty weight ``SCREEN_RHO``,
+    and then doubles its step size; otherwise it halves it.  Every
+    ``SCREEN_STEPS`` steps each start updates the multipliers of both budgets
+    and re-picks its hard decoder; the screen takes ``SCREEN_ROUNDS`` such
+    rounds, at most ``max_iter`` steps in all.  Ends within ``SCREEN_SNAP``
+    of the budgets are then pulled onto them (``_snap``).  Every pass is
+    elementwise or reduces within one start, with no matrix product, so a
+    start's result does not depend on the other starts in the batch.
+
+    Returns one ``_run_start`` tuple per start.  Its status is 0 where the
+    end is within both budgets and the last round raised the start's
+    augmented Lagrangian by at most ``SCREEN_GAIN_TOL``, and 9 (iteration
+    limit) otherwise; ``nit`` holds its accepted steps, ``nfev`` its
+    objective evaluations and ``seconds`` its share of the batch's wall time.
+    """
+    t0 = time.perf_counter()
+    z0 = np.asarray(z0s, dtype=float)
+    B = len(z0)
+    q = np.clip(z0[:, : 2 * K].reshape(B, 2, K), 1e-12, None)
+    z = np.concatenate([(q / q.sum(axis=2, keepdims=True)).reshape(B, 2 * K),
+                        np.clip(z0[:, 2 * K:], 0.0, 1.0)], axis=1)
+    lam = np.zeros((B, 2))
+    eta = np.full(B, SCREEN_ETA)
+    nit = np.zeros(B, dtype=int)
+
+    def lagrangian(z, lam, g):
+        """Augmented Lagrangian, its gradient and the budget excesses."""
+        f, grad = _gap_value_grad(z, K, p)
+        d_e, grad_e = _de_value_grad(z, K)
+        d_r, grad_r = _dr_value_grad(z, K, g)
+        h = np.stack([d_e - de, d_r - dr], axis=1)
+        m = np.maximum(lam + SCREEN_RHO * h, 0.0)
+        pen = m * m - lam * lam
+        grad -= m[:, :1] * grad_e + m[:, 1:] * grad_r
+        return f - (pen[:, 0] + pen[:, 1]) / (2.0 * SCREEN_RHO), grad, h
+
+    def step(z, grad, eta):
+        e = eta[:, None]
+        q = z[:, : 2 * K].reshape(B, 2, K)
+        lq = (e * grad[:, : 2 * K]).reshape(B, 2, K)
+        q_new = q * np.exp(lq - lq.max(axis=2, keepdims=True))
+        jus = np.maximum(0.5 * q.transpose(0, 2, 1).reshape(B, 2 * K), SCREEN_FLOOR)
+        r_new = np.clip(z[:, 2 * K:] + e * grad[:, 2 * K:] / jus, 0.0, 1.0)
+        return np.concatenate([(q_new / q_new.sum(axis=2, keepdims=True)).reshape(B, 2 * K),
+                               r_new], axis=1)
+
+    steps = min(SCREEN_ROUNDS * SCREEN_STEPS, max_iter)
+    nfev = 0
+    for k in range(steps):
+        if k % SCREEN_STEPS == 0:
+            if k:
+                lam = np.maximum(lam + SCREEN_RHO * h, 0.0)
+            g = _best_decoder(z[:, : 2 * K].reshape(B, 2, K))
+            val, grad, h = lagrangian(z, lam, g)
+            round_start = val
+            nfev += 1
+        trial = step(z, grad, eta)
+        t_val, t_grad, t_h = lagrangian(trial, lam, g)
+        nfev += 1
+        up = t_val >= val
+        z = np.where(up[:, None], trial, z)
+        val = np.where(up, t_val, val)
+        grad = np.where(up[:, None], t_grad, grad)
+        h = np.where(up[:, None], t_h, h)
+        eta = np.where(up, 2.0 * eta, 0.5 * eta)
+        nit += up
+    gain = val - round_start if steps else np.zeros(B)
+    z = _snap(z, de, dr, K)
+    seconds = (time.perf_counter() - t0) / B
+    ends = []
+    for b in range(B):
+        feasible, value, zz = _checked(z[b], de, dr, K, p)
+        ends.append((0 if feasible and gain[b] <= SCREEN_GAIN_TOL else 9, feasible, value, zz,
+                     _best_decoder(zz[: 2 * K].reshape(2, K)), (int(nit[b]),), (nfev,), seconds))
+    return ends
+
+
+def _run_start(de: float, dr: float, p: float, K: int, max_iter: int,
+               z0: np.ndarray) -> tuple:
+    """The polish of one start of ``optimize_rate_fn``: up to four SLSQP
+    alternations to ``POLISH_FTOL`` with hard-decoder updates from ``z0``,
+    then the end point's evaluation.
+
+    Returns ``(status, feasible, value, zz, g, nit, nfev, seconds)``: the
+    exit status of the last SLSQP run (0 where it met its stopping test), the
+    feasibility and rate gap of the clipped end point ``zz``, the last hard
+    decoder, SLSQP's iterations and function evaluations per alternation, and
+    the wall time.
     """
     t0 = time.perf_counter()
     bounds = [(0.0, 1.0)] * (4 * K)
@@ -609,8 +738,8 @@ def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, ftol: floa
                "jac": lambda zz: simplex_jac}
 
     def neg_gap(zz):
-        val, grad = _gap_value_grad(zz, K, p)
-        return -val, -grad
+        val, grad = _gap_value_grad(zz[None], K, p)
+        return -val[0], -grad[0]
 
     z = np.asarray(z0, dtype=float)
     q0 = np.clip(z[: 2 * K].reshape(2, K), 1e-12, None)
@@ -619,7 +748,7 @@ def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, ftol: floa
     for _ in range(4):
         res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
                        constraints=[simplex, _budget_constraint(de, dr, K, g)],
-                       options={"maxiter": max_iter, "ftol": ftol})
+                       options={"maxiter": max_iter, "ftol": POLISH_FTOL})
         nit.append(int(res.nit))
         nfev.append(int(res.nfev))
         z = np.clip(res.x, 0.0, 1.0)
@@ -629,7 +758,7 @@ def _run_start(de: float, dr: float, p: float, K: int, max_iter: int, ftol: floa
             break
         g = g_new
     feasible, val, zz = _checked(z, de, dr, K, p)
-    return (bool(res.success), feasible, val, zz, g, tuple(nit), tuple(nfev),
+    return (int(res.status), feasible, val, zz, g, tuple(nit), tuple(nfev),
             time.perf_counter() - t0)
 
 
@@ -661,34 +790,39 @@ def optimize_rate_fn(
     The supremum runs over conditionals p(u|s) on an auxiliary alphabet of
     the given cardinality and (not necessarily deterministic) p(x|u, s);
     the reconstruction map is the minimum-distortion estimator of S from U.
-    Maximization alternates SLSQP over the distributions with updates of
-    the hard decoder (at most four alternations per round), from parametric
-    seeds plus random restarts; the reported value is always attained by a
-    feasible witness, so it is a lower bound on the true supremum.
+    The starts are parametric seeds plus random restarts; the reported value
+    is always attained by a feasible witness, so it is a lower bound on the
+    true supremum.
 
-    The starts run in up to two rounds.  The screen runs every start to
-    SLSQP's ``SCREEN_FTOL``; the polish runs the ``POLISH_COUNT`` best feasible
-    screened ends, ranked by value and then start order, again from where
-    they ended, to ``POLISH_FTOL``.  A polished start keeps the better of its
-    two feasible ends, and a parametric seed's own start point competes too,
-    so a feasible seed is never reported worse than it started.  The winner
-    is the first start, in start order, whose kept point has the largest
-    value; ``converged`` is the stopping test of the winner's last SLSQP run.
+    The starts run in two rounds.  The screen (``_screen``) advances all of
+    them at once by augmented-Lagrangian ascent with hard-decoder updates,
+    using elementwise numpy passes only.  The polish runs the
+    ``POLISH_COUNT`` best feasible screened ends, ranked by value and then
+    start order, from where they ended through SLSQP to ``POLISH_FTOL``,
+    alternating with hard-decoder updates at most four times.  A polished
+    start keeps the better of its two feasible ends, and a parametric seed's
+    own start point competes too, so a feasible seed is never reported worse
+    than it started.  The winner is the first start, in start order, whose
+    kept point has the largest value.  ``converged`` is the stopping test of
+    the winner's last run; a polished winner whose last SLSQP run stops on
+    its line search (status 8) counts as converged when another polished
+    start's kept value is within ``AGREE_TOL`` of it.
 
     Each SLSQP point costs one objective call, which returns value and
     gradient from one pass of logarithms, and one call of a single
-    inequality holding both budgets.  The starts of a round are independent:
-    they run in forked worker processes, one per CPU this process may run on
-    (fewer if there are fewer starts), in one pool for both rounds that is
-    shut down before the call returns.  Which starts are polished and which
-    wins depend only on the round results, in start order, so the result
-    does not depend on the number of workers; ``taskset`` restricts it.  Each
-    worker runs OpenBLAS on one thread, so with OpenBLAS builds of numpy and
-    scipy the result does not depend on the BLAS thread count either.
-    ``starts`` on the result records every start's kind, kept value,
-    feasibility, SLSQP iterations and function evaluations, wall time and
-    whether it was polished; the ``optimize`` command leaves it out of its
-    checksummed results.
+    inequality holding both budgets.  Both rounds run in forked worker
+    processes, in one pool that is shut down before the call returns: the
+    screen as one task, the polished starts one per worker, one per CPU this
+    process may run on (fewer if there are fewer starts).  A start's screen
+    does not depend on the other starts in its batch, and which starts are
+    polished and which wins depend only on the round results, in start
+    order, so the result does not depend on the number of workers;
+    ``taskset`` restricts it.  Each worker runs OpenBLAS on one thread, so
+    with OpenBLAS builds of numpy and scipy the result does not depend on
+    the BLAS thread count either.  ``starts`` on the result records every
+    start's kind, kept value, feasibility, iterations and function
+    evaluations, wall time and whether it was polished; the ``optimize``
+    command leaves it out of its checksummed results.
     """
     if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
         raise ValueError("distortion budgets must be in [0, 1/2]")
@@ -718,12 +852,11 @@ def optimize_rate_fn(
     workers = min(len(starts), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(),)) as ex:
-        screened = list(ex.map(partial(_run_start, de, dr, p, K, max_iter, SCREEN_FTOL),
-                               [z0 for _, z0 in starts]))
+        screened = ex.submit(_screen, de, dr, p, K, [z0 for _, z0 in starts], max_iter).result()
         # a stable sort: equal values keep start order
         leaders = sorted((i for i, end in enumerate(screened) if end[1]),
                          key=lambda i: -screened[i][2])[:POLISH_COUNT]
-        polished = dict(zip(leaders, ex.map(partial(_run_start, de, dr, p, K, max_iter, POLISH_FTOL),
+        polished = dict(zip(leaders, ex.map(partial(_run_start, de, dr, p, K, max_iter),
                                             [screened[i][3] for i in leaders])))
 
     # each start keeps its best feasible point, the first of equal values in
@@ -742,7 +875,11 @@ def optimize_rate_fn(
     winner = max((i for i, pt in enumerate(kept) if pt[0]), key=lambda i: kept[i][1], default=-1)
     if winner >= 0:
         _, value, zz, g = kept[winner]
-        converged = rounds[winner][-1][0]
+        # SLSQP's status 8 (positive directional derivative in the line
+        # search) is its tolerance floor when another polished start agrees
+        status = rounds[winner][-1][0]
+        converged = status == 0 or status == 8 and winner in polished and any(
+            kept[i][0] and abs(kept[i][1] - value) <= AGREE_TOL for i in polished if i != winner)
     else:
         # the uniform independent auxiliary is always feasible when dr ~ 1/2,
         # otherwise report the (infeasible-start) sentinel

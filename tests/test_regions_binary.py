@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import authdist.regions_binary as regions_binary
 from authdist.core import ZERO_MASS, binary_entropy
 from authdist.regions_binary import (
+    AGREE_TOL,
     FEAS_TOL,
     GRID_EPS,
     POLISH_COUNT,
@@ -26,6 +27,7 @@ from authdist.regions_binary import (
     _evaluate,
     _gap_value_grad,
     _inv_entropy,
+    _screen,
     _starts,
     _tau_nu_table,
 )
@@ -338,9 +340,10 @@ class TestOptimizeRateFn:
         seeds = [kind for kind, _ in _boundary_seed(de, dr, p, K)] if K >= 4 else []
         kinds = [s.kind for s in res.starts]
         assert kinds == seeds + ["random"] * 4
-        # up to four decoder alternations per round, two rounds if polished
+        # one screen entry, then up to four decoder alternations if polished
         for s in res.starts:
-            assert 1 <= len(s.nit) <= (8 if s.polished else 4) and all(n >= 0 for n in s.nit)
+            assert (2 <= len(s.nit) <= 5) if s.polished else len(s.nit) == 1
+            assert all(n >= 0 for n in s.nit)
             assert len(s.nfev) == len(s.nit) and all(n >= 1 for n in s.nfev)
             assert s.seconds >= 0.0
         winners = [s for s in res.starts if s.won]
@@ -375,25 +378,55 @@ POINT_OFF = np.concatenate([np.full(14, 1 / 7), np.tile([1.0, 0.0], 7)])
 
 
 def _two_points(z):
-    """A and B are their own images, so a round ends after one alternation."""
+    """A and B are their own images, so a polish ends after one alternation."""
     return POINT_A if z[-1] <= 0.5 else POINT_B
 
 
-def _fake_minimize(screen, polish, success=lambda x0: True):
-    """Stand-in for scipy's SLSQP: maps its start point through ``screen`` or
-    ``polish`` according to the tolerance it is asked for.  The optimizer's
+def _identity(z):
+    return z
+
+
+def _off(z):
+    return POINT_OFF
+
+
+class _MappedScreen:
+    """Stand-in for the batched screen: maps each start through ``move`` and
+    evaluates the image as the screen evaluates its ends.  The pool pickles
+    it, so ``move`` must be a module-level function."""
+
+    def __init__(self, move):
+        self.move = move
+
+    def __call__(self, de, dr, p, K, z0s, max_iter):
+        ends = []
+        for z0 in z0s:
+            feasible, val, zz = _checked(self.move(z0), de, dr, K, p)
+            ends.append((0, feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K)),
+                         (1,), (1,), 0.0))
+        return ends
+
+
+def _fake_minimize(polish, status=lambda x0: 0):
+    """Stand-in for scipy's SLSQP, which only the polish calls: maps its start
+    point through ``polish`` and ends with ``status(x0)``.  The optimizer's
     forked workers inherit it through the module global."""
     def fake(fun, x0, jac, method, bounds, constraints, options):
-        move = polish if options["ftol"] == POLISH_FTOL else screen
-        return SimpleNamespace(x=np.array(move(x0), dtype=float), nit=1, nfev=1,
-                               success=success(x0))
+        assert options["ftol"] == POLISH_FTOL
+        return SimpleNamespace(x=np.array(polish(x0), dtype=float), nit=1, nfev=1,
+                               status=status(x0), success=status(x0) == 0)
     return fake
 
 
+def _fake_rounds(monkeypatch, screen, polish, status=lambda x0: 0):
+    monkeypatch.setattr(regions_binary, "_screen", _MappedScreen(screen))
+    monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(polish, status))
+
+
 def _oracle(screen, polish, restarts=12):
-    """What optimize_rate_fn should report at BUDGETS when SLSQP is replaced by
-    the maps ``screen`` and ``polish``: the polished starts, in (value, start
-    index) order, and each start's kept (feasible, value)."""
+    """What optimize_rate_fn should report at BUDGETS when the screen and SLSQP
+    are replaced by the maps ``screen`` and ``polish``: the polished starts, in
+    (value, start index) order, and each start's kept (feasible, value)."""
     de, dr, p, K = BUDGETS
     starts = _starts(de, dr, p, K, restarts, 0)
     screened = [_checked(screen(z0), de, dr, K, p) for _, z0 in starts]
@@ -412,11 +445,11 @@ def _oracle(screen, polish, restarts=12):
 
 
 class TestScreenAndPolish:
-    @pytest.mark.parametrize("screen", [lambda z: z, _two_points], ids=["identity", "two_points"])
+    @pytest.mark.parametrize("screen", [_identity, _two_points], ids=["identity", "two_points"])
     def test_polished_set_is_the_top_feasible_screened_ends(self, monkeypatch, screen):
-        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(screen, lambda z: z))
+        _fake_rounds(monkeypatch, screen, _identity)
         res = optimize_rate_fn(*BUDGETS, restarts=12, seed=0)
-        leaders, kept = _oracle(screen, lambda z: z)
+        leaders, kept = _oracle(screen, _identity)
         # the identity leaves some starts infeasible; the two points tie many
         assert len(leaders) == POLISH_COUNT
         assert [i for i, s in enumerate(res.starts) if s.polished] == sorted(leaders)
@@ -429,19 +462,18 @@ class TestScreenAndPolish:
         def polish(z):
             return family if z[-1] <= 0.5 else POINT_OFF
 
-        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(lambda z: z, polish))
+        _fake_rounds(monkeypatch, _identity, polish)
         res = optimize_rate_fn(*BUDGETS, restarts=12, seed=0)
-        leaders, kept = _oracle(lambda z: z, polish)
+        leaders, kept = _oracle(_identity, polish)
         assert [(s.feasible, s.value) for s in res.starts] == kept
-        screened_only = _oracle(lambda z: z, lambda z: POINT_OFF)[1]
+        screened_only = _oracle(_identity, _off)[1]
         gains = [kept[i][1] > screened_only[i][1] for i in leaders]
         assert any(gains) and not all(gains)
 
     def test_polish_leaves_a_feasible_seed_its_start_point(self, monkeypatch):
-        # every SLSQP run ends outside the budgets: only the seeds' own start
-        # points are feasible, and the best of them wins
-        monkeypatch.setattr(regions_binary, "minimize",
-                            _fake_minimize(lambda z: POINT_OFF, lambda z: POINT_OFF))
+        # every screened and polished end is outside the budgets: only the
+        # seeds' own start points are feasible, and the best of them wins
+        _fake_rounds(monkeypatch, _off, _off)
         res = optimize_rate_fn(*BUDGETS, restarts=4, seed=0)
         de, dr, p, K = BUDGETS
         seeds = [_checked(z0, de, dr, K, p) for _, z0 in _boundary_seed(de, dr, p, K)]
@@ -463,16 +495,71 @@ class TestScreenAndPolish:
 
     def test_polish_converged_is_the_winners_final_slsqp_run(self, monkeypatch):
         # without the seeds, which would win, and at seed 1, start 0 screens
-        # to A and stops there, a later start at B wins, and its polish, started at B, fails
-        # its stopping test
+        # to A and stops there, a later start at B wins, and its polish, started
+        # at B, stops on the iteration limit
         monkeypatch.setattr(regions_binary, "_boundary_seed", lambda *args: [])
-        monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(
-            _two_points, lambda z: z, success=lambda x0: not np.array_equal(x0, POINT_B)))
+        _fake_rounds(monkeypatch, _two_points, _identity,
+                     status=lambda x0: 9 if np.array_equal(x0, POINT_B) else 0)
         res = optimize_rate_fn(*BUDGETS, restarts=12, seed=1)
         won = [i for i, s in enumerate(res.starts) if s.won]
         assert len(won) == 1 and 0 < won[0] and res.starts[won[0]].polished
         assert res.starts[0].feasible and res.starts[0].value < res.value
         assert res.converged is False
+
+    def test_polish_status_8_converges_where_another_polished_start_agrees(self, monkeypatch):
+        # the same setting with every polish stopping on its line search
+        # (status 8): the polished starts at B agree with the winner
+        monkeypatch.setattr(regions_binary, "_boundary_seed", lambda *args: [])
+        _fake_rounds(monkeypatch, _two_points, _identity, status=lambda x0: 8)
+        res = optimize_rate_fn(*BUDGETS, restarts=12, seed=1)
+        agree = [s for s in res.starts if s.polished and abs(s.value - res.value) <= AGREE_TOL]
+        assert len(agree) >= 2 and any(s.won for s in agree)
+        assert res.converged is True
+
+    def test_polish_status_8_alone_is_not_converged(self, monkeypatch):
+        # random starts left where they are: the polished values are apart
+        monkeypatch.setattr(regions_binary, "_boundary_seed", lambda *args: [])
+        _fake_rounds(monkeypatch, _identity, _identity, status=lambda x0: 8)
+        res = optimize_rate_fn(*BUDGETS, restarts=12, seed=0)
+        polished = sorted(s.value for s in res.starts if s.polished)
+        assert len(polished) == POLISH_COUNT and polished[-1] == res.value
+        assert polished[-1] - polished[-2] > AGREE_TOL
+        assert res.converged is False
+
+
+def _screen_key(end):
+    """Everything in a screened end but its share of the wall time."""
+    status, feasible, value, zz, g, nit, nfev, _ = end
+    return status, feasible, repr(value), zz.tobytes(), g.tolist(), nit, nfev
+
+
+@pytest.mark.parametrize("de, dr, p", [(0.25, 0.2013, 0.2), (0.025, 0.4331, 0.2), (0.1, 0.15, 0.05)])
+def test_screen_is_batch_invariant(de, dr, p):
+    # a start screens bit for bit the same alone, in the full batch and in the
+    # batch reversed, so splitting the batch could not change the result
+    z0s = [z0 for _, z0 in _starts(de, dr, p, 7, 32, 0)]
+    full = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s, 300)]
+    reverse = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s[::-1], 300)][::-1]
+    alone = [_screen_key(_screen(de, dr, p, 7, [z0], 300)[0]) for z0 in z0s]
+    assert full == alone == reverse
+    assert sum(key[1] for key in full) >= POLISH_COUNT
+
+
+def test_screen_of_one_step_ends_outside_zero_budgets():
+    # what leaves optimize_rate_fn(0, 0, 0.2, max_iter=1) its -inf sentinel
+    z0s = [z0 for _, z0 in _starts(0.0, 0.0, 0.2, 7, 4, 0)]
+    ends = _screen(0.0, 0.0, 0.2, 7, z0s, 1)
+    # one evaluation at the start, one trial step: iteration limit, infeasible
+    assert all(e[0] == 9 and not e[1] and e[5][0] <= 1 and e[6] == (2,) for e in ends)
+
+
+def test_screen_ends_within_the_snap_are_pulled_onto_the_budgets():
+    de, dr, p, K = 0.25, 0.2013, 0.2, 7
+    z0s = [z0 for _, z0 in _starts(de, dr, p, K, 32, 0)]
+    for end in _screen(de, dr, p, K, z0s, 300):
+        _, de_got, dr_got, _ = _evaluate(end[3], K, p)
+        assert end[1] == (de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL)
+        assert end[1] or max(de_got - de, dr_got - dr) > regions_binary.SCREEN_SNAP
 
 
 def _capped_inv_entropy(target):
@@ -516,27 +603,33 @@ def test_inv_entropy_matches_capped_bisection_where_it_converged():
 
 
 def _central_differences(f, z, h=1e-6):
+    """Central differences of the row values f(z) along each column of z."""
     grad = np.empty_like(z)
-    for i in range(z.size):
+    for i in range(z.shape[1]):
         e = np.zeros_like(z)
-        e[i] = h
-        grad[i] = (f(z + e) - f(z - e)) / (2 * h)
+        e[:, i] = h
+        grad[:, i] = (f(z + e) - f(z - e)) / (2 * h)
     return grad
 
 
 @pytest.mark.parametrize("p", [0.05, 0.2])
 def test_gradient_of_objective_and_budgets_matches_central_differences(p):
-    K = 7
+    K, B = 7, 5
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        # interior point: every q(u|s) >= 1/(2K), every X=1 probability in (0.05, 0.95)
-        q = 0.5 * rng.dirichlet(np.ones(K), size=2) + 0.5 / K
-        r = rng.uniform(0.05, 0.95, (K, 2))
-        z = np.concatenate([q.reshape(-1), r.reshape(-1)])
+    for _ in range(2):
+        # interior points: every q(u|s) >= 1/(2K), every X=1 probability in (0.05, 0.95)
+        q = 0.5 * rng.dirichlet(np.ones(K), size=(B, 2)) + 0.5 / K
+        r = rng.uniform(0.05, 0.95, (B, K, 2))
+        z = np.concatenate([q.reshape(B, -1), r.reshape(B, -1)], axis=1)
         g = _best_decoder(q)
-        for value_grad in (lambda zz: _gap_value_grad(zz, K, p),
-                           lambda zz: _de_value_grad(zz, K),
-                           lambda zz: _dr_value_grad(zz, K, g)):
-            grad = value_grad(z)[1]
-            numeric = _central_differences(lambda zz: value_grad(zz)[0], z)
-            assert np.abs(numeric - grad).max() <= 1e-5 * np.abs(grad).max()
+        for value_grad in (lambda zz, rows: _gap_value_grad(zz, K, p),
+                           lambda zz, rows: _de_value_grad(zz, K),
+                           lambda zz, rows: _dr_value_grad(zz, K, g[rows])):
+            value, grad = value_grad(z, slice(None))
+            # each row is the one-row call's, bit for bit
+            for b in range(B):
+                one = value_grad(z[b:b + 1], slice(b, b + 1))
+                assert one[0][0] == value[b] and np.array_equal(one[1][0], grad[b])
+            # the rows are independent, so one difference per column serves all
+            numeric = _central_differences(lambda zz: value_grad(zz, slice(None))[0], z)
+            assert (np.abs(numeric - grad).max(axis=1) <= 1e-5 * np.abs(grad).max(axis=1)).all()
