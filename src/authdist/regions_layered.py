@@ -20,10 +20,15 @@ The coarse layer must satisfy I(U;Y_c) - I(S;U) >= 0, which is the
 single-layer low-distortion condition with the auxiliary variance replaced
 by sigma_a2 and the noise by sigma_n2 + sigma_v2 + sigma_b2, so its root
 and gap are :mod:`regions_gaussian`'s at that noise.  The fine
-layer must satisfy I(T;Y_f|U) - I(S;T|U) >= 0, evaluated through the
-equivalent Gaussian determinant condition
+layer must satisfy I(T;Y_f|U) - I(S;T|U) >= 0.  For jointly Gaussian
+variables both terms are log ratios of conditional variances, so the
+condition is Var(T|U,Y_f) <= Var(T|U,S) (the determinant condition
+det(Cov[T,U,Y_f]) / det(Cov[U,Y_f]) <= det(Cov[T,U,S]) / det(Cov[U,S])
+read as Schur complements).  With v = Var(S|U) and d = Var(Y_f|U) it reads
 
-    det(Cov[T,U,Y_f]) / det(Cov[U,Y_f]) <= det(Cov[T,U,S]) / det(Cov[U,S]).
+    v - ((1 - alpha) v + sigma_b2 / beta)^2 / d <= 0,
+
+a quadratic in 1/beta whose root gives the largest feasible beta directly.
 """
 
 from __future__ import annotations
@@ -105,58 +110,32 @@ def coarse_gap(scenario: LayeredScenario, params: LayeredParams) -> float:
     return low_de_gap(_coarse_channel(scenario, params.sigma_b2), params.sigma_a2, params.alpha)
 
 
-def fine_margins(scenario: LayeredScenario, a2, b2, alpha, beta) -> np.ndarray:
-    """:func:`fine_feasibility_margin` over lanes, bit for bit.
+def _conditional_variances(scenario: LayeredScenario, a2, b2, alpha):
+    """Var(S|U) and Var(Y_f|U), elementwise over numpy values.
 
-    ``a2``, ``b2``, ``alpha`` and ``beta`` are equal-length sequences holding
-    one lane's sigma_a2, sigma_b2 and scalings each.  A lane's margin is
-    +inf where alpha or beta is 0, where a covariance entry is not finite,
-    or where a determinant's sign is not positive.  One ``slogdet`` call per
-    covariance stack factors each matrix as a call on that matrix alone
-    does; the squares and ``exp`` stay Python's per lane, since numpy's
-    may differ from them in the last ulp.
+    U = S + A/alpha observes S through noise of variance c = a2/alpha^2, so
+    Var(S|U) = s2 c / (s2 + c); given U, Y_f = alpha U + (1 - alpha) S + B + N.
     """
-    a2, b2, alpha, beta = (np.asarray(x, dtype=float) for x in (a2, b2, alpha, beta))
-    out = np.full(a2.shape, math.inf)
-    live = np.flatnonzero((alpha != 0.0) & (beta != 0.0))
-    s2 = scenario.sigma_s2
-    a2, b2, al, be = a2[live], b2[live], alpha[live], beta[live]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        var_t = s2 + b2 / np.array([x ** 2 for x in be.tolist()])
-        var_u = s2 + a2 / np.array([x ** 2 for x in al.tolist()])
-        var_yf = s2 + a2 + b2 + scenario.sigma_n2
-        cov_ty = s2 + b2 / be
-        cov_uy = s2 + a2 / al
-    s = np.full(live.size, s2)
-    lam_tuy = np.stack([var_t, s, cov_ty, s, var_u, cov_uy, cov_ty, cov_uy, var_yf],
-                       -1).reshape(-1, 3, 3)
-    # the four matrices are lam_tuy = Cov[T,U,Y_f], lam_tus = Cov[T,U,S] and
-    # their (U, .) blocks, so lam_tuy holds every entry of them
-    finite = np.isfinite(lam_tuy).all(axis=(1, 2))
-    live, lam_tuy = live[finite], lam_tuy[finite]
-    lam_tus = lam_tuy.copy()
-    lam_tus[:, 2, :] = lam_tus[:, :, 2] = s2
-    ok = np.ones(live.size, dtype=bool)
-    dets = []
-    for m in (lam_tuy, lam_tuy[:, 1:, 1:], lam_tus, lam_tus[:, 1:, 1:]):
-        sign, logdet = np.linalg.slogdet(m)
-        ok &= (sign > 0) & np.isfinite(logdet)
-        dets.append(logdet)
-    d0, d1, d2, d3 = (d[ok] for d in dets)
-    lhs = [math.exp(x) for x in (d0 - d1).tolist()]
-    rhs = [math.exp(x) for x in (d2 - d3).tolist()]
-    out[live[ok]] = np.subtract(lhs, rhs)
-    return out
+    c = a2 / alpha ** 2
+    v = scenario.sigma_s2 * c / (scenario.sigma_s2 + c)
+    return v, (1.0 - alpha) ** 2 * v + b2 + scenario.sigma_n2
 
 
 def fine_feasibility_margin(scenario: LayeredScenario, params: LayeredParams) -> float:
-    """lhs - rhs of the determinant condition; feasible iff <= 0.
+    """Var(T|U,Y_f) - Var(T|U,S); feasible iff <= 0.
 
-    Returns +inf for degenerate (near-singular) covariances so callers see
-    them as infeasible.  One lane of :func:`fine_margins`.
+    With v = Var(S|U) and d = Var(Y_f|U), Var(T|U) = v + b2/beta^2,
+    Cov(T,Y_f|U) = (1 - alpha) v + b2/beta and Var(T|U,S) = b2/beta^2, so
+    the margin is v - ((1 - alpha) v + b2/beta)^2 / d.  Returns +inf where
+    the value is not finite (as where alpha or beta is 0), so callers see
+    such parameters as infeasible.
     """
-    return float(fine_margins(scenario, [params.sigma_a2], [params.sigma_b2],
-                              [params.alpha], [params.beta])[0])
+    a2, b2, al, be = (np.float64(x) for x in (params.sigma_a2, params.sigma_b2,
+                                              params.alpha, params.beta))
+    with np.errstate(all="ignore"):
+        v, d = _conditional_variances(scenario, a2, b2, al)
+        margin = float(v - ((1.0 - al) * v + b2 / be) ** 2 / d)
+    return margin if math.isfinite(margin) else math.inf
 
 
 def single_layer_bounds(scenario: LayeredScenario, de: float) -> tuple[float, float]:
@@ -177,41 +156,22 @@ class SlicePoint:
 
 
 def _max_feasible_betas(scenario: LayeredScenario, a2, b2, alpha) -> list:
-    """Largest beta satisfying the determinant condition for each lane
-    ``(a2[i], b2[i], alpha[i])``, by bisections run in lockstep.
+    """Largest beta with a nonpositive margin for each lane
+    ``(a2[i], b2[i], alpha[i])``.
 
-    The margin is increasing in beta (stronger refinement needs more
-    information through the fine channel), so each lane's feasible set is
-    an interval (0, beta_max].  A lane is None when 1e-9 is infeasible and
-    1e9 when 1e9 is feasible.  Otherwise its geometric bisection keeps lo
-    feasible and hi infeasible, and the lane stops on its own when their
-    midpoint rounds to one of them, i.e. when they are adjacent floats
-    (about 60 steps from [1e-9, 1e9]); it returns lo, the last feasible
-    float.  Each step evaluates the margins of all open lanes in one
-    :func:`fine_margins` call.
+    For beta > 0 the margin rises with beta (stronger refinement needs more
+    information through the fine channel) and is 0 where
+    (1 - alpha) v + b2/beta = sqrt(d v), so the feasible set is
+    (0, b2 / (sqrt(d v) - (1 - alpha) v)]; d v >= (1 - alpha)^2 v^2 keeps
+    the root positive.  A lane is None where the root is below 1e-9 or not
+    finite and 1e9 where it is above 1e9.
     """
     a2, b2, alpha = (np.asarray(x, dtype=float) for x in (a2, b2, alpha))
-
-    def feasible(lanes, beta):
-        return fine_margins(scenario, a2[lanes], b2[lanes], alpha[lanes], beta) <= FEAS_TOL
-
-    out: list = [None] * a2.size
-    lanes = np.arange(a2.size)
-    lanes = lanes[feasible(lanes, np.full(lanes.size, 1e-9))]
-    top = feasible(lanes, np.full(lanes.size, 1e9))
-    for i in lanes[top].tolist():
-        out[i] = 1e9
-    lanes = lanes[~top]
-    lo, hi = np.full(lanes.size, 1e-9), np.full(lanes.size, 1e9)
-    while lanes.size:
-        mid = np.array([math.sqrt(x) for x in (lo * hi).tolist()])
-        done = (mid == lo) | (mid == hi)
-        for i, beta in zip(lanes[done].tolist(), lo[done].tolist()):
-            out[i] = beta
-        lanes, lo, hi, mid = lanes[~done], lo[~done], hi[~done], mid[~done]
-        ok = feasible(lanes, mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return out
+    with np.errstate(all="ignore"):
+        v, d = _conditional_variances(scenario, a2, b2, alpha)
+        roots = b2 / (np.sqrt(d * v) - (1.0 - alpha) * v)
+    return [min(beta, 1e9) if beta >= 1e-9 and math.isfinite(beta) else None
+            for beta in roots.tolist()]
 
 
 def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) -> list[SlicePoint]:
@@ -219,13 +179,12 @@ def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) ->
 
     Sweeps the innovation split sigma_a2 in (0, de), sets
     sigma_b2 = de - sigma_a2, fixes the coarse scaling at its largest
-    feasible root, and pushes the refinement scaling to the edge of the
-    determinant condition (drf decreases with beta, drc does not depend on
-    it); the beta bisections of all split points run in lockstep, in one
-    :func:`_max_feasible_betas` call.  Output is Pareto-minimal, sorted by
-    drf increasing with drc strictly decreasing;
-    :func:`single_codebook_endpoints` reads the time-sharing endpoints off
-    it.
+    feasible root, and pushes the refinement scaling to the root of the
+    fine-layer margin (drf decreases with beta, drc does not depend on it),
+    for all split points in one :func:`_max_feasible_betas` call.  Output
+    is Pareto-minimal, sorted by drf increasing with drc strictly
+    decreasing; :func:`single_codebook_endpoints` reads the time-sharing
+    endpoints off it.
     """
     if de <= 0:
         raise ValueError("De must be positive")

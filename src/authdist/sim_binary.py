@@ -94,8 +94,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """(W,) uint64 words -> (n,) uint8 bits."""
-    idx = np.arange(n)
-    return ((words[idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
+                         bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from authdist.regions_layered import (
     coarse_gap,
     distortion_triple,
     fine_feasibility_margin,
-    fine_margins,
     region_slice,
     single_codebook_endpoints,
     single_layer_bounds,
@@ -151,8 +151,10 @@ def slice_de1():
 
 def test_slice_points_witness_their_constraints(slice_de1):
     for sp in slice_de1:
-        assert coarse_gap(SCN, sp.params) >= -1e-9
-        assert fine_feasible(SCN, sp.params)
+        p = sp.params
+        assert coarse_gap(SCN, p) >= -1e-9
+        assert fine_feasible(SCN, p)
+        assert _scalar_margin(SCN, p.sigma_a2, p.sigma_b2, p.alpha, p.beta) <= FEAS_TOL
         assert sp.triple.de == pytest.approx(1.0, abs=1e-12)
 
 
@@ -202,28 +204,14 @@ def test_time_share_dominated_by_slice(slice_de1):
         assert slice_drc <= mix.drc + 1e-9
 
 
-@pytest.mark.parametrize("scn", [SCN, LayeredScenario(sigma_s2=10.0, sigma_n2=1.0, sigma_v2=1.0)])
-@pytest.mark.parametrize("de", [0.1, 1.0, 10.0])
-def test_beta_edge_is_last_feasible_float(scn, de):
-    for f in np.linspace(1e-3, 1.0 - 1e-3, 15):
-        a2 = de * float(f)
-        b2 = de - a2
-        alpha = coarse_alpha_root(scn, a2, b2)
-        beta = _max_feasible_betas(scn, [a2], [b2], [alpha])[0]
-        assert beta is not None
-        assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, beta)) <= FEAS_TOL
-        above = float(np.nextafter(beta, np.inf))
-        assert fine_feasibility_margin(scn, LayeredParams(a2, b2, alpha, above)) > FEAS_TOL
-
-
 def test_endpoints_of_an_empty_slice_are_refused():
     with pytest.raises(ValueError):
         single_codebook_endpoints(SCN, 1.0, [])
 
 
-# The scalar margin and the per-lane bisection that fine_margins and
-# _max_feasible_betas replaced, kept as oracles: the batched code must give
-# the same bits on every lane.
+# The determinant margin (by slogdet) and the per-lane bisection at FEAS_TOL
+# that the conditional-variance margin and its closed-form root replaced,
+# kept as oracles, and the determinant condition in exact arithmetic.
 
 def _scalar_margin(scenario, a2, b2, al, be):
     if al == 0.0 or be == 0.0:
@@ -267,8 +255,7 @@ def _scalar_max_beta(scenario, a2, b2, alpha):
 
 def _random_lanes(seed, scenarios=24, lanes=25):
     """(scenario, a2, b2, alpha) lane lists at random budgets and splits,
-    alpha at its coarse root; the two scenarios of the beta-edge test come
-    first."""
+    alpha at its coarse root; SCN and a small-source scenario come first."""
     rng = np.random.default_rng(seed)
     fixed = [SCN, LayeredScenario(sigma_s2=10.0, sigma_n2=1.0, sigma_v2=1.0)]
     for k in range(scenarios):
@@ -280,74 +267,131 @@ def _random_lanes(seed, scenarios=24, lanes=25):
         yield scn, a2, b2, [coarse_alpha_root(scn, x, y) for x, y in zip(a2, b2)]
 
 
-def test_batched_margin_matches_the_scalar_oracle_on_random_lanes():
+def _golden_lanes():
+    """The split points of out/layered_slices.csv: SCN (SNR 30 dB, harsh
+    excess 10 dB) at De of 10, 5, 0, -5 and -10 dB, resolution 80."""
+    for de_db in (10, 5, 0, -5, -10):
+        de = 10.0 ** (de_db / 10.0)
+        a2 = [de * float(f) for f in np.linspace(1e-3, 1.0 - 1e-3, 80)]
+        b2 = [de - x for x in a2]
+        yield SCN, a2, b2, [coarse_alpha_root(SCN, x, y) for x, y in zip(a2, b2)]
+
+
+FAINT = LayeredScenario(1e-12, 1.0, 10.0)      # a source all but known
+FAINTER = LayeredScenario(1e-20, 1.0, 10.0)
+
+
+def _branch_lanes():
+    """SCN lanes on both sides of the None branch, then faint-source lanes
+    up to the 1e9 branch, as (scenario, a2, b2, alpha) lane lists."""
+    alpha = coarse_alpha_root(SCN, 0.5, 0.5)
+    yield SCN, *zip((0.5, 0.5, alpha), (1e-6, 1e-3 - 1e-6, 1e3), (0.5, 0.5, 0.0), (0.1, 0.9, 0.5),
+                    (0.5, 1e-12, coarse_alpha_root(SCN, 0.5, 1e-12)))
+    for scn in (FAINT, FAINTER):
+        yield scn, *zip(*[(a2, de - a2, coarse_alpha_root(scn, a2, de - a2))
+                          for de in (1e-12, 1e-3, 1.0) for a2 in (1e-3 * de, 0.5 * de)])
+
+
+def _exact_margin(scenario, a2, b2, al, be):
+    """lhs - rhs of the determinant condition, every covariance entry and
+    determinant a Fraction of the float inputs, so its sign is exact."""
+    s2, n2, a2, b2, al, be = map(Fraction, (scenario.sigma_s2, scenario.sigma_n2,
+                                            a2, b2, al, be))
+    var_t, var_u, var_yf = s2 + b2 / be ** 2, s2 + a2 / al ** 2, s2 + a2 + b2 + n2
+    cov_ty, cov_uy = s2 + b2 / be, s2 + a2 / al
+
+    def det3(x, y, z):
+        return (x[0] * (y[1] * z[2] - y[2] * z[1]) - x[1] * (y[0] * z[2] - y[2] * z[0])
+                + x[2] * (y[0] * z[1] - y[1] * z[0]))
+
+    lhs = (det3((var_t, s2, cov_ty), (s2, var_u, cov_uy), (cov_ty, cov_uy, var_yf))
+           / (var_u * var_yf - cov_uy ** 2))
+    rhs = det3((var_t, s2, s2), (s2, var_u, s2), (s2, s2, s2)) / (var_u * s2 - s2 * s2)
+    return lhs - rhs
+
+
+@pytest.mark.parametrize("lanes", [lambda: _random_lanes(32), _golden_lanes, _branch_lanes],
+                         ids=["random", "golden", "branch"])
+def test_beta_root_brackets_the_exact_margin(lanes):
+    # the exact determinant margin changes sign within 1e-9 of the root;
+    # a None lane is infeasible at 1e-9 and a 1e9 lane feasible at 1e9
+    count = 0
+    for scn, a2, b2, alpha in lanes():
+        for lane, beta in zip(zip(a2, b2, alpha), _max_feasible_betas(scn, a2, b2, alpha)):
+            count += 1
+            if beta is None:
+                assert lane[2] == 0.0 or _exact_margin(scn, *lane, 1e-9) > 0
+            elif beta == 1e9:
+                assert _exact_margin(scn, *lane, 1e9) <= 0
+            else:
+                assert _exact_margin(scn, *lane, beta * (1 - 1e-9)) <= 0
+                assert _exact_margin(scn, *lane, beta * (1 + 1e-9)) > 0
+    assert count >= 16
+
+
+def test_margin_matches_the_slogdet_oracle():
+    # both signs of alpha and beta; where slogdet calls a covariance
+    # singular (beta so large that Var(T|U) is all b2 / beta^2) the margin
+    # is positive, which the oracle's +inf also reads as infeasible
     rng = np.random.default_rng(31)
+    compared = 0
     for scn, a2, b2, alpha in _random_lanes(30):
-        beta = (10 ** rng.uniform(-9, 9, len(a2))).tolist()
-        want = [_scalar_margin(scn, *lane) for lane in zip(a2, b2, alpha, beta)]
-        assert fine_margins(scn, a2, b2, alpha, beta).tobytes() == np.array(want).tobytes()
+        signs = rng.choice([-1.0, 1.0], (2, len(a2)))
+        alpha = (signs[0] * alpha).tolist()
+        beta = (signs[1] * 10 ** rng.uniform(-9, 9, len(a2))).tolist()
+        for lane in zip(a2, b2, alpha, beta):
+            m = fine_feasibility_margin(scn, LayeredParams(*lane))
+            want = _scalar_margin(scn, *lane)
+            if math.isfinite(want):
+                s2 = scn.sigma_s2
+                v = s2 - s2 ** 2 / (s2 + lane[0] / lane[2] ** 2)
+                assert abs(m - want) <= 1e-9 * max(abs(want), v)
+                compared += 1
+            else:
+                assert 0 < m < math.inf
+    assert compared >= 500
 
 
-def test_batched_margin_matches_the_scalar_oracle_where_squares_round_apart():
-    # Python's x ** 2 (libm pow) and x * x can differ in the last ulp (about
-    # one float in 1200 with glibc; none where pow rounds correctly); lanes
-    # whose beta or alpha is such a float, with b2 / beta^2 (or a2 / alpha^2)
-    # at 4 sigma_s2 so the ulp reaches the margin
-    rng = np.random.default_rng(41)
-    odd = [x for x in (10 ** rng.uniform(-3, 3, 100_000)).tolist() if x ** 2 != x * x][:40]
-    s2 = SCN.sigma_s2
-    lanes = ([(0.5, 4 * s2 * b * b, 1.0, b) for b in odd]
-             + [(4 * s2 * a * a, 0.5, a, 1.0) for a in odd])
-    want = [_scalar_margin(SCN, *lane) for lane in lanes]
-    assert fine_margins(SCN, *zip(*lanes)).tobytes() == np.array(want).tobytes()
-
-
-def test_batched_margin_matches_the_scalar_oracle_on_degenerate_lanes():
+def test_degenerate_margins_are_infinite_like_the_slogdet_oracle():
     alpha = coarse_alpha_root(SCN, 0.5, 0.5)
     lanes = [
-        (0.5, 0.5, alpha, 1.0),            # regular
         (0.5, 0.5, 0.0, 1.0),              # alpha = 0
         (0.5, 0.5, -0.0, 1.0),
         (0.5, 0.5, alpha, 0.0),            # beta = 0
         (math.inf, 0.5, alpha, 1.0),       # non-finite entries
         (0.5, math.inf, alpha, 1.0),
         (0.5, 0.5, 1e-160, 1.0),           # a2 / alpha^2 overflows
-        (0.5, 0.5, math.nan, 1.0),
-        (0.0, 0.5, alpha, 1.0),            # det Cov[U,S] = 0
-        (-0.5, 0.5, 1.0, 1.0),             # det Cov[U,S] < 0
-        (0.5, 0.5, alpha, 0.3),            # regular
     ]
-    got = fine_margins(SCN, *zip(*lanes))
-    want = [_scalar_margin(SCN, *lane) for lane in lanes]
-    assert got.tobytes() == np.array(want).tobytes()
-    assert np.isinf(got[1:10]).all() and np.isfinite(got[[0, 10]]).all()
-    for lane, m in zip(lanes, want):
-        if lane[0] > 0 and math.isfinite(lane[2]):     # lanes LayeredParams accepts
-            assert fine_feasibility_margin(SCN, LayeredParams(*lane)) == m
-    assert fine_margins(SCN, [], [], [], []).shape == (0,)
+    for lane in lanes:
+        assert _scalar_margin(SCN, *lane) == math.inf
+        assert fine_feasibility_margin(SCN, LayeredParams(*lane)) == math.inf
+    for beta in (1.0, 0.3):
+        m = fine_feasibility_margin(SCN, LayeredParams(0.5, 0.5, alpha, beta))
+        assert m == pytest.approx(_scalar_margin(SCN, 0.5, 0.5, alpha, beta), rel=1e-9)
 
 
-def test_lockstep_beta_matches_the_per_lane_bisection():
+def test_beta_root_matches_the_bisection_oracle():
     for scn, a2, b2, alpha in _random_lanes(32):
         got = _max_feasible_betas(scn, a2, b2, alpha)
-        assert got == [_scalar_max_beta(scn, *lane) for lane in zip(a2, b2, alpha)]
-        assert all(type(beta) is float for beta in got)
+        want = [_scalar_max_beta(scn, *lane) for lane in zip(a2, b2, alpha)]
+        assert [b is None for b in got] == [b is None for b in want]
+        for g, w in zip(got, want):
+            assert type(g) is float and g == pytest.approx(w, rel=1e-6)
 
 
-def test_lockstep_beta_takes_the_none_and_top_branches_per_lane():
-    alpha = coarse_alpha_root(SCN, 0.5, 0.5)
-    # None where 1e-9 is infeasible, beside lanes that bisect
-    lanes = [(0.5, 0.5, alpha), (1e-6, 1e-3 - 1e-6, 1e3), (0.5, 0.5, 0.0), (0.1, 0.9, 0.5)]
-    got = _max_feasible_betas(SCN, *zip(*lanes))
-    assert got == [_scalar_max_beta(SCN, *lane) for lane in lanes]
-    assert got[1] is None and got[2] is None and None not in (got[0], got[3])
-    # 1e9 where 1e9 is feasible: a source of variance 1e-12 is all but known
-    faint = LayeredScenario(1e-12, 1.0, 10.0)
-    lanes = [(a2, de - a2, coarse_alpha_root(faint, a2, de - a2))
-             for de in (1e-12, 1e-3) for a2 in (1e-3 * de, 0.5 * de)]
-    got = _max_feasible_betas(faint, *zip(*lanes))
-    assert got == [_scalar_max_beta(faint, *lane) for lane in lanes]
-    assert got[2:] == [1e9, 1e9] and all(b < 1e9 for b in got[:2])
+def test_beta_root_takes_the_none_and_top_branches():
+    near, faint, fainter = (_max_feasible_betas(*lanes) for lanes in _branch_lanes())
+    # the determinant margin by slogdet read lane 1 (covariance entries
+    # near 1e15) as infeasible at beta = 1e-9, where its exact margin is
+    # about -1e12; alpha = 0 has no root, and a refinement of variance
+    # 1e-12 cannot carry a beta of 1e-9
+    assert near[1] == pytest.approx(997.5, rel=1e-3)
+    assert near[2] is None and near[4] is None
+    assert all(1e-9 < b < 1e9 for b in near[:2] + near[3:4])
+    # a source all but known: the root grows as
+    # sqrt(Var(Y_f|U) / Var(S|U)) b2 / (b2 + n2), past 1e9 at variance 1e-20
+    assert all(1e-7 < b < 1e6 for b in faint)
+    assert all(b < 1e9 for b in fainter[:4]) and fainter[4:] == [1e9, 1e9]
     assert _max_feasible_betas(SCN, [], [], []) == []
 
 

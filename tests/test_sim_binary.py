@@ -17,6 +17,7 @@ from authdist.sim_binary import (
     run_attack_trials,
     run_reference_trials,
     unpack_bits,
+    _random_words,
 )
 from authdist.sim_common import binomial_sigma, stream
 
@@ -46,6 +47,22 @@ def _pack_bits_by_or_at(bits):
     idx = np.arange(bits.size)
     np.bitwise_or.at(out, idx // 64, bits << (idx % 64).astype(np.uint64))
     return out
+
+
+def _unpack_bits_by_shift_and_mask(words, n):
+    """The shift-and-mask formula unpack_bits must reproduce."""
+    idx = np.arange(n)
+    return ((words[idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+def test_unpack_bits_matches_the_shift_and_mask_formula():
+    rng = np.random.default_rng(5)
+    for n in range(1, 201):
+        words = _random_words(rng, 1, n)[0]
+        for w in (words, ~words, np.zeros_like(words)):
+            got, want = unpack_bits(w, n), _unpack_bits_by_shift_and_mask(w, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
 
 
 def test_pack_bits_matches_the_bitwise_or_formula():
