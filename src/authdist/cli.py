@@ -188,10 +188,11 @@ def cmd_sim(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
-        manifest = doc.get("manifest", {}) if isinstance(doc, dict) else {}
-        if manifest.get("command") != "sim" or "output_checksum" not in manifest:
+        manifest = doc.get("manifest") if isinstance(doc, dict) else None
+        params = manifest.get("params", {}) if isinstance(manifest, dict) else None
+        if (not isinstance(params, dict) or manifest.get("command") != "sim"
+                or "output_checksum" not in manifest):
             raise ValueError(f"{args.from_manifest} is not a sim manifest")
-        params = manifest.get("params", {})
         unknown = sorted(set(params) - set(SIM_PARAMS))
         if unknown:
             raise ValueError(f"unknown manifest params: {', '.join(unknown)}")

@@ -27,7 +27,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -371,7 +370,7 @@ class StartRecord:
     steps and objective evaluations) and then, if the start was polished,
     SLSQP's iterations and function evaluations for each decoder
     alternation; ``seconds`` is the start's wall time in the worker
-    processes, its share of the screen plus its polish; ``won`` marks the
+    process, its share of the screen plus its polish; ``won`` marks the
     start whose point is reported; ``polished`` marks the starts SLSQP ran.
     """
 
@@ -588,10 +587,8 @@ def _init_worker(parent: int) -> None:
 
     A worker whose parent is killed mid-call would otherwise wait on the task
     queue for ever, holding open every pipe it inherited from the parent.
-    The workers already use every CPU, and SLSQP's small BLAS calls gain
-    nothing from more threads, whose waits spin: two workers with two
-    OpenBLAS threads each on two CPUs ran a call 2.6 times slower than with
-    one.  One thread also makes the result independent of the BLAS thread
+    SLSQP's small BLAS calls gain nothing from more threads, whose waits
+    spin, and one thread makes the result independent of the BLAS thread
     count the process started with."""
     import ctypes
     import signal
@@ -719,8 +716,8 @@ def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[
     return ends
 
 
-def _run_start(de: float, dr: float, p: float, K: int, max_iter: int,
-               z0: np.ndarray) -> tuple:
+def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray,
+               max_iter: int) -> tuple:
     """The polish of one start of ``optimize_rate_fn``: up to four SLSQP
     alternations to ``POLISH_FTOL`` with hard-decoder updates from ``z0``,
     then the end point's evaluation.
@@ -776,88 +773,16 @@ def _starts(de: float, dr: float, p: float, K: int, restarts: int,
     return starts
 
 
-def optimize_rate_fn(
-    de: float,
-    dr: float,
-    p: float,
-    cardinality: int = 7,
-    restarts: int = 32,
-    max_iter: int = 300,
-    seed: int = 0,
-) -> RateFnResult:
-    """Estimate sup I(U;Y) - I(S;U) subject to E[d_e] <= de, E[d_r] <= dr.
-
-    The supremum runs over conditionals p(u|s) on an auxiliary alphabet of
-    the given cardinality and (not necessarily deterministic) p(x|u, s);
-    the reconstruction map is the minimum-distortion estimator of S from U.
-    The starts are parametric seeds plus random restarts; the reported value
-    is always attained by a feasible witness, so it is a lower bound on the
-    true supremum.
-
-    The starts run in two rounds.  The screen (``_screen``) advances all of
-    them at once by augmented-Lagrangian ascent with hard-decoder updates,
-    using elementwise numpy passes only.  The polish runs the
-    ``POLISH_COUNT`` best feasible screened ends, ranked by value and then
-    start order, from where they ended through SLSQP to ``POLISH_FTOL``,
-    alternating with hard-decoder updates at most four times.  A polished
-    start keeps the better of its two feasible ends, and a parametric seed's
-    own start point competes too, so a feasible seed is never reported worse
-    than it started.  The winner is the first start, in start order, whose
-    kept point has the largest value.  ``converged`` is the stopping test of
-    the winner's last run; a polished winner whose last SLSQP run stops on
-    its line search (status 8) counts as converged when another polished
-    start's kept value is within ``AGREE_TOL`` of it.
-
-    Each SLSQP point costs one objective call, which returns value and
-    gradient from one pass of logarithms, and one call of a single
-    inequality holding both budgets.  Both rounds run in forked worker
-    processes, in one pool that is shut down before the call returns: the
-    screen as one task, the polished starts one per worker, one per CPU this
-    process may run on (fewer if there are fewer starts).  A start's screen
-    does not depend on the other starts in its batch, and which starts are
-    polished and which wins depend only on the round results, in start
-    order, so the result does not depend on the number of workers;
-    ``taskset`` restricts it.  Each worker runs OpenBLAS on one thread, so
-    with OpenBLAS builds of numpy and scipy the result does not depend on
-    the BLAS thread count either.  ``starts`` on the result records every
-    start's kind, kept value, feasibility, iterations and function
-    evaluations, wall time and whether it was polished; the ``optimize``
-    command leaves it out of its checksummed results.
-    """
-    if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
-        raise ValueError("distortion budgets must be in [0, 1/2]")
-    if not (0.0 <= p <= 0.5):
-        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
-    if not (2 <= cardinality <= MAX_CARDINALITY):
-        raise ValueError(f"auxiliary cardinality must be in [2, {MAX_CARDINALITY}], "
-                         f"got {cardinality}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    # imported here, not at module top, so importing the CLI stays as cheap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    K = int(cardinality)
-    starts = _starts(de, dr, p, K, restarts, seed)
-    if not starts:
-        raise ValueError("no start to run: restarts must be >= 1 where no parametric "
-                         "seed applies (cardinality < 4 or no family member within the budgets)")
-    if "minimize" not in globals():
-        __getattr__("minimize")
-
-    # fork, named because the default start method differs across Python
-    # versions and platforms: the workers inherit the imported modules
-    # (spawn would import scipy again in each) and ``minimize`` as bound
-    # above, which ``_run_start`` calls through the module global.
-    workers = min(len(starts), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(os.getpid(),)) as ex:
-        screened = ex.submit(_screen, de, dr, p, K, [z0 for _, z0 in starts], max_iter).result()
-        # a stable sort: equal values keep start order
-        leaders = sorted((i for i, end in enumerate(screened) if end[1]),
-                         key=lambda i: -screened[i][2])[:POLISH_COUNT]
-        polished = dict(zip(leaders, ex.map(partial(_run_start, de, dr, p, K, max_iter),
-                                            [screened[i][3] for i in leaders])))
+def _solve(de: float, dr: float, p: float, K: int, starts, max_iter: int) -> RateFnResult:
+    """The search of ``optimize_rate_fn`` from its ``starts``, run in its
+    worker: the screen, the polish of the ``POLISH_COUNT`` best feasible
+    screened ends one after another, then each start's kept point and the
+    winner."""
+    screened = _screen(de, dr, p, K, [z0 for _, z0 in starts], max_iter)
+    # a stable sort: equal values keep start order
+    leaders = sorted((i for i, end in enumerate(screened) if end[1]),
+                     key=lambda i: -screened[i][2])[:POLISH_COUNT]
+    polished = {i: _run_start(de, dr, p, K, screened[i][3], max_iter) for i in leaders}
 
     # each start keeps its best feasible point, the first of equal values in
     # the order (a parametric seed's start point,) screened end, polished end;
@@ -895,3 +820,76 @@ def optimize_rate_fn(
         for i, ((kind, _), (feasible, val, *_), ends) in enumerate(zip(starts, kept, rounds)))
     return RateFnResult(value, zz[: 2 * K].reshape(2, K), zz[2 * K:].reshape(K, 2), g, converged,
                         len(starts), records)
+
+
+def optimize_rate_fn(
+    de: float,
+    dr: float,
+    p: float,
+    cardinality: int = 7,
+    restarts: int = 32,
+    max_iter: int = 300,
+    seed: int = 0,
+) -> RateFnResult:
+    """Estimate sup I(U;Y) - I(S;U) subject to E[d_e] <= de, E[d_r] <= dr.
+
+    The supremum runs over conditionals p(u|s) on an auxiliary alphabet of
+    the given cardinality and (not necessarily deterministic) p(x|u, s);
+    the reconstruction map is the minimum-distortion estimator of S from U.
+    The starts are parametric seeds plus random restarts; the reported value
+    is always attained by a feasible witness, so it is a lower bound on the
+    true supremum.
+
+    The starts run in two rounds.  The screen (``_screen``) advances all of
+    them at once by augmented-Lagrangian ascent with hard-decoder updates,
+    using elementwise numpy passes only.  The polish runs the
+    ``POLISH_COUNT`` best feasible screened ends, ranked by value and then
+    start order, from where they ended through SLSQP to ``POLISH_FTOL``,
+    alternating with hard-decoder updates at most four times.  A polished
+    start keeps the better of its two feasible ends, and a parametric seed's
+    own start point competes too, so a feasible seed is never reported worse
+    than it started.  The winner is the first start, in start order, whose
+    kept point has the largest value.  ``converged`` is the stopping test of
+    the winner's last run; a polished winner whose last SLSQP run stops on
+    its line search (status 8) counts as converged when another polished
+    start's kept value is within ``AGREE_TOL`` of it.
+
+    Each SLSQP point costs one objective call, which returns value and
+    gradient from one pass of logarithms, and one call of a single
+    inequality holding both budgets.  Both rounds and the pick of the winner
+    (``_solve``) run as one task in one forked worker process, in a pool that
+    is shut down before the call returns.  The worker runs OpenBLAS on one
+    thread, so with OpenBLAS builds of numpy and scipy the result does not
+    depend on the BLAS thread count.  ``starts`` on the result records every
+    start's kind, kept value, feasibility, iterations and function
+    evaluations, wall time and whether it was polished; the ``optimize``
+    command leaves it out of its checksummed results.
+    """
+    if not (0.0 <= de <= 0.5 and 0.0 <= dr <= 0.5):
+        raise ValueError("distortion budgets must be in [0, 1/2]")
+    if not (0.0 <= p <= 0.5):
+        raise ValueError(f"crossover must be in [0, 1/2], got {p}")
+    if not (2 <= cardinality <= MAX_CARDINALITY):
+        raise ValueError(f"auxiliary cardinality must be in [2, {MAX_CARDINALITY}], "
+                         f"got {cardinality}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    # imported here, not at module top, so importing the CLI stays as cheap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    K = int(cardinality)
+    starts = _starts(de, dr, p, K, restarts, seed)
+    if not starts:
+        raise ValueError("no start to run: restarts must be >= 1 where no parametric "
+                         "seed applies (cardinality < 4 or no family member within the budgets)")
+    if "minimize" not in globals():
+        __getattr__("minimize")
+
+    # fork, named because the default start method differs across Python
+    # versions and platforms: the worker inherits the imported modules
+    # (spawn would import scipy again) and ``minimize`` as bound above,
+    # which ``_run_start`` calls through the module global.
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(os.getpid(),)) as ex:
+        return ex.submit(_solve, de, dr, p, K, starts, max_iter).result()

@@ -180,7 +180,7 @@ def test_manifest_rerun_that_differs_exits_4(tmp_path):
     assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "c.json")]) == 4
 
 
-def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path):
+def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path, capsys):
     path, doc = _small_sim_manifest(tmp_path)
     opt = tmp_path / "opt.json"
     opt.write_text(json.dumps({"manifest": {
@@ -189,6 +189,15 @@ def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path):
         "seeds": {"seed": 0}, "version": "0.1.0", "output_checksum": "0" * 64},
         "results": {}}))
     assert main(["sim", "--from-manifest", str(opt), "--out", str(tmp_path / "x.json")]) == 2
+    # a sim manifest whose params or whole manifest is not an object
+    bad = tmp_path / "bad.json"
+    for broken in ({**doc, "manifest": {**doc["manifest"], "params": ["n"]}},
+                   {**doc, "manifest": ["sim"]}):
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(["sim", "--from-manifest", str(bad), "--out", str(tmp_path / "z.json")]) == 2
+        assert "is not a sim manifest" in capsys.readouterr().err
+        assert not (tmp_path / "z.json").exists()
     doc["manifest"]["params"]["block_size"] = 7
     path.write_text(json.dumps(doc))
     assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "y.json")]) == 2
@@ -389,6 +398,6 @@ def test_import_and_commands_that_call_no_scipy_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # the module global that the optimizer's workers call resolves to scipy's
+    # the module global that the optimizer's worker calls resolves to scipy's
     assert report.pop("minimize") is True
     assert report == {name: [] for name in report}

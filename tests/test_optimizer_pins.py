@@ -14,10 +14,11 @@ Pinned:
 - the SLSQP iterations and function evaluations summed over all those calls,
   which only the polish makes: the screen runs without SLSQP.
 
-The screen and the polished starts of one call run in a pool of forked
-workers, one per usable CPU, each with one OpenBLAS thread; the last tests
-check that the cheap calls come out the same on one CPU as on all of them,
-and with one BLAS thread as with two.
+The screen and the polished starts of one call run as one task in one
+forked worker with one OpenBLAS thread; the last tests check that each cheap
+call runs in exactly one worker and comes out the same on one CPU as on all
+of them, and with one BLAS thread as with two, and that the worker exits
+when its caller is killed.
 """
 
 import json
@@ -133,7 +134,8 @@ regions_binary.minimize = traced
 regions_binary._screen = traced_screen
 with open("/proc/self/maps") as fh:
     openblas = any("openblas" in line for line in fh)
-out = {"cpus": len(os.sched_getaffinity(0)), "openblas": openblas, "calls": {}}
+out = {"cpus": len(os.sched_getaffinity(0)), "openblas": openblas, "pid": os.getpid(),
+       "calls": {}}
 for name, (de, dr, p, k, max_iter) in cheap.items():
     pids.write_text("")
     res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
@@ -144,7 +146,7 @@ for name, (de, dr, p, k, max_iter) in cheap.items():
                    bool(res.converged), int(res.restarts_used)],
         "starts": [[s.kind, bool(s.feasible), repr(float(s.value)), list(s.nit),
                     list(s.nfev), s.won] for s in res.starts],
-        "workers": len(set(pids.read_text().split())),
+        "workers": sorted({int(pid) for pid in pids.read_text().split()}),
         "left_running": len(multiprocessing.active_children()),
     }
 pids.unlink()
@@ -202,6 +204,8 @@ def test_slsqp_iteration_totals(pinned_run):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_worker_count_does_not_change_the_result():
+    # one worker per call, not the caller, runs every screen and SLSQP call,
+    # on one CPU as on all of them, and is gone when the call returns
     one = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "one_cpu")
     every = _run(WORKERS_SCRIPT, json.dumps(CHEAP), "every_cpu")
     assert one["cpus"] == 1
@@ -210,9 +214,8 @@ def test_worker_count_does_not_change_the_result():
         assert a["result"] == b["result"], name
         assert a["starts"] == b["starts"], name
         assert a["left_running"] == b["left_running"] == 0, name
-        assert a["workers"] == 1 and 1 <= b["workers"] <= every["cpus"], name
-    if every["cpus"] > 1:
-        assert max(c["workers"] for c in every["calls"].values()) > 1
+        for run, calls in ((one, a), (every, b)):
+            assert len(calls["workers"]) == 1 and run["pid"] not in calls["workers"], name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")

@@ -390,27 +390,10 @@ def _off(z):
     return POINT_OFF
 
 
-class _MappedScreen:
-    """Stand-in for the batched screen: maps each start through ``move`` and
-    evaluates the image as the screen evaluates its ends.  The pool pickles
-    it, so ``move`` must be a module-level function."""
-
-    def __init__(self, move):
-        self.move = move
-
-    def __call__(self, de, dr, p, K, z0s, max_iter):
-        ends = []
-        for z0 in z0s:
-            feasible, val, zz = _checked(self.move(z0), de, dr, K, p)
-            ends.append((0, feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K)),
-                         (1,), (1,), 0.0))
-        return ends
-
-
 def _fake_minimize(polish, status=lambda x0: 0):
     """Stand-in for scipy's SLSQP, which only the polish calls: maps its start
     point through ``polish`` and ends with ``status(x0)``.  The optimizer's
-    forked workers inherit it through the module global."""
+    forked worker inherits it through the module global."""
     def fake(fun, x0, jac, method, bounds, constraints, options):
         assert options["ftol"] == POLISH_FTOL
         return SimpleNamespace(x=np.array(polish(x0), dtype=float), nit=1, nfev=1,
@@ -419,7 +402,17 @@ def _fake_minimize(polish, status=lambda x0: 0):
 
 
 def _fake_rounds(monkeypatch, screen, polish, status=lambda x0: 0):
-    monkeypatch.setattr(regions_binary, "_screen", _MappedScreen(screen))
+    def mapped(de, dr, p, K, z0s, max_iter):
+        """Stand-in for the batched screen: maps each start through ``screen``
+        and evaluates the image as the screen evaluates its ends."""
+        ends = []
+        for z0 in z0s:
+            feasible, val, zz = _checked(screen(z0), de, dr, K, p)
+            ends.append((0, feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K)),
+                         (1,), (1,), 0.0))
+        return ends
+
+    monkeypatch.setattr(regions_binary, "_screen", mapped)
     monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(polish, status))
 
 
