@@ -202,6 +202,12 @@ def pk_decode(
     return inner
 
 
+def source_bits(draws, n: int) -> np.ndarray:
+    """Every stream's ``integers(0, 2, n)`` source bits, packed.  For a
+    range of 2, Lemire's method returns the top bit of one 32-bit draw."""
+    return pack_bits(draws.uint32(n) >> 31)
+
+
 def run_pk_trials(config: SimConfig, cb: BinCodebook, tags: TagCarrier, key: bytes,
                   attacker: str | None) -> TrialStats:
     """``sim pk`` trials: the reference channel, or codeword substitution
@@ -210,16 +216,16 @@ def run_pk_trials(config: SimConfig, cb: BinCodebook, tags: TagCarrier, key: byt
     if attacker not in (None, "substitute_codeword"):
         raise ValueError(f"sim pk supports only the substitute_codeword attacker, not {attacker}")
 
-    def tag_check(idx, k, rng):
+    def tag_check(idx, k, draws):
         # the carrier passes the reference channel untouched; the attacker
         # draws its forged tag after its substitute codeword
-        carrier = (tags.embed(rng.integers(0, 2, tags.scheme.tag_bits).astype(np.uint8)) if attacker
-                   else tags.sign(int(idx), key))
-        return tags.verify(carrier, int(k), key)
+        carriers = ([tags.embed(rng.integers(0, 2, tags.scheme.tag_bits).astype(np.uint8))
+                     for rng in draws] if attacker else [tags.sign(int(i), key) for i in idx])
+        return [tags.verify(c, int(j), key) for c, j in zip(carriers, k)]
 
     stats = run_binary_trials(
-        config, cb, substitute(cb) if attacker else bsc_channel(config),
-        source=lambda rng: pack_bits(rng.integers(0, 2, config.n).astype(np.uint8)),
+        config, cb, substitute(cb) if attacker else bsc_channel(config.n, config.p),
+        source=lambda draws: source_bits(draws, config.n),
         attacked=bool(attacker), tag_check=tag_check)
     return replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
 

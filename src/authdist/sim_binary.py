@@ -22,8 +22,8 @@ from itertools import repeat
 import numpy as np
 
 from .core import binary_entropy
-from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
-                         mark_admissible, run_trials, stream, streams, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOutcome, Streams,
+                         TrialStats, mark_admissible, run_trials, stream, streams, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
 
@@ -50,8 +50,8 @@ class SimConfig:
             raise ValueError("p must be in [0, 1/2]")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         if self.log2_codebook_size > LOG2_CODEBOOK_CAP:
             raise ValueError(
                 f"codebook of 2^{self.log2_codebook_size:.2f} codewords exceeds "
@@ -72,11 +72,8 @@ def _n_words(n: int) -> int:
     return (n + 63) // 64
 
 
-def _random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, W) packed matrix of i.i.d. uniform bits."""
-    w = _n_words(n)
-    lo = rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64)
-    hi = rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64)
+def _join_words(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Packed n-bit rows from their low and high 32-bit halves."""
     words = (hi << np.uint64(32)) | lo
     rem = n % 64
     if rem:
@@ -84,11 +81,25 @@ def _random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return words
 
 
+def _random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, W) packed matrix of i.i.d. uniform bits."""
+    w = _n_words(n)
+    lo = rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64)
+    return _join_words(lo, rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64), n)
+
+
+def uniform_words(draws: Streams, n: int) -> np.ndarray:
+    """Every stream's ``_random_words(rng, 1, n)[0]``: W low halves, then
+    W high halves."""
+    lo = draws.uint32(_n_words(n))
+    return _join_words(lo, draws.uint32(_n_words(n)), n)
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """(n,) bits -> (W,) uint64 words, LSB-first within each word."""
-    packed = np.packbits(bits, bitorder="little")
-    buf = np.zeros(8 * _n_words(len(bits)), dtype=np.uint8)
-    buf[:packed.size] = packed
+    """(..., n) bits -> (..., W) uint64 words, LSB-first within each word."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    buf = np.zeros((*packed.shape[:-1], 8 * _n_words(np.shape(bits)[-1])), dtype=np.uint8)
+    buf[..., :packed.shape[-1]] = packed
     return buf.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -205,29 +216,26 @@ def decode(y, cb: BinCodebook, p: float, delta: float,
     return DecodeOutcome(cb.codeword_bits(k), int(k))
 
 
-def _flip_mask(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    return pack_bits(rng.random(n) < p)
-
-
 def run_binary_trials(config: SimConfig, cb: BinCodebook, channel, source=None,
                       **kw) -> TrialStats:
     """The trial driver at the binary encoder and decoder radii; sources are
-    uniform words unless ``source(rng)`` says otherwise."""
+    uniform words unless ``source(draws)`` says otherwise."""
     return run_trials(cb, config.trials, config.seed_public,
-                      source or (lambda rng: _random_words(rng, 1, config.n)[0]), channel,
+                      source or (lambda draws: uniform_words(draws, config.n)), channel,
                       encode_radius=_radius(cb.n, cb.tau + config.delta),
                       decode_radius=_radius(cb.n, config.p + config.delta), **kw)
 
 
-def bsc_channel(config: SimConfig):
-    """The reference channel: BSC(p) on the packed codeword."""
-    return lambda x, rng: x ^ _flip_mask(rng, config.n, config.p)
+def bsc_channel(n: int, p: float):
+    """BSC(p) on packed n-bit rows: bit i flips where the row's stream
+    draws ``random()`` below p at its i-th draw."""
+    return lambda x, draws: x ^ pack_bits(draws.random(n) < p)
 
 
 def run_reference_trials(config: SimConfig, codebook: BinCodebook | None = None) -> TrialStats:
     """source -> encode -> BSC(p) -> decode, tallied over config.trials."""
     cb = codebook if codebook is not None else build_codebook(config)
-    return run_binary_trials(config, cb, bsc_channel(config))
+    return run_binary_trials(config, cb, bsc_channel(config.n, config.p))
 
 
 def run_attack_trials(
@@ -259,9 +267,9 @@ def run_attack_trials(
     if attacker == "substitute_codeword":
         channel = substitute(cb)
     elif attacker == "heavy_noise":
-        channel = lambda x, rng: x ^ _flip_mask(rng, n, attack_p)
+        channel = bsc_channel(n, attack_p)
     else:
-        channel = lambda x, rng: _random_words(rng, 1, n)[0]
+        channel = lambda x, draws: uniform_words(draws, n)
     marking = None
     if fresh_marking:
         marking = lambda ts: [mark_admissible(rng, cb.count, cb.n_admissible)

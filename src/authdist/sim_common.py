@@ -14,11 +14,24 @@ to bit-identical results no matter how trials are batched:
 - ``(seed_public, (3, t))`` tag and carrier noise of trial t in
   ``pubkey.carrier_channel_robustness``
 
-The driver derives a block's per-trial generators at once with
+:func:`run_trials` derives a block's trial streams at once with
 :func:`streams`, bit-identical to one :func:`stream` call per trial: the
 ``(seed, key)`` part of the ``SeedSequence`` pool is hashed once per block
 and only the last spawn word t is mixed in per trial, as one vector
-operation over the block.
+operation over the block.  That gives each trial's PCG64 seed words.
+
+Draws whose count is fixed are then computed for the whole block from
+those words (:class:`Streams`): PCG64's state after k outputs is an
+affine function of its seed, so a jump table of multiplier powers gives
+every trial's next outputs at once, in 128-bit arithmetic on uint64 arrays,
+and NumPy's rules turn outputs into draws.  These are the binary and pk
+sources, the BSC and heavy-noise flips and the random_vector words.  Draws
+of variable count or with NumPy's own samplers stay on per-trial
+``Generator`` objects built lazily from the same words (:func:`per_trial`):
+the substitute attacker (``integers`` redraws while it hits the encoder's
+codeword), the pk forged tags that follow it, Gaussian ``normal`` draws
+(ziggurat rejection), fresh markings (``permutation``) and
+``pubkey.carrier_channel_robustness``.
 
 Per target, the rest of a trial's cost is the codebook's ``nearest``
 search: the binary scan popcounts the XOR one packed word column at a time,
@@ -31,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -42,6 +55,7 @@ ATTACK_KEY = 2
 CARRIER_KEY = 3
 CHUNK = 256    # trials per block of the driver
 MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
+MAX_TRIALS = 1 << 32    # trial indices of the streams lie below 2^32
 
 ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
@@ -81,9 +95,9 @@ def _hash(values: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, i
     return values ^ (values >> 16), hash_const
 
 
-def streams(seed: int, key: int, ts) -> list[np.random.Generator]:
-    """``[stream(seed, key, t) for t in ts]``, bit for bit, for trial
-    indices 0 <= t < 2^32.
+def streams(seed: int, key: int, ts) -> Streams:
+    """The :class:`Streams` of ``[stream(seed, key, t) for t in ts]``, bit
+    for bit, for trial indices 0 <= t < 2^32.
 
     ``SeedSequence(seed, spawn_key=(key,)).pool`` is the entropy pool with
     everything but t mixed in, and SeedSequence's hash constant advances by
@@ -110,8 +124,123 @@ def streams(seed: int, key: int, ts) -> list[np.random.Generator]:
     hash_const = INIT_B
     for j in range(2 * POOL_SIZE):
         state[:, j], hash_const = _hash(mixed[j % POOL_SIZE], hash_const, MULT_B)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in words]
+    return Streams(state.astype("<u4").view("<u8").astype(np.uint64))
+
+
+# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+@cache
+def _jump_table(size: int) -> np.ndarray:
+    """(4, size) uint64: the high and low words of A^m, then those of
+    G_m = A^0 + ... + A^(m-1), mod 2^128, for m < size (A = PCG64_MULT)."""
+    table = np.empty((4, size), dtype=np.uint64)
+    a, g = 1, 0
+    for m in range(size):
+        table[:, m] = a >> 64, a & MASK64, g >> 64, g & MASK64
+        a, g = a * PCG64_MULT & MASK128, g + a & MASK128
+    return table
+
+
+def _mul128(ah, al, bh, bl):
+    """High and low words of (ah:al) (bh:bl) mod 2^128, for uint64 arrays
+    of high (h) and low (l) 64-bit words; the high word of al bl is summed
+    from the 32-bit limbs' products."""
+    a0, a1, b0, b1 = al & MASK32, al >> 32, bl & MASK32, bl >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & MASK32) + (p10 & MASK32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + al * bh + ah * bl
+    return hi, al * bl
+
+
+class Streams:
+    """The PCG64 streams of a block of trials: iterating gives each trial's
+    ``stream(seed, key, t)``, and the block draws compute every trial's
+    next draws at once from the streams' PCG64 states.
+
+    A block draws one way or the other: its Generators are built when
+    first asked for, from the streams' first draw, and block draws are
+    refused after that.
+    """
+
+    def __init__(self, words: np.ndarray, drawn: int | None = 0, half=None):
+        self.words = words      # (T, 4) uint64: each PCG64's seed words
+        self._drawn = drawn     # outputs drawn by the block; None once Generators draw
+        self._half = half       # (T, 1) upper 32-bit halves held back, or None
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return iter(self.generators)
+
+    @cached_property
+    def generators(self) -> list[np.random.Generator]:
+        if self._drawn:
+            raise ValueError("a block's Generators start at its streams' first draw")
+        self._drawn = None
+        return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in self.words]
+
+    def take(self, rows) -> "Streams":
+        """The streams of the given rows, each at the draw it has reached."""
+        sub = Streams(self.words[rows], self._drawn,
+                      None if self._half is None else self._half[rows])
+        if self._drawn is None:
+            sub.generators = [self.generators[i] for i in rows]
+        return sub
+
+    def _outputs(self, count: int) -> np.ndarray:
+        """(T, count) uint64: the next ``count`` outputs of every stream.
+
+        PCG64 seeded with words w starts from initstate = w0:w1 and the odd
+        increment c = (w2:w3) << 1 | 1 (128-bit numbers, high word first).
+        Seeding steps s -> A s + c once from c + initstate, and each output
+        steps once more, so the output after k others is the XSL-RR of
+        A^(k+2) (initstate + c) + G_(k+2) c.
+        """
+        if self._drawn is None:
+            raise ValueError("the block's Generators have drawn from its streams")
+        w0, w1, w2, w3 = (self.words[:, i, None] for i in range(4))
+        ch, cl = w2 << 1 | w3 >> 63, w3 << 1 | 1
+        bl = w1 + cl
+        bh = w0 + ch + (bl < cl)
+        start, stop = self._drawn + 2, self._drawn + 2 + count
+        ah, al, gh, gl = _jump_table(1 << (stop - 1).bit_length())[:, start:stop]
+        self._drawn += count
+        h1, l1 = _mul128(ah, al, bh, bl)
+        h2, l2 = _mul128(gh, gl, ch, cl)
+        lo = l1 + l2
+        hi = h1 + h2 + (lo < l1)
+        x, rot = hi ^ lo, hi >> 58
+        return x >> rot | x << ((64 - rot) & 63)
+
+    def uint32(self, count: int) -> np.ndarray:
+        """Every stream's ``integers(0, 2**32, count, dtype=np.uint64)``:
+        outputs split into 32-bit halves, low half first, a half held back
+        by the previous call first of all."""
+        held = 0 if self._half is None else 1
+        out = self._outputs((count - held + 1) // 2)
+        halves = np.stack([out & MASK32, out >> 32], axis=2).reshape(len(self), -1)
+        if held:
+            halves = np.hstack([self._half, halves])
+        self._half = halves[:, count:] if halves.shape[1] > count else None
+        return halves[:, :count]
+
+    def random(self, count: int) -> np.ndarray:
+        """Every stream's ``random(count)``: (output >> 11) 2^-53 each;
+        a held-back half stays held back."""
+        return (self._outputs(count) >> 11) * 2.0 ** -53
+
+
+def per_trial(draw):
+    """A block draw made one trial at a time on each trial's Generator:
+    ``draw(rng)`` for a source, ``draw(row, rng)`` for a channel."""
+    def block_draw(*rows_and_streams):
+        *rows, block = rows_and_streams
+        return np.stack([draw(*args) for args in zip(*rows, block)])
+    return block_draw
 
 
 @dataclass(frozen=True)
@@ -223,8 +352,9 @@ def mark_admissible(rng: np.random.Generator, count: int, n_admissible: int) -> 
 
 
 def substitute(cb):
-    """Attacker that submits a uniformly drawn codeword other than the
-    encoder's, redrawing while the draw equals the encoder's codeword.
+    """Attacker channel that submits a uniformly drawn codeword other than
+    the encoder's, redrawing while the draw equals the encoder's codeword,
+    on each trial's Generator.
 
     Raises ValueError unless the codebook holds two distinct codewords,
     without which the redraw would never end.
@@ -238,7 +368,7 @@ def substitute(cb):
             y = rows[int(rng.integers(0, len(rows)))]
             if not (y == x).all():
                 return y
-    return attack
+    return per_trial(attack)
 
 
 def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: float,
@@ -247,15 +377,21 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     """source -> encode -> channel or attacker -> decode over a
     :class:`Codebook`, tallied over trials.
 
-    Trial t draws ``source(rng)`` and the reference ``channel(x, rng)``
-    from ``(seed, (1, t))``; when ``attacked`` the channel is an attacker
-    fed from ``(seed, (2, t))`` and every encoded trial is an attack, won
-    by a wrong reconstruction.  The encoder takes the nearest admissible
-    codeword within ``encode_radius``; the decoder the nearest codeword,
-    rejected beyond ``decode_radius`` and when forbidden (``marking(ts)``
-    returns one admissible mask per trial of the block ``ts``, replacing
-    the codebook's); a given ``tag_check(encoded, decoded, rng)`` replaces
-    the admissibility check, rejecting when it fails.
+    Sources and channels draw a block of trials at once: ``source(draws)``
+    returns one source row per trial of the block and ``channel(x, draws)``
+    one channel output per codeword row of ``x``, where ``draws`` are the
+    :class:`Streams` of those trials (wrap a per-trial draw with
+    :func:`per_trial`).  Trial t's source and reference channel draw from
+    ``(seed, (1, t))``, in that order; when ``attacked`` the channel is an
+    attacker drawing from ``(seed, (2, t))`` and every encoded trial is an
+    attack, won by a wrong reconstruction.  The encoder takes the nearest
+    admissible codeword within ``encode_radius``; the decoder the nearest
+    codeword, rejected beyond ``decode_radius`` and when forbidden
+    (``marking(ts)`` returns one admissible mask per trial of the block
+    ``ts``, replacing the codebook's); a given ``tag_check(encoded,
+    decoded, draws)`` replaces the admissibility check: it returns one
+    verdict per trial the decoder accepted so far, given their codeword
+    indices and the channel's streams, which it may go on drawing from.
 
     Trials run in blocks of CHUNK (fewer when per-trial masks would exceed
     MARKING_BYTES) and every sum is one ``math.fsum`` over per-trial values,
@@ -268,8 +404,8 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     block = CHUNK if marking is None else max(1, min(CHUNK, MARKING_BYTES // cb.count))
     for start in range(0, trials, block):
         ts = range(start, min(start + block, trials))
-        rngs = streams(seed, TRIAL_KEY, ts)
-        sources = np.stack([source(rng) for rng in rngs])
+        draws = streams(seed, TRIAL_KEY, ts)
+        sources = source(draws)
         masks = None if marking is None else marking(ts)
         among = (cb.admissible_indices if masks is None
                  else (np.flatnonzero(m) for m in masks))
@@ -281,14 +417,14 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
         idx, sources, x = idx[ok], sources[ok], cb.rows[idx[ok]]
         d_e = cb.distortion(idx, sources)
         de.extend(d_e.tolist())
-        channel_rngs = (streams(seed, ATTACK_KEY, ts.start + ok) if attacked
-                        else [rngs[i] for i in ok])
-        k, dist = cb.nearest(np.stack([channel(row, rng) for row, rng in zip(x, channel_rngs)]))
+        channel_draws = streams(seed, ATTACK_KEY, ts.start + ok) if attacked else draws.take(ok)
+        k, dist = cb.nearest(channel(x, channel_draws))
         accept = dist <= decode_radius
         if tag_check is None:
             accept &= cb.admissible[k] if masks is None else [masks[i][j] for i, j in zip(ok, k)]
         else:
-            accept &= [a and tag_check(*args) for a, *args in zip(accept, idx, k, channel_rngs)]
+            acc = np.flatnonzero(accept)
+            accept[acc] = tag_check(idx[acc], k[acc], channel_draws.take(acc))
         same = accept & (cb.rows[k] == x).all(axis=1)
         d_r = cb.distortion(k, sources)
         dec_fail += int((~accept).sum())

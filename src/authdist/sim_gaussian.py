@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sim_common import (ATTACKERS, CODEBOOK_KEY, Codebook, DecodeOutcome, TrialStats,
-                         mark_admissible, run_trials, stream, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOutcome,
+                         TrialStats, mark_admissible, per_trial, run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
 CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
@@ -62,8 +62,8 @@ class GaussSimConfig:
             )
         if not (self.sigma_s2 > 0 and self.sigma_n2 > 0):
             raise ValueError("variances must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 / math.sqrt(self.n))
         if not self.gamma > 0:
@@ -204,16 +204,16 @@ def run_gauss_trials(
     sigma_s = math.sqrt(config.sigma_s2)
     sigma_n = math.sqrt(config.sigma_n2)
     if attacker is None:
-        channel = lambda x, rng: x + rng.normal(0.0, sigma_n, size=n)
+        channel = per_trial(lambda x, rng: x + rng.normal(0.0, sigma_n, size=n))
     elif attacker == "substitute_codeword":
         channel = substitute(cb)
     elif attacker == "heavy_noise":
         scale = 2.0 * sigma_n if attack_param is None else math.sqrt(attack_param)
-        channel = lambda x, rng: x + rng.normal(0.0, scale, size=n)
+        channel = per_trial(lambda x, rng: x + rng.normal(0.0, scale, size=n))
     else:
         scale = math.sqrt(config.sigma_s2 + config.sigma_n2)
-        channel = lambda x, rng: rng.normal(0.0, scale, size=n)
+        channel = per_trial(lambda x, rng: rng.normal(0.0, scale, size=n))
     return run_trials(cb, config.trials, config.seed_public,
-                      lambda rng: rng.normal(0.0, sigma_s, size=n), channel,
+                      per_trial(lambda rng: rng.normal(0.0, sigma_s, size=n)), channel,
                       encode_radius=math.inf if encode_budget is None else encode_budget,
                       decode_radius=config.decode_radius, attacked=attacker is not None)

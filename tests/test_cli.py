@@ -9,10 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from authdist import cli
 from authdist.cli import main
 from authdist.regions_binary import MAX_CARDINALITY
 from authdist.regions_gaussian import GaussianScenario, envelope_dr, inner_bound_dr, qe_dr
 from authdist.regions_layered import LayeredScenario, single_layer_bounds
+from authdist.sim_binary import SimConfig
+from authdist.sim_gaussian import GaussSimConfig
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -282,6 +285,26 @@ def test_a_negative_seed_is_a_configuration_error(tmp_path):
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("kind", [["binary", "--n", "16"], ["pk", "--n", "16"],
+                                  ["gaussian", "--n", "4", "--rate", "1"]])
+def test_more_trials_than_the_trial_streams_serve_are_a_configuration_error(kind, tmp_path,
+                                                                           capsys, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("the run started")    # it would fail only after 2^32 trials
+    monkeypatch.setattr(cli, "build_codebook", unreachable)
+    monkeypatch.setattr(cli, "build_gauss_codebook", unreachable)
+    out = tmp_path / "x.json"
+    assert main(["sim", *kind, "--trials", str(2 ** 32 + 1), "--seed", "1", "--seed-secret", "2",
+                 "--out", str(out)]) == 2
+    assert "trials must lie in [1, 4294967296]" in capsys.readouterr().err
+    assert not out.exists()
+    # the last trial index the streams serve is 2^32 - 1
+    SimConfig(n=16, tau=0.2, gamma=0.25, p=0.08, delta=0.12, trials=2 ** 32, seed_public=1,
+              seed_secret=2)
+    GaussSimConfig(n=4, rate=1.0, sigma_s2=1.0, sigma_n2=1.0, trials=2 ** 32, seed_public=1,
+                   seed_secret=2)
+
+
 @pytest.mark.parametrize("argv", [
     ["region-gaussian", "--snr-db", "4000"],
     ["region-gaussian", "--snr-db", "10", "--snr-db", "inf"],
@@ -363,6 +386,7 @@ def test_a_region_resolution_below_two_is_a_configuration_error(argv, resolution
 
 NO_SCIPY_SCRIPT = r"""
 import json, pathlib, sys
+from authdist import cli
 from authdist.cli import main
 from authdist.regions_binary import MAX_CARDINALITY
 

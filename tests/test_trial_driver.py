@@ -1,10 +1,13 @@
-"""The shared trial driver: block-size independence and termination."""
+"""``run_trials``: block-size independence, block draws against
+per-trial Generators and the per-trial loop, and termination."""
 
 import argparse
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from authdist import sim_common
 from authdist.cli import _run_pk_trials
-from authdist.sim_binary import SimConfig, build_codebook, run_attack_trials, run_reference_trials
+from authdist.pubkey import TagCarrier, TestDoubleScheme, source_bits
+from authdist.sim_binary import (SimConfig, _radius, _random_words, bsc_channel, build_codebook,
+                                 pack_bits, run_attack_trials, run_reference_trials, uniform_words)
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -92,6 +97,163 @@ def test_streams_reject_what_seed_sequence_rejects():
     for t in (-1, 2 ** 32):
         with pytest.raises(ValueError, match="trial indices"):
             sim_common.streams(5, sim_common.TRIAL_KEY, [0, t])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 64 + 3, 2 ** 200]), st.integers(0, 2 ** 70)),
+       key=st.integers(0, 3), n=st.integers(1, 130), p=st.floats(0.0, 0.5),
+       ts=st.lists(st.one_of(st.integers(0, 300), st.integers(2 ** 32 - 300, 2 ** 32 - 1)),
+                   min_size=1, max_size=4))
+def test_block_draws_match_per_trial_generators(seed, key, n, p, ts):
+    zeros = np.zeros((len(ts), -(-n // 64)), dtype=np.uint64)
+    words = sim_common.streams(seed, key, ts)
+    got_words, got_flips = uniform_words(words, n), bsc_channel(n, p)(zeros, words)
+    bits = sim_common.streams(seed, key, ts)
+    got_bits, got_bit_flips = source_bits(bits, n), bsc_channel(n, p)(zeros, bits)
+    # a 32-bit draw after an odd count of bits takes the half held back first
+    got_tail, got_random = bits.uint32(3), bits.random(2)
+    for i, t in enumerate(ts):
+        rng = sim_common.stream(seed, key, t)
+        assert (got_words[i] == _random_words(rng, 1, n)[0]).all()
+        assert (got_flips[i] == pack_bits(rng.random(n) < p)).all()
+        rng = sim_common.stream(seed, key, t)
+        assert (got_bits[i] == pack_bits(rng.integers(0, 2, n).astype(np.uint8))).all()
+        assert (got_bit_flips[i] == pack_bits(rng.random(n) < p)).all()
+        assert got_tail[i].tolist() == rng.integers(0, 2 ** 32, 3, dtype=np.uint64).tolist()
+        assert got_random[i].tolist() == rng.random(2).tolist()
+
+
+def test_a_block_draws_through_its_generators_or_itself_not_both():
+    drawn = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
+    drawn.random(2)
+    with pytest.raises(ValueError, match="first draw"):
+        list(drawn)
+    generated = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
+    list(generated)
+    with pytest.raises(ValueError, match="Generators have drawn"):
+        generated.uint32(2)
+
+
+def _per_trial_run_trials(cb, trials, seed, source, channel, *, encode_radius, decode_radius,
+                          attacked=False, tag_check=None):
+    """``run_trials`` as it ran before block draws: ``source(rng)`` and
+    ``channel(x, rng)`` one trial at a time on each trial's Generator, and
+    ``tag_check(encoded, decoded, rng)`` per trial the decoder accepted."""
+    enc_fail = dec_fail = wrong = matched = 0
+    de, dr, max_gap = [], [], 0.0
+    for start in range(0, trials, sim_common.CHUNK):
+        ts = range(start, min(start + sim_common.CHUNK, trials))
+        rngs = [sim_common.stream(seed, sim_common.TRIAL_KEY, t) for t in ts]
+        sources = np.stack([source(rng) for rng in rngs])
+        idx, dist = cb.nearest(sources, cb.admissible_indices)
+        ok = np.flatnonzero(dist <= encode_radius)
+        enc_fail += len(ts) - ok.size
+        if not ok.size:
+            continue
+        idx, sources, x = idx[ok], sources[ok], cb.rows[idx[ok]]
+        d_e = cb.distortion(idx, sources)
+        de.extend(d_e.tolist())
+        channel_rngs = ([sim_common.stream(seed, sim_common.ATTACK_KEY, ts.start + i) for i in ok]
+                        if attacked else [rngs[i] for i in ok])
+        k, dist = cb.nearest(np.stack([channel(row, rng) for row, rng in zip(x, channel_rngs)]))
+        accept = dist <= decode_radius
+        if tag_check is None:
+            accept &= cb.admissible[k]
+        else:
+            accept &= [a and tag_check(*args) for a, *args in zip(accept, idx, k, channel_rngs)]
+        same = accept & (cb.rows[k] == x).all(axis=1)
+        d_r = cb.distortion(k, sources)
+        dec_fail += int((~accept).sum())
+        matched += int(same.sum())
+        wrong += int((accept & ~same).sum())
+        dr.extend(d_r[accept].tolist())
+        max_gap = max([max_gap, *np.abs(d_r - d_e)[same].tolist()])
+    encoded = trials - enc_fail
+    return sim_common.TrialStats(
+        trials_run=trials, encode_failures=enc_fail, decode_failures=dec_fail,
+        wrong_codeword=wrong, matched=matched,
+        empirical_de=math.fsum(de) / encoded if encoded else 0.0,
+        empirical_dr=math.fsum(dr) / len(dr) if dr else 0.0, dr_de_max_gap=max_gap,
+        attack_successes=wrong if attacked else 0, attack_trials=encoded if attacked else 0)
+
+
+def _per_trial_path(path, cfg, cb):
+    """``path`` run through the per-trial loop with its per-trial draws."""
+    n = cfg.n
+    words = lambda rng: _random_words(rng, 1, n)[0]
+    bsc = lambda p: lambda x, rng: x ^ pack_bits(rng.random(n) < p)
+
+    def substitute(x, rng):
+        while True:
+            y = cb.rows[int(rng.integers(0, cb.count))]
+            if not (y == x).all():
+                return y
+
+    tags = TagCarrier(TestDoubleScheme(64), cb.count, 3)
+
+    def tag_check(idx, k, rng):
+        carrier = (tags.embed(rng.integers(0, 2, 64).astype(np.uint8)) if path == "pk substitute"
+                   else tags.sign(int(idx), b"cli-pk-key"))
+        return tags.verify(carrier, int(k), b"cli-pk-key")
+
+    source, kw = words, {}
+    if path.startswith("pk"):
+        source = lambda rng: pack_bits(rng.integers(0, 2, n).astype(np.uint8))
+        kw = dict(tag_check=tag_check)
+    channel = {"binary reference": bsc(cfg.p), "binary heavy_noise": bsc(0.3),
+               "binary random_vector": lambda x, rng: words(rng),
+               "binary substitute": substitute, "pk reference": bsc(cfg.p),
+               "pk substitute": substitute}[path]
+    stats = _per_trial_run_trials(
+        cb, cfg.trials, cfg.seed_public, source, channel,
+        encode_radius=_radius(n, cfg.tau + cfg.delta), decode_radius=_radius(n, cfg.p + cfg.delta),
+        attacked=path not in ("binary reference", "pk reference"), **kw)
+    if path.startswith("pk"):
+        return replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
+    return stats if path == "binary reference" else replace(stats, empirical_dr=0.0,
+                                                            dr_de_max_gap=0.0)
+
+
+BLOCK_PATHS = {
+    "binary reference": lambda cfg, cb: run_reference_trials(cfg, cb),
+    "binary heavy_noise": lambda cfg, cb: run_attack_trials(cfg, "heavy_noise", 0.3, cb),
+    "binary random_vector": lambda cfg, cb: run_attack_trials(cfg, "random_vector", codebook=cb),
+    "binary substitute": lambda cfg, cb: run_attack_trials(cfg, codebook=cb),
+    "pk reference": lambda cfg, cb: _run_pk_trials(_pk(None), cfg, cb)[0],
+    "pk substitute": lambda cfg, cb: _run_pk_trials(_pk("substitute_codeword"), cfg, cb)[0],
+}
+# odd and even word counts, one to two words, codebooks of 2^7 to 2^16 rows
+ODD_N_CFGS = {n: SimConfig(n=n, tau=tau, gamma=gamma, p=0.08, delta=0.12, trials=150,
+                           seed_public=31 + n, seed_secret=47 + n)
+              for n, tau, gamma in ((9, 0.2, 0.25), (17, 0.2, 0.25), (33, 0.2, 0.1),
+                                    (70, 0.3, 0.04))}
+
+
+@pytest.fixture(scope="module")
+def odd_n_codebooks():
+    return {n: build_codebook(cfg) for n, cfg in ODD_N_CFGS.items()}
+
+
+@pytest.mark.parametrize("n", ODD_N_CFGS)
+@pytest.mark.parametrize("path", BLOCK_PATHS)
+def test_block_trials_match_the_per_trial_loop(path, n, odd_n_codebooks):
+    cfg, cb = ODD_N_CFGS[n], odd_n_codebooks[n]
+    assert BLOCK_PATHS[path](cfg, cb) == _per_trial_path(path, cfg, cb)
+
+
+@pytest.mark.parametrize("setting", ["CHUNK", "MARKING_BYTES"])
+@pytest.mark.parametrize("path", [path for path in PATHS if not path.startswith("gaussian")])
+def test_results_at_an_odd_blocklength_do_not_depend_on_the_block_size(path, setting,
+                                                                       odd_n_codebooks,
+                                                                       monkeypatch):
+    """The block-size test's binary and pk paths at n = 17."""
+    cfg = ODD_N_CFGS[17]
+    cb = odd_n_codebooks[17]
+    monkeypatch.setitem(globals(), "BIN_CFG", cfg)
+    monkeypatch.setitem(globals(), "PK_CFG", cfg)
+    default = PATHS[path](cb, cb, None)
+    monkeypatch.setattr(sim_common, setting, 7 if setting == "CHUNK" else 3 * cb.count)
+    assert PATHS[path](cb, cb, None) == default
 
 
 # both configurations pass validation and build a one-codeword codebook
