@@ -11,13 +11,14 @@ thresholds n(tau + delta) on the encoder side and n(p + delta) on the
 decoder side.
 
 Codewords are stored packed, 64 bits per word, so distances are XOR +
-popcount over the whole codebook at once.
+popcount over the whole codebook at once, a tile of target rows at a time
+(one contiguous uint32 word per codeword when n <= 32).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOu
                          TrialStats, mark_admissible, run_trials, stream, streams, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
+SCAN_BYTES = 1 << 19    # XOR words one tile of the nearest-codeword scan holds
 
 
 @dataclass(frozen=True)
@@ -125,29 +127,44 @@ class BinCodebook(Codebook):
     def codeword_bits(self, index: int) -> np.ndarray:
         return unpack_bits(self.words[index], self.n)
 
-    def nearest(self, targets: np.ndarray, among=None) -> tuple[np.ndarray, np.ndarray]:
-        """Index and Hamming distance of the nearest codeword to each packed
-        target row, lowest index on ties.  ``among`` restricts the search to
-        an index array, or to one index array per row given as an iterable.
+    @cached_property
+    def _scan_words(self) -> np.ndarray:
+        """For n <= 32 a contiguous uint32 copy of the one word column."""
+        return self.words[:, :1].astype(np.uint32) if self.n <= 32 else self.words
 
-        Rows are scanned one at a time, popcounting the XOR one word column
-        at a time into an accumulator wide enough for 64 W bits: XOR +
-        popcount of a block of rows against the whole codebook at once is
-        slower, and so is a reduction along the word axis.
+    def nearest(self, targets: np.ndarray, among=None,
+                radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+        """Index and Hamming distance of the nearest codeword to each packed
+        target row, lowest index on ties, searching only the index array
+        ``among`` or the rows of a ``(targets, count)`` bool mask when given.
+        Every distance is exact, so ``radius`` is not needed.
+
+        A tile of target rows, as many as SCAN_BYTES of XOR words hold, is
+        XORed and popcounted against the codebook one word column at a time
+        in preallocated buffers; rows outside a mask count all ones.
         """
+        marked = among if among is not None and among.ndim == 2 else None
+        rows = None if among is None or marked is not None else np.sort(among)
+        words = self._scan_words if rows is None else self._scan_words[rows]
+        targets = targets.astype(words.dtype, copy=False)
+        acc = np.min_scalar_type(64 * words.shape[1])
+        height = max(1, min(len(targets), SCAN_BYTES // words[:, 0].nbytes))
+        xor = np.empty((height, len(words)), dtype=words.dtype)
+        counts, part = np.empty((2, height, len(words)), dtype=acc)
         idx = np.empty(len(targets), dtype=np.int64)
-        dist = np.empty(len(targets), dtype=np.int64)
-        per_row = not (among is None or isinstance(among, np.ndarray))
-        words = None if per_row else self.words if among is None else self.words[among]
-        acc = np.min_scalar_type(64 * self.words.shape[1])
-        for i, (target, rows) in enumerate(zip(targets, among if per_row else repeat(among))):
-            w = self.words[rows] if per_row else words
-            d = np.bitwise_count(w[:, 0] ^ target[0]).astype(acc, copy=False)
-            for col in range(1, len(target)):
-                d += np.bitwise_count(w[:, col] ^ target[col])
-            j = int(np.argmin(d))
-            idx[i], dist[i] = (j if rows is None else rows[j]), d[j]
-        return idx, dist
+        for start in range(0, len(targets), height):
+            tile = slice(start, min(start + height, len(targets)))
+            x, d, p = (buf[:tile.stop - start] for buf in (xor, counts, part))
+            for c in range(words.shape[1]):
+                np.bitwise_xor(words[:, c], targets[tile, c, None], out=x)
+                np.bitwise_count(x, out=p if c else d)
+                if c:
+                    d += p
+            if marked is not None:
+                d |= np.subtract(marked[tile], acc.type(1), out=p)   # 0 where marked
+            idx[tile] = d.argmin(axis=1)
+        dist = np.bitwise_count(words[idx] ^ targets).sum(axis=1, dtype=np.int64)
+        return (idx if rows is None else rows[idx]), dist
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample Hamming distortion between codewords and packed rows."""
@@ -272,8 +289,8 @@ def run_attack_trials(
         channel = lambda x, draws: uniform_words(draws, n)
     marking = None
     if fresh_marking:
-        marking = lambda ts: [mark_admissible(rng, cb.count, cb.n_admissible)
-                              for rng in streams(config.seed_secret, CODEBOOK_KEY, ts)]
+        marking = lambda ts: np.stack([mark_admissible(rng, cb.count, cb.n_admissible)
+                                       for rng in streams(config.seed_secret, CODEBOOK_KEY, ts)])
     stats = run_binary_trials(config, cb, channel, attacked=True, marking=marking)
     # binary attack runs report the encoding distortion only
     return replace(stats, empirical_dr=0.0, dr_de_max_gap=0.0)

@@ -34,10 +34,10 @@ codeword), the pk forged tags that follow it, Gaussian ``normal`` draws
 ``pubkey.carrier_channel_robustness``.
 
 Per target, the rest of a trial's cost is the codebook's ``nearest``
-search: the binary scan popcounts the XOR one packed word column at a time,
-and the Gaussian decoder makes a k=1 k-d tree query plus a count of the
-rows within a relative 1e-9 of the nearest distance, rescanning only
-targets with more than one such row.
+search, one block search for the encoder and the decoder alike: the binary
+scan popcounts a tile of targets against the whole packed codebook (masked
+by per-trial markings), the Gaussian one is a k=2 k-d tree query bounded by
+the radius, rescanning targets whose second row lies within a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -318,11 +318,12 @@ class Codebook:
     """What the trial driver needs of a codebook with a keyed admissible
     subset.  Subclasses hold ``rows`` (one codeword per row, compared by
     value) and ``admissible`` (a bool mask over them), and define
-    ``nearest(targets, among=None)``: the index of the nearest codeword to
-    each target row, lowest index on ties, searching only the index array
-    ``among`` when given (per-trial markings pass an iterable of one array
-    per row), and its distance in the unit of the radii passed to
-    ``run_trials``; and ``distortion(indices, targets)``: the
+    ``nearest(targets, among=None, radius=inf)``: the index of the nearest
+    codeword to each target row, lowest index on ties, searching only the
+    index array ``among`` (in any order) or the rows of a ``(targets, count)``
+    bool mask when given, and its distance in the unit of the radii passed to
+    ``run_trials``, exact within ``radius`` and above it for a target with no
+    codeword within it; and ``distortion(indices, targets)``: the
     per-sample distortion between codewords and target rows.
     """
 
@@ -387,8 +388,8 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     attack, won by a wrong reconstruction.  The encoder takes the nearest
     admissible codeword within ``encode_radius``; the decoder the nearest
     codeword, rejected beyond ``decode_radius`` and when forbidden
-    (``marking(ts)`` returns one admissible mask per trial of the block
-    ``ts``, replacing the codebook's); a given ``tag_check(encoded,
+    (``marking(ts)`` returns a ``(len(ts), count)`` bool array, one
+    admissible mask per trial of the block ``ts``, replacing the codebook's); a given ``tag_check(encoded,
     decoded, draws)`` replaces the admissibility check: it returns one
     verdict per trial the decoder accepted so far, given their codeword
     indices and the channel's streams, which it may go on drawing from.
@@ -407,9 +408,8 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
         draws = streams(seed, TRIAL_KEY, ts)
         sources = source(draws)
         masks = None if marking is None else marking(ts)
-        among = (cb.admissible_indices if masks is None
-                 else (np.flatnonzero(m) for m in masks))
-        idx, dist = cb.nearest(sources, among)
+        idx, dist = cb.nearest(sources, cb.admissible_indices if masks is None else masks,
+                               encode_radius)
         ok = np.flatnonzero(dist <= encode_radius)
         enc_fail += len(ts) - ok.size
         if not ok.size:
@@ -418,10 +418,10 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
         d_e = cb.distortion(idx, sources)
         de.extend(d_e.tolist())
         channel_draws = streams(seed, ATTACK_KEY, ts.start + ok) if attacked else draws.take(ok)
-        k, dist = cb.nearest(channel(x, channel_draws))
+        k, dist = cb.nearest(channel(x, channel_draws), radius=decode_radius)
         accept = dist <= decode_radius
         if tag_check is None:
-            accept &= cb.admissible[k] if masks is None else [masks[i][j] for i, j in zip(ok, k)]
+            accept &= cb.admissible[k] if masks is None else masks[ok, k]
         else:
             acc = np.flatnonzero(accept)
             accept[acc] = tag_check(idx[acc], k[acc], channel_draws.take(acc))

@@ -9,13 +9,13 @@ codeword itself, so reconstruction distortion equals encoding distortion
 on every correctly decoded trial, and the admissible fraction 2^(-n gamma)
 bounds every attacker's success probability.
 
-Both nearest-codeword searches are exact k-d tree queries (one tree over
-the codebook for the decoder, one over the admissible rows for the
-encoder, each built once per codebook), which keep the lowest-index tie
-rule of the ``Codebook`` protocol: the decoder's tie check counts the rows
-within a relative 1e-9 of the nearest distance, the encoder's finds the
-second nearest row.  The trees are scipy.spatial's ``cKDTree``, imported
-when the first tree is built, so importing this module loads no scipy.
+Both nearest-codeword searches are one exact k-d tree query for the two
+nearest rows within the search radius (over a tree of the codebook for the
+decoder, of the admissible rows for the encoder, each built once per
+codebook); a second row within a relative 1e-9 of the first triggers a
+direct rescan, which keeps the ``Codebook`` protocol's lowest-index tie
+rule.  The trees are scipy.spatial's ``cKDTree``, imported when the first
+tree is built, so importing this module loads no scipy.
 
 Desk-scale caveat: at the blocklengths the tractability cap allows, the
 empirical distortions sit well above the asymptotic sigma_n2 value; the
@@ -36,6 +36,7 @@ from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOu
 
 LOG2_GAUSS_CAP = 22.0
 CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
+TIE_TOL = 1e-9    # relative distance within which a second row forces a rescan
 
 
 @dataclass(frozen=True)
@@ -110,33 +111,33 @@ class GaussCodebook(Codebook):
     def _admissible_tree(self):
         return _kd_tree(self.codewords[self.admissible_indices])
 
-    def nearest(self, targets: np.ndarray, among: np.ndarray | None = None):
+    def nearest(self, targets: np.ndarray, among: np.ndarray | None = None,
+                radius: float = math.inf):
         """Index and per-sample squared distance of the nearest codeword to
         each target row, searching only the indices ``among`` when given.
 
-        An exact k-d tree search over the whole codebook or over
+        One exact k-d tree query over the whole codebook or over
         ``admissible_indices`` (any other ``among`` gets a tree of its own)
-        finds the nearest row.  Over the whole codebook, rows within
-        ``d1 (1 + 1e-9)`` of the target are counted (d1 the nearest
-        distance); elsewhere the second nearest row is found, which costs
-        less there.  Where another row comes that close, the target is
-        rescanned with direct distances and the lowest index among the
-        minima wins.
+        finds the two nearest rows within a bound just above the radius.
+        Where the second comes within a relative TIE_TOL of the first, the
+        target is rescanned with direct distances and the lowest index among
+        the minima wins.  A target with no row within the bound reports an
+        infinite distance.
         """
         if among is None:
             among, tree = self._all_indices, self._tree
-            dist, pos = tree.query(targets, k=1)
-            tied = tree.query_ball_point(targets, dist * (1 + 1e-9), return_length=True) > 1
         else:
             tree = (self._admissible_tree if among is self.admissible_indices
                     else _kd_tree(self.codewords[among]))
-            dist, pos = tree.query(targets, k=2)
-            tied, pos = dist[:, 0] == dist[:, 1], pos[:, 0]
-        idx = among[pos]
-        for i in np.flatnonzero(tied):
+        # the tree keeps d^2 < bound^2 only: the absolute term finds exact hits at radius 0
+        bound = math.sqrt(self.n * max(radius, 0.0)) * (1 + TIE_TOL) + TIE_TOL
+        dist, pos = tree.query(targets, k=2, distance_upper_bound=bound)
+        far = np.isinf(dist[:, 0])
+        idx = among[np.where(far, 0, pos[:, 0])]
+        for i in np.flatnonzero(~far & (dist[:, 1] <= dist[:, 0] * (1 + TIE_TOL))):
             d2 = ((tree.data - targets[i]) ** 2).sum(axis=1)
             idx[i] = among[d2 == d2.min()].min()
-        return idx, self.distortion(idx, targets)
+        return idx, np.where(far, math.inf, self.distortion(idx, targets))
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample squared error between codewords and target rows."""
@@ -161,8 +162,9 @@ def gauss_encode(source, cb: GaussCodebook, radius_budget: float | None = None):
     source = np.asarray(source, dtype=float)
     if source.size != cb.n:
         raise ValueError(f"source length {source.size} != blocklength {cb.n}")
-    (idx,), (d2,) = cb.nearest(source[None, :], cb.admissible_indices)
-    if radius_budget is not None and d2 > radius_budget:
+    radius = math.inf if radius_budget is None else radius_budget
+    (idx,), (d2,) = cb.nearest(source[None, :], cb.admissible_indices, radius)
+    if d2 > radius:
         return None
     return cb.codewords[idx], int(idx)
 
@@ -174,7 +176,7 @@ def gauss_decode(y, cb: GaussCodebook, radius: float,
     y = np.asarray(y, dtype=float)
     if y.size != cb.n:
         raise ValueError(f"output length {y.size} != blocklength {cb.n}")
-    (k,), (d2,) = cb.nearest(y[None, :])
+    (k,), (d2,) = cb.nearest(y[None, :], radius=radius)
     if d2 > radius or (check_admissibility and not cb.admissible[k]):
         return DecodeOutcome.not_authentic()
     return DecodeOutcome(cb.codewords[k].copy(), int(k))

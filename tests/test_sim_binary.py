@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from authdist import sim_binary
 from authdist.core import binary_entropy
 from authdist.sim_binary import (
     BinCodebook,
@@ -303,7 +304,7 @@ def _brute_nearest(cb, targets, among=None):
     """Lowest-index nearest codeword by distances over unpacked bits."""
     bits = np.stack([cb.codeword_bits(i) for i in range(cb.count)])
     rows_of = (repeat(np.arange(cb.count)) if among is None
-               else repeat(among) if isinstance(among, np.ndarray) else among)
+               else repeat(among) if among.ndim == 1 else map(np.flatnonzero, among))
     idx, dist = [], []
     for target, rows in zip(targets, rows_of):
         d = (bits[rows] != unpack_bits(target, cb.n)).sum(axis=1)
@@ -313,15 +314,18 @@ def _brute_nearest(cb, targets, among=None):
 
 
 def _assert_matches_brute(cb, targets, among=None):
-    idx, dist = cb.nearest(targets, among if among is None or isinstance(among, np.ndarray)
-                           else iter(among))
+    idx, dist = cb.nearest(targets, among)
     want_idx, want_dist = _brute_nearest(cb, targets, among)
     assert idx.tolist() == want_idx.tolist()
     assert dist.tolist() == want_dist.tolist()
 
 
-@pytest.mark.parametrize("n", [32, 70, 130])
-def test_nearest_matches_brute_force_over_unpacked_bits(n):
+# one target row per tile, tiles of a few rows that do not divide the 100
+# targets, and the default budget
+@pytest.mark.parametrize("scan_bytes", [1, 1 << 14, sim_binary.SCAN_BYTES])
+@pytest.mark.parametrize("n", [16, 32, 33, 64, 65, 130])
+def test_nearest_matches_brute_force_over_unpacked_bits(n, scan_bytes, monkeypatch):
+    monkeypatch.setattr(sim_binary, "SCAN_BYTES", scan_bytes)
     rng = np.random.default_rng(n)
     bits = rng.integers(0, 2, size=(600, n)).astype(np.uint8)
     bits[400:450] = bits[10:60]          # duplicates of lower-index rows
@@ -329,9 +333,10 @@ def test_nearest_matches_brute_force_over_unpacked_bits(n):
     noisy = bits[rng.integers(0, 600, 40)] ^ (rng.random((40, n)) < 0.1)
     targets = np.stack([pack_bits(b) for b in np.vstack(
         [bits[400:420], noisy, rng.integers(0, 2, size=(40, n))])])
-    markings = [np.flatnonzero(rng.random(600) < 0.2) for _ in targets]
+    markings = rng.random((len(targets), 600)) < 0.2
     _assert_matches_brute(cb, targets)
     _assert_matches_brute(cb, targets, cb.admissible_indices)
+    _assert_matches_brute(cb, targets, cb.admissible_indices[::-1].copy())
     _assert_matches_brute(cb, targets, markings)
     assert cb.nearest(targets[:20])[0].tolist() == list(range(10, 30))
 
@@ -346,10 +351,14 @@ def test_nearest_lowest_index_wins_among_duplicate_rows():
                         for t in (zeros, two, [1] + [0] * (n - 1), ones)])
     assert cb.nearest(targets)[0].tolist() == [2, 1, 1, 0]
     assert cb.nearest(targets, np.array([3, 4, 5]))[0].tolist() == [4, 3, 3, 5]
-    assert [int(i) for i in cb.nearest(targets, iter([np.array([0, 3]), np.array([4, 5]),
-                                                      np.array([1, 2, 3]), np.array([1, 3])]))[0]
-            ] == [3, 4, 1, 1]
+    assert cb.nearest(targets, np.array([5, 4, 3]))[0].tolist() == [4, 3, 3, 5]
+    assert cb.nearest(targets, np.array([3, 1]))[0].tolist() == [1, 1, 1, 1]
+    masks = np.zeros((4, 6), dtype=bool)
+    for row, marked in enumerate([[0, 3], [4, 5], [1, 2, 3], [1, 3]]):
+        masks[row, marked] = True
+    assert cb.nearest(targets, masks)[0].tolist() == [3, 4, 1, 1]
     _assert_matches_brute(cb, targets)
+    _assert_matches_brute(cb, targets, masks)
 
 
 def test_nearest_distances_do_not_wrap_past_255_bits():
@@ -361,3 +370,7 @@ def test_nearest_distances_do_not_wrap_past_255_bits():
     (idx,), (dist,) = cb.nearest(pack_bits(np.zeros(n, dtype=np.uint8))[None, :])
     assert (idx, dist) == (1, 10)
     assert cb.nearest(pack_bits(np.ones(n, dtype=np.uint8))[None, :])[1].tolist() == [0]
+    # a masked-out row counts above every distance, 260 included
+    zero = pack_bits(np.zeros(n, dtype=np.uint8))[None, :]
+    idx, dist = cb.nearest(zero, np.array([[True, False]]))
+    assert (idx.tolist(), dist.tolist()) == ([0], [260])

@@ -221,3 +221,62 @@ def test_nearest_keeps_the_tie_rule_on_integer_lattices(count, n, seed):
     _assert_matches_brute(cb, targets)
     if among.size:
         _assert_matches_brute(cb, targets, among)
+
+
+# -- the search within a radius ------------------------------------------------
+
+def _assert_matches_brute_within(cb, targets, radius, among, want):
+    # within the radius: the brute-force index and distortion ``want``;
+    # beyond it, any distance above the radius
+    idx, dist = cb.nearest(targets, among, radius)
+    want_idx, want_dist = want
+    inside = want_dist <= radius
+    assert (idx[inside] == want_idx[inside]).all()
+    assert (dist[inside] == want_dist[inside]).all()
+    assert (dist[~inside] > radius).all()
+    assert ((0 <= idx) & (idx < cb.count)).all()
+
+
+def test_nearest_within_a_radius_matches_brute_force(codebook):
+    rng = np.random.default_rng(10)
+    sources = rng.normal(0.0, 10.0, size=(100, 8))
+    outputs = codebook.codewords[rng.integers(0, codebook.count, 100)] + rng.normal(size=(100, 8))
+    subset = np.sort(rng.choice(codebook.count, 500, replace=False))
+    for targets in (sources, outputs, codebook.codewords[:40]):
+        for among in (None, codebook.admissible_indices, subset[::-1].copy()):
+            want = _brute_nearest(codebook, targets, among)
+            for radius in (0.0, *np.quantile(want[1], [0.1, 0.5, 0.9]), want[1][3], -1.0,
+                           math.inf):
+                _assert_matches_brute_within(codebook, targets, radius, among, want)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.5e-9, 1e-9, 1.5e-9, 3e-9])
+def test_nearest_within_a_radius_keeps_the_tie_rule(gap):
+    # row 1 lies at distance 1 from the target, rows 0 and 2 a relative gap
+    # further; radii just inside, at, between and past the two distances put
+    # the farther rows inside the search bound or just past it
+    cb = _hand_codebook([[1 + gap, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1 + gap, 0], [9, 9, 9, 9]])
+    target = np.zeros((1, 4))
+    near, far = 0.25, (1 + gap) ** 2 / 4
+    for radius in (near * (1 - 1e-9), near, (near + far) / 2, far, far * (1 + 1e-9), math.inf):
+        for among in (None, np.array([2, 1, 0]), np.array([0, 2]), np.array([3, 2])):
+            want = _brute_nearest(cb, target, among)
+            _assert_matches_brute_within(cb, target, radius, among, want)
+    if gap == 0.0:
+        # equidistant rows inside the radius: the lower index wins
+        assert cb.nearest(target, radius=0.3)[0].tolist() == [0]
+        assert cb.nearest(target, np.array([2, 1]), 0.3)[0].tolist() == [1]
+
+
+@pytest.mark.parametrize("attacker, param, budget", [(None, None, None), (None, None, 40.0),
+                                                     ("substitute_codeword", None, None),
+                                                     ("heavy_noise", 25.0, None),
+                                                     ("random_vector", None, 40.0)])
+def test_nearest_radius_does_not_change_gauss_trials(codebook, attacker, param, budget,
+                                                     monkeypatch):
+    cfg = make_config(trials=300)
+    bounded = run_gauss_trials(cfg, attacker, param, budget, codebook=codebook)
+    unbounded = GaussCodebook.nearest
+    monkeypatch.setattr(GaussCodebook, "nearest", lambda self, targets, among=None,
+                        radius=math.inf: unbounded(self, targets, among))
+    assert run_gauss_trials(cfg, attacker, param, budget, codebook=codebook) == bounded
