@@ -16,7 +16,9 @@ samples per tag bit: bit b maps to lattice point b * step, and extraction
 rounds each sample to the nearest lattice point and takes the majority of
 the parities.  Binary content uses step 1, so its carrier samples are the
 repeated tag bits themselves; Gaussian content uses ``quant_step``.
-:class:`TagCarrier` is the one place that knows this format.
+:class:`TagCarrier` is the one place that knows this format.  It signs,
+extracts and verifies one tag or a block of them, one per row, so the trial
+driver checks a block of trials' tags in one call.
 """
 
 from __future__ import annotations
@@ -49,24 +51,41 @@ class TestDoubleScheme:
         self.tag_bits = tag_bits
 
     def sign(self, message_bits, signing_key: bytes) -> np.ndarray:
+        """The tag of a message, or of each row of a (rows, bits) block."""
         msg = np.asarray(message_bits, dtype=np.uint8)
         digest_size = (self.tag_bits + 7) // 8
-        h = hashlib.blake2b(np.packbits(msg).tobytes() + bytes([msg.size % 256]),
-                            key=signing_key[:64], digest_size=digest_size)
-        bits = np.unpackbits(np.frombuffer(h.digest(), dtype=np.uint8))
-        return bits[: self.tag_bits].copy()
+        packed = np.packbits(msg, axis=-1)
+        buf, width, suffix = packed.tobytes(), packed.shape[-1], bytes([msg.shape[-1] % 256])
+        digests = b"".join([hashlib.blake2b(buf[i * width:(i + 1) * width] + suffix,
+                                            key=signing_key[:64], digest_size=digest_size).digest()
+                            for i in range(math.prod(msg.shape[:-1]))])
+        return np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(
+            *msg.shape[:-1], digest_size), axis=-1, count=self.tag_bits)
 
-    def verify(self, message_bits, tag_bits, public_key: bytes) -> bool:
+    def verify(self, message_bits, tag_bits, public_key: bytes):
+        """Whether the tag verifies for the message; one verdict per row
+        for a block."""
         tag = np.asarray(tag_bits, dtype=np.uint8)
-        if tag.size != self.tag_bits:
-            return False
-        return bool((self.sign(message_bits, public_key) == tag).all())
+        if tag.shape[-1:] != (self.tag_bits,):
+            ok = np.zeros(np.shape(message_bits)[:-1], dtype=bool)
+        else:
+            ok = (self.sign(message_bits, public_key) == tag).all(axis=-1)
+        return ok if ok.ndim else bool(ok)
 
 
-def index_bits(index: int, count: int) -> np.ndarray:
-    """Fixed-width binary representation of a codeword index, MSB first."""
+def index_bits(index, count: int) -> np.ndarray:
+    """Fixed-width binary representation of a codeword index, MSB first;
+    of an array of indices, one row each.  Refuses an index outside
+    [0, count)."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise TypeError("a codeword index is an integer")
+    # a negative index wraps to one above 2^63
+    big_endian = index.astype(">u8")
+    if np.count_nonzero(big_endian >= count):
+        raise ValueError(f"codeword index outside [0, {count})")
     width = max((count - 1).bit_length(), 1)
-    return np.array([(index >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    return np.unpackbits(big_endian[..., None].view(np.uint8), axis=-1)[..., 64 - width:]
 
 
 @dataclass(frozen=True)
@@ -77,7 +96,8 @@ class TagCarrier:
     Bit b is embedded as ``b * step``, ``repetition`` times; reading rounds
     each sample to the nearest lattice point and takes the majority of the
     points' parities (ties read 0).  Binary content uses ``step = 1``, so
-    the carrier samples are the repeated tag bits themselves.
+    the carrier samples are the repeated tag bits themselves.  Each method
+    takes one tag, carrier or index, or a block of them, one per row.
     """
 
     scheme: TestDoubleScheme
@@ -92,18 +112,19 @@ class TagCarrier:
             raise ValueError("the carrier step must be positive")
 
     def embed(self, tag: np.ndarray) -> np.ndarray:
-        return np.repeat(tag, self.repetition) * self.step
+        return np.repeat(tag, self.repetition, axis=-1) * self.step
 
     def extract(self, carrier) -> np.ndarray:
+        carrier = np.asarray(carrier)
         lattice = np.rint(np.divide(carrier, self.step, dtype=float)).astype(np.int64)
-        votes = (lattice & 1).reshape(self.scheme.tag_bits, self.repetition)
-        return (votes.sum(axis=1) * 2 > self.repetition).astype(np.uint8)
+        votes = (lattice & 1).reshape(*carrier.shape[:-1], self.scheme.tag_bits, self.repetition)
+        return (votes.sum(axis=-1) * 2 > self.repetition).astype(np.uint8)
 
-    def sign(self, index: int, signing_key: bytes) -> np.ndarray:
+    def sign(self, index, signing_key: bytes) -> np.ndarray:
         """The carrier of the tag signing codeword ``index``."""
         return self.embed(self.scheme.sign(index_bits(index, self.count), signing_key))
 
-    def verify(self, carrier, index: int, public_key: bytes) -> bool:
+    def verify(self, carrier, index, public_key: bytes):
         """Whether the tag read off ``carrier`` verifies for ``index``."""
         return self.scheme.verify(index_bits(index, self.count), self.extract(carrier), public_key)
 
@@ -218,10 +239,11 @@ def run_pk_trials(config: SimConfig, cb: BinCodebook, tags: TagCarrier, key: byt
 
     def tag_check(idx, k, draws):
         # the carrier passes the reference channel untouched; the attacker
-        # draws its forged tag after its substitute codeword
-        carriers = ([tags.embed(rng.integers(0, 2, tags.scheme.tag_bits).astype(np.uint8))
-                     for rng in draws] if attacker else [tags.sign(int(i), key) for i in idx])
-        return [tags.verify(c, int(j), key) for c, j in zip(carriers, k)]
+        # draws its forged tag's integers(0, 2, tag_bits) after its
+        # substitute codeword
+        carriers = (tags.embed((draws.uint32(tags.scheme.tag_bits) >> 31).astype(np.uint8))
+                    if attacker else tags.sign(idx, key))
+        return tags.verify(carriers, k, key)
 
     stats = run_binary_trials(
         config, cb, substitute(cb) if attacker else bsc_channel(config.n, config.p),
@@ -279,8 +301,12 @@ def carrier_channel_robustness(
     recovered = 0
     for start in range(0, config.trials, CHUNK):
         block = range(start, min(start + CHUNK, config.trials))
-        for rng in streams(config.seed_public, CARRIER_KEY, block):
-            idx = int(rng.integers(0, cb.count))
-            recovered += int(tags.verify(channel(tags.sign(idx, key), rng), idx, key))
+        rngs = list(streams(config.seed_public, CARRIER_KEY, block))
+        # each trial draws its index, then its carrier noise; a tag is
+        # recovered when the tag read off the noisy carrier is the one read
+        # off the clean carrier, which is the signed tag exactly
+        carriers = tags.sign(np.array([rng.integers(0, cb.count) for rng in rngs]), key)
+        noisy = np.stack([channel(c, rng) for c, rng in zip(carriers, rngs)])
+        recovered += int((tags.extract(noisy) == tags.extract(carriers)).all(axis=1).sum())
     return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,
                       matched=recovered, tag_recoveries=recovered)

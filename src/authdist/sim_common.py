@@ -20,18 +20,18 @@ to bit-identical results no matter how trials are batched:
 and only the last spawn word t is mixed in per trial, as one vector
 operation over the block.  That gives each trial's PCG64 seed words.
 
-Draws whose count is fixed are then computed for the whole block from
-those words (:class:`Streams`): PCG64's state after k outputs is an
-affine function of its seed, so a jump table of multiplier powers gives
-every trial's next outputs at once, in 128-bit arithmetic on uint64 arrays,
-and NumPy's rules turn outputs into draws.  These are the binary and pk
-sources, the BSC and heavy-noise flips and the random_vector words.  Draws
-of variable count or with NumPy's own samplers stay on per-trial
-``Generator`` objects built lazily from the same words (:func:`per_trial`):
-the substitute attacker (``integers`` redraws while it hits the encoder's
-codeword), the pk forged tags that follow it, Gaussian ``normal`` draws
-(ziggurat rejection), fresh markings (``permutation``) and
-``pubkey.carrier_channel_robustness``.
+Draws are then computed for the whole block from those words
+(:class:`Streams`): PCG64's state after k outputs is an affine function of
+its seed, so a jump table of multiplier powers gives every trial's next
+outputs at once, in 128-bit arithmetic on uint64 arrays, and NumPy's rules
+turn outputs into draws.  These are the binary and pk sources, the BSC and
+heavy-noise flips, the random_vector words, the substitute attacker
+(Lemire's bounded ``integers``, drawn again for the few rows it rejects or
+that hit the encoder's codeword, each row at its own draw position) and
+the pk forged tags that follow it.  Draws with NumPy's own samplers stay on
+per-trial ``Generator`` objects built lazily from the same words
+(:func:`per_trial`): Gaussian ``normal`` draws (ziggurat rejection), fresh
+markings (``permutation``) and ``pubkey.carrier_channel_robustness``.
 
 Per target, the rest of a trial's cost is the codebook's ``nearest``
 search, one block search for the encoder and the decoder alike: the binary
@@ -160,15 +160,19 @@ class Streams:
     ``stream(seed, key, t)``, and the block draws compute every trial's
     next draws at once from the streams' PCG64 states.
 
+    Each stream keeps its own draw position, so a draw may be made for some
+    rows only (``rows``, an index array): those rows move ahead alone.
+
     A block draws one way or the other: its Generators are built when
     first asked for, from the streams' first draw, and block draws are
     refused after that.
     """
 
-    def __init__(self, words: np.ndarray, drawn: int | None = 0, half=None):
+    def __init__(self, words: np.ndarray):
         self.words = words      # (T, 4) uint64: each PCG64's seed words
-        self._drawn = drawn     # outputs drawn by the block; None once Generators draw
-        self._half = half       # (T, 1) upper 32-bit halves held back, or None
+        self._drawn = np.zeros(len(words), dtype=np.int64)    # outputs drawn by each stream
+        self._half = np.zeros(len(words), dtype=np.uint64)    # upper 32-bit half held back
+        self._held = np.zeros(len(words), dtype=bool)         # whether a half is held back
 
     def __len__(self) -> int:
         return len(self.words)
@@ -178,21 +182,25 @@ class Streams:
 
     @cached_property
     def generators(self) -> list[np.random.Generator]:
-        if self._drawn:
+        if self._drawn.any():
             raise ValueError("a block's Generators start at its streams' first draw")
         self._drawn = None
         return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in self.words]
 
     def take(self, rows) -> "Streams":
         """The streams of the given rows, each at the draw it has reached."""
-        sub = Streams(self.words[rows], self._drawn,
-                      None if self._half is None else self._half[rows])
+        sub = Streams(self.words[rows])
         if self._drawn is None:
+            sub._drawn = None
             sub.generators = [self.generators[i] for i in rows]
+        else:
+            sub._drawn, sub._half, sub._held = self._drawn[rows], self._half[rows], self._held[rows]
         return sub
 
-    def _outputs(self, count: int) -> np.ndarray:
-        """(T, count) uint64: the next ``count`` outputs of every stream.
+    def _outputs(self, count: int, rows, used) -> np.ndarray:
+        """(len(rows), count) uint64: the next ``count`` outputs of the
+        streams of ``rows``, each from its own position, which then moves
+        ahead by ``used`` outputs.
 
         PCG64 seeded with words w starts from initstate = w0:w1 and the odd
         increment c = (w2:w3) << 1 | 1 (128-bit numbers, high word first).
@@ -202,13 +210,15 @@ class Streams:
         """
         if self._drawn is None:
             raise ValueError("the block's Generators have drawn from its streams")
-        w0, w1, w2, w3 = (self.words[:, i, None] for i in range(4))
+        w0, w1, w2, w3 = (self.words[rows, i, None] for i in range(4))
         ch, cl = w2 << 1 | w3 >> 63, w3 << 1 | 1
         bl = w1 + cl
         bh = w0 + ch + (bl < cl)
-        start, stop = self._drawn + 2, self._drawn + 2 + count
-        ah, al, gh, gl = _jump_table(1 << (stop - 1).bit_length())[:, start:stop]
-        self._drawn += count
+        drawn = self._drawn[rows]
+        last = int(drawn.max()) if drawn.size else 0
+        at = drawn[:, None] + np.arange(2, 2 + count)
+        ah, al, gh, gl = _jump_table(1 << (last + 1 + count).bit_length())[:, at]
+        self._drawn[rows] = drawn + used
         h1, l1 = _mul128(ah, al, bh, bl)
         h2, l2 = _mul128(gh, gl, ch, cl)
         lo = l1 + l2
@@ -216,22 +226,44 @@ class Streams:
         x, rot = hi ^ lo, hi >> 58
         return x >> rot | x << ((64 - rot) & 63)
 
-    def uint32(self, count: int) -> np.ndarray:
-        """Every stream's ``integers(0, 2**32, count, dtype=np.uint64)``:
-        outputs split into 32-bit halves, low half first, a half held back
-        by the previous call first of all."""
-        held = 0 if self._half is None else 1
-        out = self._outputs((count - held + 1) // 2)
-        halves = np.stack([out & MASK32, out >> 32], axis=2).reshape(len(self), -1)
-        if held:
-            halves = np.hstack([self._half, halves])
-        self._half = halves[:, count:] if halves.shape[1] > count else None
-        return halves[:, :count]
+    def uint32(self, count: int, rows=slice(None)) -> np.ndarray:
+        """Every stream's (or the streams of ``rows``)
+        ``integers(0, 2**32, count, dtype=np.uint64)``: outputs split into
+        32-bit halves, low half first, a half held back by the previous draw
+        first of all."""
+        held = self._held[rows]
+        pairs = (count + 1) // 2
+        out = self._outputs(pairs, rows, (count + 1 - held) // 2)
+        # column 0 the half held back, then the outputs' halves
+        halves = np.empty((len(out), 2 * pairs + 1), dtype=np.uint64)
+        halves[:, 0] = self._half[rows]
+        halves[:, 1::2], halves[:, 2::2] = out & MASK32, out >> 32
+        got = np.where(held[:, None], halves[:, :count], halves[:, 1:count + 1])
+        self._half[rows] = np.where(held, halves[:, count], halves[:, min(count + 1, 2 * pairs)])
+        self._held[rows] = held ^ bool(count & 1)    # held may view _held: set last
+        return got
+
+    def integers(self, high: int, rows=slice(None)) -> np.ndarray:
+        """Every stream's (or the streams of ``rows``) ``integers(0, high)``
+        for 2 <= high <= 2^32, as int64: Lemire's rule on a 32-bit draw,
+        drawing again for the rows whose draw it rejects."""
+        if not 2 <= high <= 1 << 32:
+            raise ValueError("a bounded draw needs 2 <= high <= 2^32")
+        at = np.arange(len(self))[rows]
+        out = np.empty(len(at), dtype=np.int64)
+        todo = np.arange(len(at))
+        threshold = ((1 << 32) - high) % high
+        while todo.size:
+            m = self.uint32(1, at[todo])[:, 0] * np.uint64(high)
+            done = m & MASK32 >= threshold
+            out[todo[done]] = m[done] >> 32
+            todo = todo[~done]
+        return out
 
     def random(self, count: int) -> np.ndarray:
         """Every stream's ``random(count)``: (output >> 11) 2^-53 each;
-        a held-back half stays held back."""
-        return (self._outputs(count) >> 11) * 2.0 ** -53
+        a half held back stays held back."""
+        return (self._outputs(count, slice(None), count) >> 11) * 2.0 ** -53
 
 
 def per_trial(draw):
@@ -354,8 +386,8 @@ def mark_admissible(rng: np.random.Generator, count: int, n_admissible: int) -> 
 
 def substitute(cb):
     """Attacker channel that submits a uniformly drawn codeword other than
-    the encoder's, redrawing while the draw equals the encoder's codeword,
-    on each trial's Generator.
+    the encoder's, each row drawing again while its draw equals the
+    encoder's codeword.
 
     Raises ValueError unless the codebook holds two distinct codewords,
     without which the redraw would never end.
@@ -364,12 +396,16 @@ def substitute(cb):
     if not (rows != rows[0]).any():
         raise ValueError("codeword substitution needs two distinct codewords")
 
-    def attack(x, rng):
-        while True:
-            y = rows[int(rng.integers(0, len(rows)))]
-            if not (y == x).all():
-                return y
-    return per_trial(attack)
+    def attack(x, draws):
+        y = np.empty_like(x)
+        todo = np.arange(len(x))
+        while todo.size:
+            k = draws.integers(len(rows), todo)
+            hit = (rows[k] == x[todo]).all(axis=1)
+            y[todo[~hit]] = rows[k[~hit]]
+            todo = todo[hit]
+        return y
+    return attack
 
 
 def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: float,

@@ -47,6 +47,13 @@ def test_scheme_sign_verify_contract(scheme):
     assert not scheme.verify(msg, 1 - tag, KP)
     other = scheme.sign(np.array([1, 0, 1, 1, 0, 0, 0], dtype=np.uint8), KS)
     assert (other != tag).any()
+    # a block signs each row as the scalar call does, an empty message included
+    block = scheme.sign(np.array([[1, 0, 1, 1, 0, 0, 1], [1, 0, 1, 1, 0, 0, 0]], np.uint8), KS)
+    assert np.array_equal(block, [tag, other])
+    assert scheme.verify(np.stack([msg, msg]), np.stack([tag, 1 - tag]), KP).tolist() == [True, False]
+    empty = scheme.sign(np.array([], dtype=np.uint8), KS)
+    assert empty.size == 64 and np.array_equal(scheme.sign(np.zeros((2, 0), np.uint8), KS),
+                                               [empty, empty])
 
 
 def test_index_bits_width_and_value():
@@ -54,6 +61,24 @@ def test_index_bits_width_and_value():
     assert bits.size == 13                       # ceil(log2 5592)
     assert int("".join(map(str, bits)), 2) == 5
     assert index_bits(0, 2).size == 1
+    block = index_bits(np.array([0, 5, 5591]), 5592)
+    assert block.shape == (3, 13)
+    for row, i in zip(block, [0, 5, 5591]):
+        assert np.array_equal(row, index_bits(i, 5592))
+    with pytest.raises(TypeError, match="integer"):
+        index_bits(1.5, 5592)
+
+
+@pytest.mark.parametrize("index", [4, 5, -1, -3, [1, 4], [-1, 2]])
+def test_index_outside_the_codebook_is_refused(index, scheme):
+    # the low bits alone would read 5 and -3 as 1 at count 4
+    tags = TagCarrier(scheme, 4, 3)
+    carrier = tags.sign(1, KS)
+    for call in (lambda: index_bits(index, 4), lambda: tags.sign(index, KS),
+                 lambda: tags.verify(carrier, index, KP)):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            call()
+    assert tags.verify(carrier, 1, KP)
 
 
 def test_embedding_overhead_and_exact_extraction(bin_cb, scheme):
@@ -234,6 +259,36 @@ def test_carrier_codec_matches_the_quantized_oracle(step, repetition):
         assert np.array_equal(carrier, _embed_quantized(tag, repetition, step))
         noisy = carrier + rng.normal(0.0, rng.uniform(0.0, step), carrier.size)
         assert np.array_equal(tags.extract(noisy), _extract_quantized(noisy, 64, repetition, step))
+
+
+@pytest.mark.parametrize("step, repetition", [(1, 1), (1, 2), (1, 3), (6.0, 3), (0.7, 4)])
+@pytest.mark.parametrize("tag_bits", [8, 13, 64])
+def test_block_carrier_matches_the_scalar_oracle_row_by_row(tag_bits, repetition, step):
+    # even repetitions tie; both read a tie as 0
+    count = 5592
+    tags = TagCarrier(TestDoubleScheme(tag_bits), count, repetition, step)
+    rng = stream(tag_bits + 100 * repetition, int(step * 10))
+    idx = rng.integers(0, count, 40)
+    carriers = tags.sign(idx, KS)
+    # a BSC on binary carriers, Gaussian noise on quantized ones, every
+    # other row clean
+    clean = np.arange(40)[:, None] % 2 == 0
+    noisy = (carriers ^ (~clean & (rng.random(carriers.shape) < 0.2)) if step == 1
+             else carriers + ~clean * rng.normal(0.0, step / 2, carriers.shape))
+    decoded = np.where(rng.random(40) < 0.5, idx, rng.integers(0, count, 40))
+    read, verdicts = tags.extract(noisy), tags.verify(noisy, decoded, KP)
+    assert carriers.shape == (40, tag_bits * repetition) and verdicts.shape == (40,)
+    extract = (_extract_binary if step == 1 else
+               lambda c, b, r: _extract_quantized(c, b, r, step))
+    for i in range(40):
+        tag = tags.scheme.sign(index_bits(int(idx[i]), count), KS)
+        want = (_embed_binary(tag, repetition) if step == 1
+                else _embed_quantized(tag, repetition, step))
+        assert np.array_equal(carriers[i], want)
+        assert np.array_equal(read[i], extract(noisy[i], tag_bits, repetition))
+        assert verdicts[i] == tags.verify(noisy[i], int(decoded[i]), KP)
+    # the block's verdicts are not all alike
+    assert verdicts.any() and not verdicts.all()
 
 
 def test_binary_pk_decode_refuses_a_carrier_sample_other_than_0_or_1(bin_cb, scheme):

@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 from authdist import sim_common
 from authdist.cli import _run_pk_trials
 from authdist.pubkey import TagCarrier, TestDoubleScheme, source_bits
-from authdist.sim_binary import (SimConfig, _radius, _random_words, bsc_channel, build_codebook,
-                                 pack_bits, run_attack_trials, run_reference_trials, uniform_words)
+from authdist.sim_binary import (BinCodebook, SimConfig, _radius, _random_words, bsc_channel,
+                                 build_codebook, pack_bits, run_attack_trials,
+                                 run_reference_trials, uniform_words)
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -35,8 +36,8 @@ def codebooks():
     return build_codebook(BIN_CFG), build_codebook(PK_CFG), build_gauss_codebook(G_CFG)
 
 
-def _pk(attacker):
-    return argparse.Namespace(tag_bits=64, repetition=3, attacker=attacker)
+def _pk(attacker, tag_bits=64):
+    return argparse.Namespace(tag_bits=tag_bits, repetition=3, attacker=attacker)
 
 
 # every path the driver serves, at settings where each outcome class occurs
@@ -123,6 +124,76 @@ def test_block_draws_match_per_trial_generators(seed, key, n, p, ts):
         assert got_random[i].tolist() == rng.random(2).tolist()
 
 
+# Lemire's rule rejects about half the draws at 2^31 + 5 and none at 2^32
+HIGHS = st.one_of(st.sampled_from([2, 3, 5592, 40295, 65536, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32]),
+                  st.integers(2, 2 ** 32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, key=st.sampled_from([0, 1, 2]), high=HIGHS, before=st.integers(0, 3),
+       ts=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 32 - 1)), min_size=1,
+                   max_size=6))
+def test_bounded_draws_match_per_trial_generators(seed, key, high, before, ts):
+    draws = sim_common.streams(seed, key, ts)
+    # an odd count of 32-bit draws before the bounded one holds a half back
+    got_before = draws.uint32(before)
+    got = draws.integers(high)
+    got_after = draws.uint32(3)
+    # the even rows draw again alone; every row then draws on from its own position
+    again = np.arange(0, len(ts), 2)
+    got_again, got_last, got_random = draws.integers(high, again), draws.uint32(1), draws.random(1)
+    for i, t in enumerate(ts):
+        rng = sim_common.stream(seed, key, t)
+        assert got_before[i].tolist() == rng.integers(0, 2 ** 32, before, dtype=np.uint64).tolist()
+        assert got[i] == rng.integers(0, high)
+        assert got_after[i].tolist() == rng.integers(0, 2 ** 32, 3, dtype=np.uint64).tolist()
+        if i % 2 == 0:
+            assert got_again[i // 2] == rng.integers(0, high)
+        assert got_last[i].tolist() == rng.integers(0, 2 ** 32, 1, dtype=np.uint64).tolist()
+        assert got_random[i].tolist() == rng.random(1).tolist()
+
+
+def test_a_bounded_draw_refuses_a_range_beyond_32_bits():
+    draws = sim_common.streams(5, sim_common.ATTACK_KEY, range(3))
+    for high in (1, 2 ** 32 + 1):
+        with pytest.raises(ValueError, match="2 <= high <= 2"):
+            draws.integers(high)
+
+
+# codebooks of 2 to 4 rows of n = 9 codewords 0, 1 and 2, all admissible but
+# the last row: the encoder mostly takes codeword 0, and its substitutes
+# mostly draw again; at 4 rows the draw decides whether the attack wins
+FEW_ROWS = {2: [0, 1], 3: [0, 0, 1], 4: [0, 0, 1, 2]}
+
+
+def _few_rows_codebook(rows):
+    words = _random_words(sim_common.stream(rows, 9), 3, 9)
+    assert len(np.unique(words)) == 3
+    return BinCodebook(n=9, tau=0.2, words=words[FEW_ROWS[rows]],
+                       admissible=np.arange(rows) < rows - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, rows=st.integers(2, 4), tag_bits=st.sampled_from([8, 13, 64]),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_block_substitutes_and_forged_tags_match_per_trial_generators(seed, rows, tag_bits,
+                                                                      picks):
+    cb = _few_rows_codebook(rows)
+    x = cb.rows[[min(p, rows - 1) for p in picks]]
+    draws = sim_common.streams(seed, sim_common.ATTACK_KEY, range(len(picks)))
+    got = sim_common.substitute(cb)(x, draws)
+    # as in the pk tag check, the forged tags are drawn by some of the rows,
+    # taken from the block at the draw each has reached
+    kept = np.arange(len(picks))[::-2]
+    got_tags = dict(zip(kept, draws.take(kept).uint32(tag_bits) >> 31))
+    for i, rng in enumerate(sim_common.streams(seed, sim_common.ATTACK_KEY, range(len(picks)))):
+        while ((want := cb.rows[rng.integers(0, rows)]) == x[i]).all():
+            pass
+        assert (got[i] == want).all()
+        if i in got_tags:
+            assert got_tags[i].tolist() == rng.integers(0, 2, tag_bits).tolist()
+
+
 def test_a_block_draws_through_its_generators_or_itself_not_both():
     drawn = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
     drawn.random(2)
@@ -189,13 +260,19 @@ def _per_trial_path(path, cfg, cb):
             if not (y == x).all():
                 return y
 
-    tags = TagCarrier(TestDoubleScheme(64), cb.count, 3)
+    tag_bits = 13 if path.endswith("13-bit tags") else 64
+    tags = TagCarrier(TestDoubleScheme(tag_bits), cb.count, 3)
 
     def tag_check(idx, k, rng):
-        carrier = (tags.embed(rng.integers(0, 2, 64).astype(np.uint8)) if path == "pk substitute"
-                   else tags.sign(int(idx), b"cli-pk-key"))
+        carrier = (tags.embed(rng.integers(0, 2, tag_bits).astype(np.uint8))
+                   if path.startswith("pk substitute") else tags.sign(int(idx), b"cli-pk-key"))
         return tags.verify(carrier, int(k), b"cli-pk-key")
 
+    if path == "gaussian substitute":
+        return _per_trial_run_trials(
+            cb, cfg.trials, cfg.seed_public,
+            lambda rng: rng.normal(0.0, math.sqrt(cfg.sigma_s2), size=n), substitute,
+            encode_radius=math.inf, decode_radius=cfg.decode_radius, attacked=True)
     source, kw = words, {}
     if path.startswith("pk"):
         source = lambda rng: pack_bits(rng.integers(0, 2, n).astype(np.uint8))
@@ -203,7 +280,7 @@ def _per_trial_path(path, cfg, cb):
     channel = {"binary reference": bsc(cfg.p), "binary heavy_noise": bsc(0.3),
                "binary random_vector": lambda x, rng: words(rng),
                "binary substitute": substitute, "pk reference": bsc(cfg.p),
-               "pk substitute": substitute}[path]
+               "pk substitute": substitute, "pk substitute, 13-bit tags": substitute}[path]
     stats = _per_trial_run_trials(
         cb, cfg.trials, cfg.seed_public, source, channel,
         encode_radius=_radius(n, cfg.tau + cfg.delta), decode_radius=_radius(n, cfg.p + cfg.delta),
@@ -234,11 +311,35 @@ def odd_n_codebooks():
     return {n: build_codebook(cfg) for n, cfg in ODD_N_CFGS.items()}
 
 
-@pytest.mark.parametrize("n", ODD_N_CFGS)
-@pytest.mark.parametrize("path", BLOCK_PATHS)
-def test_block_trials_match_the_per_trial_loop(path, n, odd_n_codebooks):
-    cfg, cb = ODD_N_CFGS[n], odd_n_codebooks[n]
-    assert BLOCK_PATHS[path](cfg, cb) == _per_trial_path(path, cfg, cb)
+# beyond the block paths at each blocklength: a Gaussian path, codebooks of
+# 2 to 4 rows with duplicate rows, where most substitutes draw again, and
+# 13-bit forged tags, whose odd count of 32-bit draws holds a half back
+EXTRA_PATHS = {
+    "gaussian substitute": lambda cfg, cb: run_gauss_trials(cfg, "substitute_codeword",
+                                                            codebook=cb),
+    "pk substitute, 13-bit tags": lambda cfg, cb: _run_pk_trials(
+        _pk("substitute_codeword", 13), cfg, cb)[0],
+}
+FEW_ROWS_CFG = SimConfig(n=9, tau=0.2, gamma=0.25, p=0.08, delta=0.3, trials=150,
+                         seed_public=61, seed_secret=62)
+EXTRA_CFGS = {"gaussian": G_CFG, **{f"{r} rows": FEW_ROWS_CFG for r in (2, 3, 4)}}
+BLOCK_CASES = [*((path, n) for path in BLOCK_PATHS for n in ODD_N_CFGS),
+               ("gaussian substitute", "gaussian"),
+               *((path, f"{r} rows") for r in (2, 3, 4)
+                 for path in ("binary substitute", "pk substitute", "pk substitute, 13-bit tags")),
+               *(("pk substitute, 13-bit tags", n) for n in ODD_N_CFGS)]
+
+
+@pytest.fixture(scope="module")
+def case_codebooks(odd_n_codebooks):
+    return {**odd_n_codebooks, "gaussian": build_gauss_codebook(G_CFG),
+            **{f"{r} rows": _few_rows_codebook(r) for r in (2, 3, 4)}}
+
+
+@pytest.mark.parametrize("path, n", BLOCK_CASES)
+def test_block_trials_match_the_per_trial_loop(path, n, case_codebooks):
+    cfg, cb = {**ODD_N_CFGS, **EXTRA_CFGS}[n], case_codebooks[n]
+    assert {**BLOCK_PATHS, **EXTRA_PATHS}[path](cfg, cb) == _per_trial_path(path, cfg, cb)
 
 
 @pytest.mark.parametrize("setting", ["CHUNK", "MARKING_BYTES"])
