@@ -15,10 +15,15 @@ Carrier: the tag is repetition-coded on a scalar lattice, k carrier
 samples per tag bit: bit b maps to lattice point b * step, and extraction
 rounds each sample to the nearest lattice point and takes the majority of
 the parities.  Binary content uses step 1, so its carrier samples are the
-repeated tag bits themselves; Gaussian content uses ``quant_step``.
+repeated tag bits themselves; Gaussian content uses a wider step.
 :class:`TagCarrier` is the one place that knows this format.  It signs,
 extracts and verifies one tag or a block of them, one per row, so the trial
 driver checks a block of trials' tags in one call.
+
+:func:`pk_encode` and :func:`pk_decode` wrap any ``sim_common.Codebook``'s
+scalar ``encode``/``decode`` with a :class:`TagCarrier`; the codebook's
+``observe`` checks the whole block, carrier included, against the content's
+alphabet.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim_binary import (BinCodebook, SimConfig, apply_bsc, bsc_channel, build_codebook, decode,
-                         encode, pack_bits, run_binary_trials)
-from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams, substitute
-from .sim_gaussian import GaussCodebook, GaussSimConfig, build_gauss_codebook, gauss_decode, gauss_encode
+from .sim_binary import (BinCodebook, SimConfig, apply_bsc, bsc_channel, build_codebook, pack_bits,
+                         run_binary_trials)
+from .sim_common import (CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, per_trial, streams,
+                         substitute)
+from .sim_gaussian import GaussSimConfig, build_gauss_codebook
 
 
 class TestDoubleScheme:
@@ -147,80 +153,42 @@ class PublicEncoding:
         return self.carrier.size / (self.content.size + self.carrier.size)
 
 
-def pk_encode(
-    source,
-    codebook,
-    scheme,
-    signing_key: bytes,
-    *,
-    delta: float | None = None,
-    radius_budget: float | None = None,
-    repetition: int = 1,
-    quant_step: float | None = None,
-):
-    """Encode, sign the codeword index, append the embedded tag.
+def pk_encode(source, cb, tags: TagCarrier, signing_key: bytes, radius: float):
+    """Encode within ``radius``, sign the codeword index, append the tag's
+    carrier.
 
-    Binary codebooks need ``delta`` (the encoder radius slack); Gaussian
-    codebooks take an optional ``radius_budget`` and need ``quant_step``.
-    Returns a :class:`PublicEncoding` or None when the underlying encoder
-    fails.
+    Returns a :class:`PublicEncoding` or None when the encoder fails.
     """
-    if isinstance(codebook, BinCodebook):
-        if delta is None:
-            raise ValueError("binary pk_encode needs delta")
-        step, result = 1, encode(source, codebook, delta)
-    elif isinstance(codebook, GaussCodebook):
-        if quant_step is None:
-            raise ValueError("gaussian pk_encode needs quant_step")
-        step, result = quant_step, gauss_encode(source, codebook, radius_budget)
-    else:
-        raise TypeError(f"unsupported codebook type {type(codebook).__name__}")
-    tags = TagCarrier(scheme, codebook.count, repetition, step)
+    _check_carrier(cb, tags)
+    result = cb.encode(source, radius)
     if result is None:
         return None
     x, idx = result
     return PublicEncoding(x, tags.sign(idx, signing_key), idx)
 
 
-def pk_decode(
-    y_block,
-    codebook,
-    scheme,
-    public_key: bytes,
-    *,
-    p: float | None = None,
-    delta: float | None = None,
-    radius: float | None = None,
-    repetition: int = 1,
-    quant_step: float | None = None,
-) -> DecodeOutcome:
-    """Extract the tag, decode publicly (marking ignored), verify, accept.
+def pk_decode(block, cb, tags: TagCarrier, public_key: bytes, radius: float) -> DecodeOutcome:
+    """Decode the content publicly within ``radius`` (marking ignored),
+    read the tag off the carrier and accept only if it verifies.
 
     The admissibility predicate plays no role: anyone holding the public
     key can decode.  Rejection happens only on decode failure or signature
-    mismatch.  Binary carrier samples other than 0 or 1 are refused.
+    mismatch.  The whole block, carrier included, must hold samples of the
+    content's alphabet (``cb.observe``).
     """
-    tag_len = scheme.tag_bits * repetition
-    y_block = np.asarray(y_block)
-    if y_block.size != codebook.n + tag_len:
-        raise ValueError(f"block length {y_block.size} != content {codebook.n} + carrier {tag_len}")
-    content, carrier = y_block[: codebook.n], y_block[codebook.n:]
-    if isinstance(codebook, BinCodebook):
-        if p is None or delta is None:
-            raise ValueError("binary pk_decode needs p and delta")
-        if not ((carrier == 0) | (carrier == 1)).all():
-            raise ValueError("binary carrier samples must be 0 or 1")
-        step, inner = 1, decode(content, codebook, p, delta, check_admissibility=False)
-    elif isinstance(codebook, GaussCodebook):
-        if radius is None or quant_step is None:
-            raise ValueError("gaussian pk_decode needs radius and quant_step")
-        step, inner = quant_step, gauss_decode(content, codebook, radius, check_admissibility=False)
-    else:
-        raise TypeError(f"unsupported codebook type {type(codebook).__name__}")
-    tags = TagCarrier(scheme, codebook.count, repetition, step)
-    if not (inner.authentic and tags.verify(carrier, inner.codeword_index, public_key)):
+    _check_carrier(cb, tags)
+    block = cb.observe(block, cb.n + tags.scheme.tag_bits * tags.repetition)
+    inner = cb.decode(block[:cb.n], radius, check_admissibility=False)
+    if not (inner.authentic and tags.verify(block[cb.n:], inner.codeword_index, public_key)):
         return DecodeOutcome.not_authentic()
     return inner
+
+
+def _check_carrier(cb, tags: TagCarrier) -> None:
+    """Refuse a carrier whose index width is not the codebook's: it would
+    sign or verify only the indices below its own count."""
+    if tags.count != cb.count:
+        raise ValueError(f"a tag carrier for {tags.count} codewords on a codebook of {cb.count}")
 
 
 def source_bits(draws, n: int) -> np.ndarray:
@@ -298,15 +266,16 @@ def carrier_channel_robustness(
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
     tags = TagCarrier(scheme, cb.count, rep, step)
+    index, noise = per_trial(lambda rng: rng.integers(0, cb.count)), per_trial(channel)
     recovered = 0
     for start in range(0, config.trials, CHUNK):
-        block = range(start, min(start + CHUNK, config.trials))
-        rngs = list(streams(config.seed_public, CARRIER_KEY, block))
+        draws = streams(config.seed_public, CARRIER_KEY,
+                        range(start, min(start + CHUNK, config.trials)))
         # each trial draws its index, then its carrier noise; a tag is
         # recovered when the tag read off the noisy carrier is the one read
         # off the clean carrier, which is the signed tag exactly
-        carriers = tags.sign(np.array([rng.integers(0, cb.count) for rng in rngs]), key)
-        noisy = np.stack([channel(c, rng) for c, rng in zip(carriers, rngs)])
+        carriers = tags.sign(index(draws), key)
+        noisy = noise(carriers, draws)
         recovered += int((tags.extract(noisy) == tags.extract(carriers)).all(axis=1).sum())
     return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,
                       matched=recovered, tag_recoveries=recovered)

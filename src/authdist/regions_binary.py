@@ -534,9 +534,9 @@ def params_to_joint(params: BinaryAuxParams, K: int = 7) -> np.ndarray:
     return np.concatenate([q.reshape(-1), r.reshape(-1)])
 
 
-def best_family_member(de: float, dr: float, p: float,
-                       ntau: int = 200, nnu: int = 200) -> BinaryAuxParams | None:
-    """Family member maximizing the rate gap within both distortion budgets.
+def best_family_member(de: float, dr: float, p: float) -> BinaryAuxParams | None:
+    """Family member maximizing the rate gap within both distortion budgets,
+    over a 200 x 200 (tau, nu) grid.
 
     For a fixed (tau, nu) cell the gap is increasing in alpha (the coded
     bracket dominates the uncoded one), so the cell optimum sits at the
@@ -545,7 +545,7 @@ def best_family_member(de: float, dr: float, p: float,
     if p == 0.0:
         return BinaryAuxParams(min(1.0, de / 0.25) if de < 0.25 else 1.0,
                                0.25, GRID_EPS)
-    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
+    T, V, B1, B2 = _tau_nu_table(p, 200, 200)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_de = np.where(T > 0, de / T, np.inf)
         a_dr = np.where(T > V, (dr - V) / (T - V), np.inf)

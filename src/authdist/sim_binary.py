@@ -8,7 +8,8 @@ admissible codeword, the channel is a BSC, and the decoder maps to the
 nearest codeword in the full public codebook, rejecting when it is
 forbidden or too far.  Joint typicality is realized as Hamming-distance
 thresholds n(tau + delta) on the encoder side and n(p + delta) on the
-decoder side.
+decoder side (``SimConfig.encode_radius`` and ``decode_radius``), which the
+trial driver and the scalar ``BinCodebook.encode``/``decode`` take.
 
 Codewords are stored packed, 64 bits per word, so distances are XOR +
 popcount over the whole codebook at once, a tile of target rows at a time
@@ -23,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import binary_entropy
-from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOutcome, Streams,
-                         TrialStats, mark_admissible, run_trials, stream, streams, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, Streams, TrialStats,
+                         mark_admissible, per_trial, run_trials, stream, streams, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
 SCAN_BYTES = 1 << 19    # XOR words one tile of the nearest-codeword scan holds
@@ -68,6 +69,16 @@ class SimConfig:
     @property
     def log2_codebook_size(self) -> float:
         return self.n * self.rate
+
+    @property
+    def encode_radius(self) -> float:
+        """Encoder Hamming radius n(tau + delta), with slack against rounding."""
+        return self.n * (self.tau + self.delta) + 1e-12
+
+    @property
+    def decode_radius(self) -> float:
+        """Decoder Hamming radius n(p + delta), with slack against rounding."""
+        return self.n * (self.p + self.delta) + 1e-12
 
 
 def _n_words(n: int) -> int:
@@ -116,7 +127,6 @@ class BinCodebook(Codebook):
     """Indexed random codebook with a keyed admissible subset."""
 
     n: int
-    tau: float
     words: np.ndarray          # (count, W) packed codewords
     admissible: np.ndarray     # (count,) bool
 
@@ -124,8 +134,21 @@ class BinCodebook(Codebook):
     def rows(self) -> np.ndarray:
         return self.words
 
-    def codeword_bits(self, index: int) -> np.ndarray:
+    def observe(self, samples, length: int) -> np.ndarray:
+        """``length`` bits, each 0 or 1, as uint8."""
+        samples = np.asarray(samples)
+        if samples.shape != (length,):
+            raise ValueError(f"a block of {length} samples expected, got shape {samples.shape}")
+        if not ((samples == 0) | (samples == 1)).all():
+            raise ValueError("binary samples must be 0 or 1")
+        return samples.astype(np.uint8, copy=False)
+
+    def content(self, index: int) -> np.ndarray:
+        """Codeword ``index`` as bits."""
         return unpack_bits(self.words[index], self.n)
+
+    def target(self, samples: np.ndarray) -> np.ndarray:
+        return pack_bits(samples)
 
     @cached_property
     def _scan_words(self) -> np.ndarray:
@@ -184,29 +207,7 @@ def build_codebook(config: SimConfig) -> BinCodebook:
     n_adm = min(max(n_adm, 1), count)
     words = _random_words(stream(config.seed_public, CODEBOOK_KEY), count, config.n)
     admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
-    return BinCodebook(config.n, config.tau, words, admissible)
-
-
-def _radius(n: int, fraction: float) -> float:
-    """Hamming radius n * fraction, with slack against rounding."""
-    return n * fraction + 1e-12
-
-
-def encode(source, cb: BinCodebook, delta: float):
-    """Quantize to the nearest admissible codeword within radius n(tau+delta).
-
-    Returns ``(x_bits, codeword_index)`` with x equal to the chosen
-    codeword, or None when no admissible codeword lies within the radius
-    (counted as an encoding failure by the trial drivers).  Ties go to the
-    lowest index.
-    """
-    source = np.asarray(source, dtype=np.uint8)
-    if source.size != cb.n:
-        raise ValueError(f"source length {source.size} != blocklength {cb.n}")
-    (idx,), (d,) = cb.nearest(pack_bits(source)[None, :], cb.admissible_indices)
-    if d > _radius(cb.n, cb.tau + delta):
-        return None
-    return cb.codeword_bits(idx), int(idx)
+    return BinCodebook(config.n, words, admissible)
 
 
 def apply_bsc(x, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -216,31 +217,14 @@ def apply_bsc(x, p: float, rng: np.random.Generator) -> np.ndarray:
     return x ^ flips
 
 
-def decode(y, cb: BinCodebook, p: float, delta: float,
-           check_admissibility: bool = True) -> DecodeOutcome:
-    """Nearest-codeword decoding over the full public codebook.
-
-    Not-authentic when nothing lies within radius n(p+delta) or when the
-    nearest codeword (lowest index on ties) is forbidden.  Total: every
-    input yields an outcome, never an exception.
-    """
-    y = np.asarray(y, dtype=np.uint8)
-    if y.size != cb.n:
-        raise ValueError(f"channel output length {y.size} != blocklength {cb.n}")
-    (k,), (d,) = cb.nearest(pack_bits(y)[None, :])
-    if d > _radius(cb.n, p + delta) or (check_admissibility and not cb.admissible[k]):
-        return DecodeOutcome.not_authentic()
-    return DecodeOutcome(cb.codeword_bits(k), int(k))
-
-
 def run_binary_trials(config: SimConfig, cb: BinCodebook, channel, source=None,
                       **kw) -> TrialStats:
     """The trial driver at the binary encoder and decoder radii; sources are
     uniform words unless ``source(draws)`` says otherwise."""
     return run_trials(cb, config.trials, config.seed_public,
                       source or (lambda draws: uniform_words(draws, config.n)), channel,
-                      encode_radius=_radius(cb.n, cb.tau + config.delta),
-                      decode_radius=_radius(cb.n, config.p + config.delta), **kw)
+                      encode_radius=config.encode_radius, decode_radius=config.decode_radius,
+                      **kw)
 
 
 def bsc_channel(n: int, p: float):
@@ -289,8 +273,8 @@ def run_attack_trials(
         channel = lambda x, draws: uniform_words(draws, n)
     marking = None
     if fresh_marking:
-        marking = lambda ts: np.stack([mark_admissible(rng, cb.count, cb.n_admissible)
-                                       for rng in streams(config.seed_secret, CODEBOOK_KEY, ts)])
+        draw = per_trial(lambda rng: mark_admissible(rng, cb.count, cb.n_admissible))
+        marking = lambda ts: draw(streams(config.seed_secret, CODEBOOK_KEY, ts))
     stats = run_binary_trials(config, cb, channel, attacked=True, marking=marking)
     # binary attack runs report the encoding distortion only
     return replace(stats, empirical_dr=0.0, dr_de_max_gap=0.0)

@@ -156,9 +156,9 @@ def _mul128(ah, al, bh, bl):
 
 
 class Streams:
-    """The PCG64 streams of a block of trials: iterating gives each trial's
-    ``stream(seed, key, t)``, and the block draws compute every trial's
-    next draws at once from the streams' PCG64 states.
+    """The PCG64 streams of a block of trials: ``generators`` holds each
+    trial's ``stream(seed, key, t)``, and the block draws compute every
+    trial's next draws at once from the streams' PCG64 states.
 
     Each stream keeps its own draw position, so a draw may be made for some
     rows only (``rows``, an index array): those rows move ahead alone.
@@ -176,9 +176,6 @@ class Streams:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self):
-        return iter(self.generators)
 
     @cached_property
     def generators(self) -> list[np.random.Generator]:
@@ -271,7 +268,7 @@ def per_trial(draw):
     ``draw(rng)`` for a source, ``draw(row, rng)`` for a channel."""
     def block_draw(*rows_and_streams):
         *rows, block = rows_and_streams
-        return np.stack([draw(*args) for args in zip(*rows, block)])
+        return np.stack([draw(*args) for args in zip(*rows, block.generators)])
     return block_draw
 
 
@@ -347,16 +344,23 @@ class TrialStats:
 
 
 class Codebook:
-    """What the trial driver needs of a codebook with a keyed admissible
-    subset.  Subclasses hold ``rows`` (one codeword per row, compared by
+    """A codebook of blocklength ``n`` with a keyed admissible subset, as
+    the trial driver and the scalar :meth:`encode`/:meth:`decode` use it.
+
+    Subclasses hold ``n``, ``rows`` (one codeword per row, compared by
     value) and ``admissible`` (a bool mask over them), and define
     ``nearest(targets, among=None, radius=inf)``: the index of the nearest
     codeword to each target row, lowest index on ties, searching only the
     index array ``among`` (in any order) or the rows of a ``(targets, count)``
     bool mask when given, and its distance in the unit of the radii passed to
     ``run_trials``, exact within ``radius`` and above it for a target with no
-    codeword within it; and ``distortion(indices, targets)``: the
-    per-sample distortion between codewords and target rows.
+    codeword within it; ``distortion(indices, targets)``: the per-sample
+    distortion between codewords and target rows; ``observe(samples,
+    length)``: the samples of one block of ``length`` as an array, refused
+    with a ValueError when the length or a sample is outside the content's
+    alphabet; and ``content(k)``: codeword k as such samples.  ``target``
+    turns observed content samples into a search row (the samples
+    themselves unless a subclass packs them).
     """
 
     def __post_init__(self):
@@ -374,6 +378,34 @@ class Codebook:
     @cached_property
     def admissible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.admissible)
+
+    def target(self, samples: np.ndarray) -> np.ndarray:
+        return samples
+
+    def encode(self, source, radius: float):
+        """Quantize one source block to the nearest admissible codeword
+        within ``radius``, lowest index on ties.
+
+        Returns ``(content, codeword_index)``, or None when no admissible
+        codeword lies within the radius (an encoding failure).
+        """
+        (k,), (d,) = self.nearest(self.target(self.observe(source, self.n))[None],
+                                  self.admissible_indices, radius)
+        return None if d > radius else (self.content(k), int(k))
+
+    def decode(self, y, radius: float, check_admissibility: bool = True) -> DecodeOutcome:
+        """Nearest-codeword decoding of one observed block over the whole
+        codebook, lowest index on ties.
+
+        Not-authentic when nothing lies within ``radius`` or, when
+        ``check_admissibility``, when the nearest codeword is forbidden.
+        Every observation gives an outcome; one outside the content's
+        alphabet is refused with a ValueError.
+        """
+        (k,), (d,) = self.nearest(self.target(self.observe(y, self.n))[None], radius=radius)
+        if d > radius or (check_admissibility and not self.admissible[k]):
+            return DecodeOutcome.not_authentic()
+        return DecodeOutcome(self.content(k), int(k))
 
 
 def mark_admissible(rng: np.random.Generator, count: int, n_admissible: int) -> np.ndarray:

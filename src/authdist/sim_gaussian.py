@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, DecodeOutcome,
-                         TrialStats, mark_admissible, per_trial, run_trials, stream, substitute)
+from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, TrialStats,
+                         mark_admissible, per_trial, run_trials, stream, substitute)
 
 LOG2_GAUSS_CAP = 22.0
 CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
@@ -99,6 +99,19 @@ class GaussCodebook(Codebook):
     def n(self) -> int:
         return self.codewords.shape[1]
 
+    def observe(self, samples, length: int) -> np.ndarray:
+        """``length`` finite samples, as floats."""
+        samples = np.asarray(samples, dtype=float)
+        if samples.shape != (length,):
+            raise ValueError(f"a block of {length} samples expected, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValueError("Gaussian samples must be finite")
+        return samples
+
+    def content(self, index: int) -> np.ndarray:
+        """A copy of codeword ``index``."""
+        return self.codewords[index].copy()
+
     @cached_property
     def _all_indices(self) -> np.ndarray:
         return np.arange(self.count)
@@ -154,32 +167,6 @@ def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
     codewords = rng.normal(0.0, math.sqrt(config.sigma_s2), size=(count, config.n))
     admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
     return GaussCodebook(codewords, admissible)
-
-
-def gauss_encode(source, cb: GaussCodebook, radius_budget: float | None = None):
-    """Nearest admissible codeword; fails when the per-sample squared
-    distance exceeds radius_budget (None means unlimited)."""
-    source = np.asarray(source, dtype=float)
-    if source.size != cb.n:
-        raise ValueError(f"source length {source.size} != blocklength {cb.n}")
-    radius = math.inf if radius_budget is None else radius_budget
-    (idx,), (d2,) = cb.nearest(source[None, :], cb.admissible_indices, radius)
-    if d2 > radius:
-        return None
-    return cb.codewords[idx], int(idx)
-
-
-def gauss_decode(y, cb: GaussCodebook, radius: float,
-                 check_admissibility: bool = True) -> DecodeOutcome:
-    """Nearest codeword overall; not-authentic outside the per-sample
-    squared radius or on a forbidden codeword."""
-    y = np.asarray(y, dtype=float)
-    if y.size != cb.n:
-        raise ValueError(f"output length {y.size} != blocklength {cb.n}")
-    (k,), (d2,) = cb.nearest(y[None, :], radius=radius)
-    if d2 > radius or (check_admissibility and not cb.admissible[k]):
-        return DecodeOutcome.not_authentic()
-    return DecodeOutcome(cb.codewords[k].copy(), int(k))
 
 
 def run_gauss_trials(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from authdist.cli import main as cli_main
-from authdist.pubkey import TestDoubleScheme, index_bits, pk_decode, pk_encode
+from authdist.pubkey import TagCarrier, TestDoubleScheme, index_bits, pk_decode, pk_encode
 from authdist.regions_binary import boundary, optimize_rate_fn, qe_boundary
 from authdist.regions_gaussian import (
     GaussianScenario,
@@ -30,7 +30,7 @@ from authdist.regions_layered import (
     single_layer_bounds,
     time_share,
 )
-from authdist.sim_binary import SimConfig, build_codebook, decode, run_attack_trials, run_reference_trials
+from authdist.sim_binary import SimConfig, build_codebook, run_attack_trials, run_reference_trials
 from authdist.sim_common import binomial_sigma, stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
@@ -217,6 +217,7 @@ def test_criterion_10_public_key_end_to_end():
                     seed_public=5005, seed_secret=6006)
     cb = build_codebook(cfg)
     scheme = TestDoubleScheme(64)
+    carrier = TagCarrier(scheme, cb.count, 1)
     key = b"acceptance-key"
 
     # 10a: matched keys, clean carrier and channel: pk outcome == secret-key
@@ -225,12 +226,12 @@ def test_criterion_10_public_key_end_to_end():
     for t in range(10000):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        pe = pk_encode(s, cb, scheme, key, delta=cfg.delta)
+        pe = pk_encode(s, cb, carrier, key, cfg.encode_radius)
         if pe is None:
             continue
         encodings.append(pe)
-        pk_out = pk_decode(pe.block, cb, scheme, key, p=cfg.p, delta=cfg.delta)
-        sk_out = decode(pe.content, cb, cfg.p, cfg.delta)
+        pk_out = pk_decode(pe.block, cb, carrier, key, cfg.decode_radius)
+        sk_out = cb.decode(pe.content, cfg.decode_radius)
         same = pk_out.authentic == sk_out.authentic and (
             not pk_out.authentic
             or (pk_out.reconstruction == sk_out.reconstruction).all())
@@ -245,12 +246,11 @@ def test_criterion_10_public_key_end_to_end():
         arng = stream(cfg.seed_public, 2, t)
         while True:
             j = int(arng.integers(0, cb.count))
-            if not (cb.codeword_bits(j) == pe.content).all():
+            if not (cb.content(j) == pe.content).all():
                 break
-        block = np.concatenate([cb.codeword_bits(j), pe.carrier])
+        block = np.concatenate([cb.content(j), pe.carrier])
         attacks += 1
-        rejected += int(not pk_decode(block, cb, scheme, key,
-                                      p=cfg.p, delta=cfg.delta).authentic)
+        rejected += int(not pk_decode(block, cb, carrier, key, cfg.decode_radius).authentic)
     assert rejected == attacks == 100000
 
     # 10c: random 64-bit tag forgery never accepted over 1e6 trials; the
@@ -264,8 +264,7 @@ def test_criterion_10_public_key_end_to_end():
     for i in range(1000000):
         j = int(idxs[i])
         if j not in required:
-            dec = decode(cb.codeword_bits(j), cb, cfg.p, cfg.delta,
-                         check_admissibility=False)
+            dec = cb.decode(cb.content(j), cfg.decode_radius, check_admissibility=False)
             required[j] = scheme.sign(index_bits(dec.codeword_index, cb.count), key)
         accepted += int((required[j] == tags[i]).all())
     assert accepted == 0

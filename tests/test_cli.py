@@ -285,6 +285,7 @@ def test_a_negative_seed_is_a_configuration_error(tmp_path):
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("kind", [["binary", "--n", "16"], ["pk", "--n", "16"],
                                   ["gaussian", "--n", "4", "--rate", "1"]])
 def test_more_trials_than_the_trial_streams_serve_are_a_configuration_error(kind, tmp_path,
@@ -357,6 +358,7 @@ def test_optimize_with_no_start_to_run_is_a_configuration_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("cardinality", ["1", "33", "100000"])
 def test_optimize_refuses_a_cardinality_outside_its_range(cardinality, tmp_path, capsys):
     # 100000 used to die in a pool worker with a numpy memory error, and
@@ -413,6 +415,7 @@ print(json.dumps(report))
 """
 
 
+@pytest.mark.oracle
 def test_import_and_commands_that_call_no_scipy_load_no_scipy(tmp_path):
     # only optimize (SLSQP) and sim gaussian (k-d trees) call scipy; a fresh
     # interpreter shows what the import and every other command load

@@ -202,6 +202,7 @@ def test_slsqp_iteration_totals(pinned_run):
     assert pinned_run["slsqp"] == SLSQP_TOTALS
 
 
+@pytest.mark.oracle
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_worker_count_does_not_change_the_result():
     # one worker per call, not the caller, runs every screen and SLSQP call,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from authdist import sim_gaussian
 from authdist.pubkey import (
     TagCarrier,
     TestDoubleScheme,
@@ -13,7 +14,7 @@ from authdist.pubkey import (
     pk_encode,
     repetition_for_recovery,
 )
-from authdist.sim_binary import SimConfig, apply_bsc, build_codebook, decode, encode
+from authdist.sim_binary import SimConfig, apply_bsc, build_codebook
 from authdist.sim_common import TrialStats, stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook
 
@@ -35,6 +36,11 @@ def bin_cb():
 @pytest.fixture(scope="module")
 def scheme():
     return TestDoubleScheme(64)
+
+
+@pytest.fixture(scope="module")
+def bin_tags(bin_cb, scheme):
+    return TagCarrier(scheme, bin_cb.count, 1)
 
 
 def test_scheme_sign_verify_contract(scheme):
@@ -81,76 +87,74 @@ def test_index_outside_the_codebook_is_refused(index, scheme):
     assert tags.verify(carrier, 1, KP)
 
 
-def test_embedding_overhead_and_exact_extraction(bin_cb, scheme):
+def test_embedding_overhead_and_exact_extraction(bin_cb, bin_tags):
     rng = stream(1, 0)
     s = rng.integers(0, 2, 16).astype(np.uint8)
-    pe = pk_encode(s, bin_cb, scheme, KS, delta=0.12)
+    pe = pk_encode(s, bin_cb, bin_tags, KS, bin_config().encode_radius)
     assert pe is not None
     assert pe.embedding_overhead == pytest.approx(64 / (16 + 64))
-    out = pk_decode(pe.block, bin_cb, scheme, KP, p=0.0, delta=0.12)
+    out = pk_decode(pe.block, bin_cb, bin_tags, KP, bin_config().decode_radius)
     assert out.authentic and out.codeword_index == pe.codeword_index
 
 
-def test_pk_equals_secret_key_on_clean_channel(bin_cb, scheme):
+def test_pk_equals_secret_key_on_clean_channel(bin_cb, bin_tags):
     cfg = bin_config()
     for t in range(300):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        pe = pk_encode(s, bin_cb, scheme, KS, delta=cfg.delta)
+        pe = pk_encode(s, bin_cb, bin_tags, KS, cfg.encode_radius)
         if pe is None:
             continue
-        pk_out = pk_decode(pe.block, bin_cb, scheme, KP, p=cfg.p, delta=cfg.delta)
-        sk_out = decode(pe.content, bin_cb, cfg.p, cfg.delta)
+        pk_out = pk_decode(pe.block, bin_cb, bin_tags, KP, cfg.decode_radius)
+        sk_out = bin_cb.decode(pe.content, cfg.decode_radius)
         assert pk_out.authentic == sk_out.authentic
         if pk_out.authentic:
             assert (pk_out.reconstruction == sk_out.reconstruction).all()
 
 
-def test_tag_reuse_substitution_rejected(bin_cb, scheme):
+def test_tag_reuse_substitution_rejected(bin_cb, bin_tags):
     cfg = bin_config()
     rejected = attacks = 0
     for t in range(500):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        pe = pk_encode(s, bin_cb, scheme, KS, delta=cfg.delta)
+        pe = pk_encode(s, bin_cb, bin_tags, KS, cfg.encode_radius)
         if pe is None:
             continue
         arng = stream(cfg.seed_public, 2, t)
         while True:
             j = int(arng.integers(0, bin_cb.count))
-            if not (bin_cb.codeword_bits(j) == pe.content).all():
+            if not (bin_cb.content(j) == pe.content).all():
                 break
-        forged = np.concatenate([bin_cb.codeword_bits(j), pe.carrier])
+        forged = np.concatenate([bin_cb.content(j), pe.carrier])
         attacks += 1
-        rejected += int(not pk_decode(forged, bin_cb, scheme, KP,
-                                      p=cfg.p, delta=cfg.delta).authentic)
+        rejected += int(not pk_decode(forged, bin_cb, bin_tags, KP, cfg.decode_radius).authentic)
     assert attacks > 0 and rejected == attacks
 
 
-def test_random_tag_forgery_rejected(bin_cb, scheme):
+def test_random_tag_forgery_rejected(bin_cb, bin_tags):
     cfg = bin_config()
     arng = stream(99, 0)
     accepted = 0
     for _ in range(10000):
         j = int(arng.integers(0, bin_cb.count))
         tag = arng.integers(0, 2, 64).astype(np.uint8)
-        block = np.concatenate([bin_cb.codeword_bits(j), tag])
-        accepted += int(pk_decode(block, bin_cb, scheme, KP,
-                                  p=cfg.p, delta=cfg.delta).authentic)
+        block = np.concatenate([bin_cb.content(j), tag])
+        accepted += int(pk_decode(block, bin_cb, bin_tags, KP, cfg.decode_radius).authentic)
     assert accepted == 0
 
 
-def test_forgery_rate_independent_of_marking(bin_cb, scheme):
+def test_forgery_rate_independent_of_marking(bin_cb, scheme, bin_tags):
     # with the marking published, only the tag gates acceptance: submitting a
     # FORBIDDEN codeword with a valid tag for its index must be accepted
     forb = int(np.flatnonzero(~bin_cb.admissible)[0])
     tag = scheme.sign(index_bits(forb, bin_cb.count), KS)
-    block = np.concatenate([bin_cb.codeword_bits(forb), tag])
-    out = pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12)
+    block = np.concatenate([bin_cb.content(forb), tag])
+    out = pk_decode(block, bin_cb, bin_tags, KP, bin_config().decode_radius)
     assert out.authentic and out.codeword_index == forb
 
 
-def test_conditional_equivalence_under_noise(bin_cb, scheme):
+def test_conditional_equivalence_under_noise(bin_cb, bin_tags):
     # noisy content, clean carrier: whenever the tag survives, the pk decoder
     # agrees with the public content decode and accepts iff that decode
     # recovers the signed index
@@ -158,13 +162,13 @@ def test_conditional_equivalence_under_noise(bin_cb, scheme):
     for t in range(200):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        pe = pk_encode(s, bin_cb, scheme, KS, delta=cfg.delta)
+        pe = pk_encode(s, bin_cb, bin_tags, KS, cfg.encode_radius)
         if pe is None:
             continue
         noisy_content = pe.content ^ (rng.random(cfg.n) < cfg.p).astype(np.uint8)
         block = np.concatenate([noisy_content, pe.carrier])
-        pk_out = pk_decode(block, bin_cb, scheme, KP, p=cfg.p, delta=cfg.delta)
-        public = decode(noisy_content, bin_cb, cfg.p, cfg.delta, check_admissibility=False)
+        pk_out = pk_decode(block, bin_cb, bin_tags, KP, cfg.decode_radius)
+        public = bin_cb.decode(noisy_content, cfg.decode_radius, check_admissibility=False)
         should_accept = public.authentic and public.codeword_index == pe.codeword_index
         assert pk_out.authentic == should_accept
         if pk_out.authentic:
@@ -232,6 +236,7 @@ def _extract_quantized(carrier, tag_bits, repetition, step):
     return (votes.sum(axis=1) * 2 > repetition).astype(np.uint8)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("repetition", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("tag_bits", [8, 64])
 def test_carrier_codec_matches_the_binary_oracle(tag_bits, repetition):
@@ -247,6 +252,7 @@ def test_carrier_codec_matches_the_binary_oracle(tag_bits, repetition):
         assert np.array_equal(tags.extract(noisy), _extract_binary(noisy, tag_bits, repetition))
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("repetition", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("step", [6.0, 0.7])
 def test_carrier_codec_matches_the_quantized_oracle(step, repetition):
@@ -261,6 +267,7 @@ def test_carrier_codec_matches_the_quantized_oracle(step, repetition):
         assert np.array_equal(tags.extract(noisy), _extract_quantized(noisy, 64, repetition, step))
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("step, repetition", [(1, 1), (1, 2), (1, 3), (6.0, 3), (0.7, 4)])
 @pytest.mark.parametrize("tag_bits", [8, 13, 64])
 def test_block_carrier_matches_the_scalar_oracle_row_by_row(tag_bits, repetition, step):
@@ -291,39 +298,37 @@ def test_block_carrier_matches_the_scalar_oracle_row_by_row(tag_bits, repetition
     assert verdicts.any() and not verdicts.all()
 
 
-def test_binary_pk_decode_refuses_a_carrier_sample_other_than_0_or_1(bin_cb, scheme):
+def test_binary_pk_decode_refuses_a_carrier_sample_other_than_0_or_1(bin_cb, bin_tags):
     s = stream(1, 0).integers(0, 2, 16).astype(np.uint8)
-    block = pk_encode(s, bin_cb, scheme, KS, delta=0.12).block
-    assert pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12).authentic
+    block = pk_encode(s, bin_cb, bin_tags, KS, bin_config().encode_radius).block
+    assert pk_decode(block, bin_cb, bin_tags, KP, bin_config().decode_radius).authentic
     # the old vote count read a 2 as two votes for 1, a parity read as 0
     block[-1] = 2
     with pytest.raises(ValueError, match="0 or 1"):
-        pk_decode(block, bin_cb, scheme, KP, p=0.0, delta=0.12)
+        pk_decode(block, bin_cb, bin_tags, KP, bin_config().decode_radius)
     for bad in (math.nan, 0.5, -1.0):
         floats = block.astype(float)
         floats[-1] = bad
         with pytest.raises(ValueError, match="0 or 1"):
-            pk_decode(floats, bin_cb, scheme, KP, p=0.0, delta=0.12)
+            pk_decode(floats, bin_cb, bin_tags, KP, bin_config().decode_radius)
 
 
 def test_gaussian_pk_roundtrip():
     cfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=10,
                          seed_public=5, seed_secret=6)
     cb = build_gauss_codebook(cfg)
-    scheme = TestDoubleScheme(64)
+    tags = TagCarrier(TestDoubleScheme(64), cb.count, 3, 6.0)
     for t in range(20):
         s = stream(7, t).normal(0, 10.0, 8)
-        pe = pk_encode(s, cb, scheme, KS, quant_step=6.0, repetition=3)
-        out = pk_decode(pe.block, cb, scheme, KP, radius=cfg.decode_radius,
-                        quant_step=6.0, repetition=3)
+        pe = pk_encode(s, cb, tags, KS, math.inf)
+        out = pk_decode(pe.block, cb, tags, KP, cfg.decode_radius)
         assert out.authentic and out.codeword_index == pe.codeword_index
         # substitution with the old tag must fail
         arng = stream(8, t)
         j = int(arng.integers(0, cb.count))
         if j != pe.codeword_index:
             forged = np.concatenate([cb.codewords[j], pe.carrier])
-            assert not pk_decode(forged, cb, scheme, KP, radius=cfg.decode_radius,
-                                 quant_step=6.0, repetition=3).authentic
+            assert not pk_decode(forged, cb, tags, KP, cfg.decode_radius).authentic
 
 
 @pytest.mark.parametrize("quant_step", [0.0, -6.0, math.nan])
@@ -332,11 +337,13 @@ def test_gaussian_pk_decode_refuses_a_step_that_is_not_positive(quant_step):
                          seed_public=5, seed_secret=6)
     cb = build_gauss_codebook(cfg)
     scheme = TestDoubleScheme(64)
-    pe = pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, scheme, KS, quant_step=6.0)
+    pe = pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, TagCarrier(scheme, cb.count, 1, 6.0), KS,
+                   math.inf)
     with pytest.raises(ValueError, match="step must be positive"):
-        pk_decode(pe.block, cb, scheme, KP, radius=cfg.decode_radius, quant_step=quant_step)
+        pk_decode(pe.block, cb, TagCarrier(scheme, cb.count, 1, quant_step), KP, cfg.decode_radius)
     with pytest.raises(ValueError, match="step must be positive"):
-        pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, scheme, KS, quant_step=quant_step)
+        pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, TagCarrier(scheme, cb.count, 1, quant_step),
+                  KS, math.inf)
 
 
 def test_gaussian_carrier_robustness():
@@ -358,3 +365,66 @@ def test_carrier_robustness_pinned_stats():
     gstats = carrier_channel_robustness(gcfg, TestDoubleScheme(64), repetition=1)
     assert gstats == TrialStats(trials_run=600, decode_failures=80, matched=520,
                                 tag_recoveries=520)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("one, zero", [(2.0, 0.5), (255.0, math.nan)])
+def test_an_observation_outside_the_bits_is_refused_before_any_search(one, zero, scheme):
+    # each observation casts to codeword 13's bits
+    cfg = SimConfig(n=16, tau=0.2, gamma=0.25, p=0.08, delta=0.12, trials=1, seed_public=1,
+                    seed_secret=2)
+    cb = build_codebook(cfg)
+    y = np.where(cb.content(13) == 1, one, zero)
+    tags = TagCarrier(scheme, cb.count, 1)
+    block = np.concatenate([y, tags.sign(13, KS)])
+    for call in (lambda: cb.decode(y, cfg.decode_radius), lambda: cb.encode(y, cfg.encode_radius),
+                 lambda: pk_decode(block, cb, tags, KP, cfg.decode_radius)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            call()
+    # the same block with codeword 13's bits decodes as codeword 13
+    clean = np.concatenate([cb.content(13), tags.sign(13, KS)])
+    assert pk_decode(clean, cb, tags, KP, cfg.decode_radius).codeword_index == 13
+
+
+@pytest.mark.oracle
+def test_pk_calls_refuse_a_carrier_for_another_codebook_size(bin_cb, scheme):
+    # unchecked, a carrier for 100 codewords would refuse only the blocks
+    # that decode to an index of 100 or more
+    s = stream(1, 0).integers(0, 2, 16).astype(np.uint8)
+    block = np.concatenate([bin_cb.content(4000), np.zeros(64, np.uint8)])
+    for count in (100, 2 * bin_cb.count):
+        tags = TagCarrier(scheme, count, 1)
+        with pytest.raises(ValueError, match="tag carrier"):
+            pk_encode(s, bin_cb, tags, KS, bin_config().encode_radius)
+        with pytest.raises(ValueError, match="tag carrier"):
+            pk_decode(block, bin_cb, tags, KP, bin_config().decode_radius)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("bad", [2, 0.5, -1])
+def test_binary_pk_decode_refuses_a_content_sample_other_than_0_or_1(bin_cb, bin_tags, bad):
+    s = stream(1, 0).integers(0, 2, 16).astype(np.uint8)
+    block = pk_encode(s, bin_cb, bin_tags, KS, bin_config().encode_radius).block.astype(float)
+    block[0] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        pk_decode(block, bin_cb, bin_tags, KP, bin_config().decode_radius)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["source", "channel output", "carrier"])
+def test_gaussian_non_finite_samples_are_refused_before_the_tree_search(where, bad, monkeypatch):
+    cfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=10,
+                         seed_public=5, seed_secret=6)
+    cb = build_gauss_codebook(cfg)
+    tags = TagCarrier(TestDoubleScheme(64), cb.count, 3, 6.0)
+    block = pk_encode(stream(7, 0).normal(0, 10.0, 8), cb, tags, KS, math.inf).block
+    block[cb.n if where == "carrier" else 0] = bad
+    # a fresh codebook has built no tree yet: none may be built now
+    cb = build_gauss_codebook(cfg)
+    monkeypatch.setattr(sim_gaussian, "_kd_tree", lambda points: pytest.fail("searched"))
+    call = {"source": lambda: cb.encode(block[:cb.n], math.inf),
+            "channel output": lambda: cb.decode(block[:cb.n], cfg.decode_radius),
+            "carrier": lambda: pk_decode(block, cb, tags, KP, cfg.decode_radius)}[where]
+    with pytest.raises(ValueError, match="Gaussian samples must be finite"):
+        call()

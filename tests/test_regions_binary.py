@@ -170,6 +170,7 @@ def _parent_sweep(p, resolution, ntau, nnu):
     return np.minimum.accumulate(dr_out), wit_out
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.2, 0.49, 0.5])
 @pytest.mark.parametrize("resolution,ntau,nnu", [(2, 2, 2), (7, 5, 9), (41, 23, 17),
                                                  (120, 60, 45)])
@@ -191,6 +192,7 @@ def _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu):
             == [None if w is None else (min(w[0], 1.0), *w[1:]) for w in witnesses])
 
 
+@pytest.mark.oracle
 @settings(max_examples=120, deadline=None)
 @given(p=st.floats(0.0, 0.5), resolution=st.integers(2, 60), ntau=st.integers(1, 40),
        nnu=st.integers(1, 40))
@@ -198,6 +200,7 @@ def test_boundary_matches_the_parent_sweep_on_random_grids(p, resolution, ntau, 
     _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("p,resolution,ntau,nnu", [
     # a grid D_e (0.1, 0.2) lies one ulp below p: the tau = p row has
     # a_max = 1 - 1.1e-16, and its cells, at a_min = 1, are feasible
@@ -437,6 +440,7 @@ def _oracle(screen, polish, restarts=12):
     return leaders, kept
 
 
+@pytest.mark.oracle
 class TestScreenAndPolish:
     @pytest.mark.parametrize("screen", [_identity, _two_points], ids=["identity", "two_points"])
     def test_polished_set_is_the_top_feasible_screened_ends(self, monkeypatch, screen):
@@ -526,6 +530,7 @@ def _screen_key(end):
     return status, feasible, repr(value), zz.tobytes(), g.tolist(), nit, nfev
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("de, dr, p", [(0.25, 0.2013, 0.2), (0.025, 0.4331, 0.2), (0.1, 0.15, 0.05)])
 def test_screen_is_batch_invariant(de, dr, p):
     # a start screens bit for bit the same alone, in the full batch and in the
@@ -538,6 +543,7 @@ def test_screen_is_batch_invariant(de, dr, p):
     assert sum(key[1] for key in full) >= POLISH_COUNT
 
 
+@pytest.mark.oracle
 def test_screen_of_one_step_ends_outside_zero_budgets():
     # what leaves optimize_rate_fn(0, 0, 0.2, max_iter=1) its -inf sentinel
     z0s = [z0 for _, z0 in _starts(0.0, 0.0, 0.2, 7, 4, 0)]
@@ -546,6 +552,7 @@ def test_screen_of_one_step_ends_outside_zero_budgets():
     assert all(e[0] == 9 and not e[1] and e[5][0] <= 1 and e[6] == (2,) for e in ends)
 
 
+@pytest.mark.oracle
 def test_screen_ends_within_the_snap_are_pulled_onto_the_budgets():
     de, dr, p, K = 0.25, 0.2013, 0.2, 7
     z0s = [z0 for _, z0 in _starts(de, dr, p, K, 32, 0)]
@@ -567,6 +574,7 @@ def _capped_inv_entropy(target):
     return 0.5 * (lo + hi)
 
 
+@pytest.mark.oracle
 def test_inv_entropy_small_targets():
     # 80 halvings of [0, 1/2] leave a bracket of 4e-25, too wide below ~1e-7
     rng = np.random.default_rng(5)
@@ -579,6 +587,7 @@ def test_inv_entropy_small_targets():
     assert _inv_entropy(0.0) == 0.0
 
 
+@pytest.mark.oracle
 def test_inv_entropy_floor_below_the_entropy_of_zero_mass():
     # binary_entropy is 0 at or below ZERO_MASS = 1e-15, so targets under the
     # entropy of the next float (about 5.1e-14) cannot be inverted
@@ -589,6 +598,7 @@ def test_inv_entropy_floor_below_the_entropy_of_zero_mass():
     assert _inv_entropy(5.2e-14) > ZERO_MASS
 
 
+@pytest.mark.oracle
 def test_inv_entropy_matches_capped_bisection_where_it_converged():
     rng = np.random.default_rng(6)
     for t in [*rng.uniform(1e-6, 1.0, 500), *10 ** rng.uniform(-6, 0, 500), 1.0]:
@@ -605,6 +615,7 @@ def _central_differences(f, z, h=1e-6):
     return grad
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("p", [0.05, 0.2])
 def test_gradient_of_objective_and_budgets_matches_central_differences(p):
     K, B = 7, 5

@@ -310,6 +310,7 @@ def _exact_margin(scenario, a2, b2, al, be):
     return lhs - rhs
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("lanes", [lambda: _random_lanes(32), _golden_lanes, _branch_lanes],
                          ids=["random", "golden", "branch"])
 def test_beta_root_brackets_the_exact_margin(lanes):
@@ -329,6 +330,7 @@ def test_beta_root_brackets_the_exact_margin(lanes):
     assert count >= 16
 
 
+@pytest.mark.oracle
 def test_margin_matches_the_slogdet_oracle():
     # both signs of alpha and beta; where slogdet calls a covariance
     # singular (beta so large that Var(T|U) is all b2 / beta^2) the margin
@@ -352,6 +354,7 @@ def test_margin_matches_the_slogdet_oracle():
     assert compared >= 500
 
 
+@pytest.mark.oracle
 def test_degenerate_margins_are_infinite_like_the_slogdet_oracle():
     alpha = coarse_alpha_root(SCN, 0.5, 0.5)
     lanes = [
@@ -370,6 +373,7 @@ def test_degenerate_margins_are_infinite_like_the_slogdet_oracle():
         assert m == pytest.approx(_scalar_margin(SCN, 0.5, 0.5, alpha, beta), rel=1e-9)
 
 
+@pytest.mark.oracle
 def test_beta_root_matches_the_bisection_oracle():
     for scn, a2, b2, alpha in _random_lanes(32):
         got = _max_feasible_betas(scn, a2, b2, alpha)
@@ -379,6 +383,7 @@ def test_beta_root_matches_the_bisection_oracle():
             assert type(g) is float and g == pytest.approx(w, rel=1e-6)
 
 
+@pytest.mark.oracle
 def test_beta_root_takes_the_none_and_top_branches():
     near, faint, fainter = (_max_feasible_betas(*lanes) for lanes in _branch_lanes())
     # the determinant margin by slogdet read lane 1 (covariance entries

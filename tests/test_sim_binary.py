@@ -12,8 +12,6 @@ from authdist.sim_binary import (
     SimConfig,
     apply_bsc,
     build_codebook,
-    decode,
-    encode,
     pack_bits,
     run_attack_trials,
     run_reference_trials,
@@ -30,11 +28,12 @@ def make_config(**kw):
     return SimConfig(**base)
 
 
-def handmade_codebook(patterns, admissible, n, tau=0.2):
+def handmade_codebook(patterns, admissible, n):
     words = np.stack([pack_bits(np.array(p, dtype=np.uint8)) for p in patterns])
-    return BinCodebook(n, tau, words, np.array(admissible, dtype=bool))
+    return BinCodebook(n, words, np.array(admissible, dtype=bool))
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("n", [8, 16, 63, 64, 65, 100])
 def test_pack_unpack_roundtrip(n):
     bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
@@ -56,6 +55,7 @@ def _unpack_bits_by_shift_and_mask(words, n):
     return ((words[idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
+@pytest.mark.oracle
 def test_unpack_bits_matches_the_shift_and_mask_formula():
     rng = np.random.default_rng(5)
     for n in range(1, 201):
@@ -66,6 +66,7 @@ def test_unpack_bits_matches_the_shift_and_mask_formula():
             assert (got == want).all()
 
 
+@pytest.mark.oracle
 def test_pack_bits_matches_the_bitwise_or_formula():
     rng = np.random.default_rng(4)
     for n in range(1, 201):
@@ -135,16 +136,17 @@ def test_encode_exact_hit_and_threshold():
     n = 16
     zeros = [0] * n
     ones = [1] * n
-    cb = handmade_codebook([zeros, ones], [True, True], n, tau=0.2)
+    cb = handmade_codebook([zeros, ones], [True, True], n)
+    radius = make_config(tau=0.2, delta=0.1).encode_radius
     # source equal to an admissible codeword: distortion 0
-    x, idx = encode(zeros, cb, delta=0.1)
+    x, idx = cb.encode(zeros, radius)
     assert idx == 0 and (x == 0).all()
     # radius is n(tau+delta) = 4.8: four flips encode, six fail (10 from ones)
     src4 = [1] * 4 + [0] * (n - 4)
-    x, idx = encode(src4, cb, delta=0.1)
+    x, idx = cb.encode(src4, radius)
     assert idx == 0
     src6 = [1] * 6 + [0] * (n - 6)
-    assert encode(src6, cb, delta=0.1) is None
+    assert cb.encode(src6, radius) is None
 
 
 def test_encode_skips_forbidden_and_breaks_ties_low():
@@ -152,13 +154,14 @@ def test_encode_skips_forbidden_and_breaks_ties_low():
     zeros = [0] * n
     one_flip = [1] + [0] * (n - 1)
     cb = handmade_codebook([zeros, one_flip], [False, True], n)
-    x, idx = encode(zeros, cb, delta=0.1)
+    radius = make_config(delta=0.1).encode_radius
+    x, idx = cb.encode(zeros, radius)
     assert idx == 1                      # nearest admissible, not nearest overall
     # tie between two admissible codewords goes to the lowest index
     a = [1, 0] + [0] * (n - 2)
     b = [0, 1] + [0] * (n - 2)
     cb2 = handmade_codebook([a, b], [True, True], n)
-    _, idx = encode(zeros, cb2, delta=0.1)
+    _, idx = cb2.encode(zeros, radius)
     assert idx == 0
 
 
@@ -188,12 +191,12 @@ def test_decode_noiseless_recovers_codeword():
     for t in range(50):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        res = encode(s, cb, cfg.delta)
+        res = cb.encode(s, cfg.encode_radius)
         if res is None:
             continue
         encoded += 1
         x, idx = res
-        out = decode(x, cb, cfg.p, cfg.delta)
+        out = cb.decode(x, cfg.decode_radius)
         if out.authentic:
             authentic += 1
             assert (out.reconstruction == x).all()
@@ -204,19 +207,20 @@ def test_decode_out_of_radius_and_forbidden():
     n = 16
     zeros = [0] * n
     cb = handmade_codebook([zeros], [True], n)
+    radius = make_config(p=0.08, delta=0.12).decode_radius
     far = [1] * 8 + [0] * 8          # distance 8 > n(p+delta) = 3.2
-    assert not decode(far, cb, 0.08, 0.12).authentic
+    assert not cb.decode(far, radius).authentic
     cb_forbidden = handmade_codebook([zeros], [False], n)
-    assert not decode(zeros, cb_forbidden, 0.08, 0.12).authentic
+    assert not cb_forbidden.decode(zeros, radius).authentic
     # public decoding ignores the marking
-    assert decode(zeros, cb_forbidden, 0.08, 0.12, check_admissibility=False).authentic
+    assert cb_forbidden.decode(zeros, radius, check_admissibility=False).authentic
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
 def test_decode_is_total(bits):
-    cb = build_codebook(make_config())
-    out = decode(np.array(bits, dtype=np.uint8), cb, 0.08, 0.12)
+    cfg = make_config()    # p = 0.08, delta = 0.12
+    out = build_codebook(cfg).decode(np.array(bits, dtype=np.uint8), cfg.decode_radius)
     assert out.authentic in (True, False)
 
 
@@ -226,11 +230,11 @@ def test_resubmitted_encoding_is_never_an_attack():
     for t in range(30):
         rng = stream(cfg.seed_public, 1, t)
         s = rng.integers(0, 2, cfg.n).astype(np.uint8)
-        res = encode(s, cb, cfg.delta)
+        res = cb.encode(s, cfg.encode_radius)
         if res is None:
             continue
         x, _ = res
-        out = decode(x, cb, cfg.p, cfg.delta)
+        out = cb.decode(x, cfg.decode_radius)
         if out.authentic:
             assert (out.reconstruction == x).all()
 
@@ -302,7 +306,7 @@ def test_heavy_noise_needs_param():
 
 def _brute_nearest(cb, targets, among=None):
     """Lowest-index nearest codeword by distances over unpacked bits."""
-    bits = np.stack([cb.codeword_bits(i) for i in range(cb.count)])
+    bits = np.stack([cb.content(i) for i in range(cb.count)])
     rows_of = (repeat(np.arange(cb.count)) if among is None
                else repeat(among) if among.ndim == 1 else map(np.flatnonzero, among))
     idx, dist = [], []
@@ -322,6 +326,7 @@ def _assert_matches_brute(cb, targets, among=None):
 
 # one target row per tile, tiles of a few rows that do not divide the 100
 # targets, and the default budget
+@pytest.mark.oracle
 @pytest.mark.parametrize("scan_bytes", [1, 1 << 14, sim_binary.SCAN_BYTES])
 @pytest.mark.parametrize("n", [16, 32, 33, 64, 65, 130])
 def test_nearest_matches_brute_force_over_unpacked_bits(n, scan_bytes, monkeypatch):
@@ -341,6 +346,7 @@ def test_nearest_matches_brute_force_over_unpacked_bits(n, scan_bytes, monkeypat
     assert cb.nearest(targets[:20])[0].tolist() == list(range(10, 30))
 
 
+@pytest.mark.oracle
 def test_nearest_lowest_index_wins_among_duplicate_rows():
     n = 70
     zeros, ones = [0] * n, [1] * n
@@ -361,6 +367,7 @@ def test_nearest_lowest_index_wins_among_duplicate_rows():
     _assert_matches_brute(cb, targets, masks)
 
 
+@pytest.mark.oracle
 def test_nearest_distances_do_not_wrap_past_255_bits():
     # 260 bits over five words: the all-ones row lies 260 bits from the
     # zero target, which an 8-bit count would wrap to 4 < 10

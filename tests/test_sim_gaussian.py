@@ -9,8 +9,6 @@ from authdist.sim_gaussian import (
     GaussCodebook,
     GaussSimConfig,
     build_gauss_codebook,
-    gauss_decode,
-    gauss_encode,
     run_gauss_trials,
 )
 
@@ -65,28 +63,27 @@ def test_codebook_reproducible(codebook):
 
 def test_encode_exact_hit_and_zero_budget(codebook):
     adm0 = int(codebook.admissible_indices[0])
-    x, idx = gauss_encode(codebook.codewords[adm0], codebook)
+    x, idx = codebook.encode(codebook.codewords[adm0], math.inf)
     assert idx == adm0
     assert float(((x - codebook.codewords[adm0]) ** 2).mean()) == 0.0
     off = codebook.codewords[adm0] + 0.5
-    assert gauss_encode(off, codebook, radius_budget=0.0) is None
+    assert codebook.encode(off, 0.0) is None
 
 
 def test_decode_roundtrip_and_radius(codebook):
     cfg = make_config()
     adm0 = int(codebook.admissible_indices[0])
-    out = gauss_decode(codebook.codewords[adm0], codebook, cfg.decode_radius)
+    out = codebook.decode(codebook.codewords[adm0], cfg.decode_radius)
     assert out.authentic and out.codeword_index == adm0
     # forbidden codeword: rejected unless the marking is ignored
     forb = int(np.flatnonzero(~codebook.admissible)[0])
-    out = gauss_decode(codebook.codewords[forb], codebook, cfg.decode_radius)
+    out = codebook.decode(codebook.codewords[forb], cfg.decode_radius)
     assert not out.authentic
-    out = gauss_decode(codebook.codewords[forb], codebook, cfg.decode_radius,
-                       check_admissibility=False)
+    out = codebook.decode(codebook.codewords[forb], cfg.decode_radius, check_admissibility=False)
     assert out.authentic and out.codeword_index == forb
     # far input: outside every decoding sphere
     far = np.full(8, 1000.0)
-    assert not gauss_decode(far, codebook, cfg.decode_radius).authentic
+    assert not codebook.decode(far, cfg.decode_radius).authentic
 
 
 def test_reference_trials_identity_and_reproducibility(codebook):
@@ -163,6 +160,7 @@ def _assert_matches_brute(cb, targets, among=None):
     assert (dist == want_dist).all()
 
 
+@pytest.mark.oracle
 def test_nearest_matches_brute_force_on_random_targets(codebook):
     rng = np.random.default_rng(7)
     sources = rng.normal(0.0, 10.0, size=(200, 8))
@@ -176,6 +174,7 @@ def test_nearest_matches_brute_force_on_random_targets(codebook):
         _assert_matches_brute(codebook, targets, subset[::-1].copy())
 
 
+@pytest.mark.oracle
 def test_nearest_finds_exact_codeword_hits(codebook):
     picks = np.random.default_rng(8).integers(0, codebook.count, 200)
     idx, dist = codebook.nearest(codebook.codewords[picks])
@@ -185,6 +184,7 @@ def test_nearest_finds_exact_codeword_hits(codebook):
     assert (idx == adm).all() and (dist == 0.0).all()
 
 
+@pytest.mark.oracle
 def test_nearest_lowest_index_wins_among_duplicate_rows():
     cb = _hand_codebook([[5, 5, 5, 5], [1, 2, 3, 4], [0, 0, 0, 0],
                          [1, 2, 3, 4], [0, 0, 0, 0], [1, 2, 3, 4]])
@@ -198,6 +198,7 @@ def test_nearest_lowest_index_wins_among_duplicate_rows():
         _assert_matches_brute(cb, targets, among)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("rows", [[[1.0, -2.0, 0.5, 3.0]],
                                   [[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 0.0, 0.0]],
                                   [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]])
@@ -210,6 +211,7 @@ def test_nearest_on_one_and_two_row_codebooks(rows):
     _assert_matches_brute(cb, targets, cb.admissible_indices)
 
 
+@pytest.mark.oracle
 @settings(max_examples=60, deadline=None)
 @given(count=st.integers(1, 40), n=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
 def test_nearest_keeps_the_tie_rule_on_integer_lattices(count, n, seed):
@@ -237,6 +239,7 @@ def _assert_matches_brute_within(cb, targets, radius, among, want):
     assert ((0 <= idx) & (idx < cb.count)).all()
 
 
+@pytest.mark.oracle
 def test_nearest_within_a_radius_matches_brute_force(codebook):
     rng = np.random.default_rng(10)
     sources = rng.normal(0.0, 10.0, size=(100, 8))
@@ -250,6 +253,7 @@ def test_nearest_within_a_radius_matches_brute_force(codebook):
                 _assert_matches_brute_within(codebook, targets, radius, among, want)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("gap", [0.0, 0.5e-9, 1e-9, 1.5e-9, 3e-9])
 def test_nearest_within_a_radius_keeps_the_tie_rule(gap):
     # row 1 lies at distance 1 from the target, rows 0 and 2 a relative gap
@@ -268,6 +272,7 @@ def test_nearest_within_a_radius_keeps_the_tie_rule(gap):
         assert cb.nearest(target, np.array([2, 1]), 0.3)[0].tolist() == [1]
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("attacker, param, budget", [(None, None, None), (None, None, 40.0),
                                                      ("substitute_codeword", None, None),
                                                      ("heavy_noise", 25.0, None),

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from authdist import sim_common
 from authdist.cli import _run_pk_trials
 from authdist.pubkey import TagCarrier, TestDoubleScheme, source_bits
-from authdist.sim_binary import (BinCodebook, SimConfig, _radius, _random_words, bsc_channel,
+from authdist.sim_binary import (BinCodebook, SimConfig, _random_words, bsc_channel,
                                  build_codebook, pack_bits, run_attack_trials,
                                  run_reference_trials, uniform_words)
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
@@ -77,19 +77,21 @@ SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 3, 2 ** 2
                   st.integers(0, 2 ** 64))
 
 
+@pytest.mark.oracle
 @settings(max_examples=150, deadline=None)
 @given(seed=SEEDS, key=st.sampled_from([0, 1, 2]),
        ts=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 32 - 1)), max_size=5))
 def test_streams_match_one_stream_per_trial(seed, key, ts):
     got = sim_common.streams(seed, key, ts)
     assert len(got) == len(ts)
-    for rng, t in zip(got, ts):
+    for rng, t in zip(got.generators, ts):
         want = sim_common.stream(seed, key, t)
         assert rng.integers(0, 2 ** 63, 3).tolist() == want.integers(0, 2 ** 63, 3).tolist()
         assert rng.random(2).tolist() == want.random(2).tolist()
         assert rng.normal(size=2).tolist() == want.normal(size=2).tolist()
 
 
+@pytest.mark.oracle
 def test_streams_reject_what_seed_sequence_rejects():
     with pytest.raises(ValueError) as want:
         np.random.SeedSequence(-1)
@@ -100,6 +102,7 @@ def test_streams_reject_what_seed_sequence_rejects():
             sim_common.streams(5, sim_common.TRIAL_KEY, [0, t])
 
 
+@pytest.mark.oracle
 @settings(max_examples=150, deadline=None)
 @given(seed=st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 64 + 3, 2 ** 200]), st.integers(0, 2 ** 70)),
        key=st.integers(0, 3), n=st.integers(1, 130), p=st.floats(0.0, 0.5),
@@ -129,6 +132,7 @@ HIGHS = st.one_of(st.sampled_from([2, 3, 5592, 40295, 65536, 2 ** 31 + 5, 2 ** 3
                   st.integers(2, 2 ** 32))
 
 
+@pytest.mark.oracle
 @settings(max_examples=150, deadline=None)
 @given(seed=SEEDS, key=st.sampled_from([0, 1, 2]), high=HIGHS, before=st.integers(0, 3),
        ts=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 32 - 1)), min_size=1,
@@ -153,6 +157,7 @@ def test_bounded_draws_match_per_trial_generators(seed, key, high, before, ts):
         assert got_random[i].tolist() == rng.random(1).tolist()
 
 
+@pytest.mark.oracle
 def test_a_bounded_draw_refuses_a_range_beyond_32_bits():
     draws = sim_common.streams(5, sim_common.ATTACK_KEY, range(3))
     for high in (1, 2 ** 32 + 1):
@@ -169,10 +174,11 @@ FEW_ROWS = {2: [0, 1], 3: [0, 0, 1], 4: [0, 0, 1, 2]}
 def _few_rows_codebook(rows):
     words = _random_words(sim_common.stream(rows, 9), 3, 9)
     assert len(np.unique(words)) == 3
-    return BinCodebook(n=9, tau=0.2, words=words[FEW_ROWS[rows]],
+    return BinCodebook(n=9, words=words[FEW_ROWS[rows]],
                        admissible=np.arange(rows) < rows - 1)
 
 
+@pytest.mark.oracle
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, rows=st.integers(2, 4), tag_bits=st.sampled_from([8, 13, 64]),
        picks=st.lists(st.integers(0, 3), min_size=1, max_size=6))
@@ -186,7 +192,8 @@ def test_block_substitutes_and_forged_tags_match_per_trial_generators(seed, rows
     # taken from the block at the draw each has reached
     kept = np.arange(len(picks))[::-2]
     got_tags = dict(zip(kept, draws.take(kept).uint32(tag_bits) >> 31))
-    for i, rng in enumerate(sim_common.streams(seed, sim_common.ATTACK_KEY, range(len(picks)))):
+    for i, rng in enumerate(sim_common.streams(seed, sim_common.ATTACK_KEY,
+                                               range(len(picks))).generators):
         while ((want := cb.rows[rng.integers(0, rows)]) == x[i]).all():
             pass
         assert (got[i] == want).all()
@@ -194,13 +201,14 @@ def test_block_substitutes_and_forged_tags_match_per_trial_generators(seed, rows
             assert got_tags[i].tolist() == rng.integers(0, 2, tag_bits).tolist()
 
 
+@pytest.mark.oracle
 def test_a_block_draws_through_its_generators_or_itself_not_both():
     drawn = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
     drawn.random(2)
     with pytest.raises(ValueError, match="first draw"):
-        list(drawn)
+        drawn.generators
     generated = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
-    list(generated)
+    generated.generators
     with pytest.raises(ValueError, match="Generators have drawn"):
         generated.uint32(2)
 
@@ -283,7 +291,7 @@ def _per_trial_path(path, cfg, cb):
                "pk substitute": substitute, "pk substitute, 13-bit tags": substitute}[path]
     stats = _per_trial_run_trials(
         cb, cfg.trials, cfg.seed_public, source, channel,
-        encode_radius=_radius(n, cfg.tau + cfg.delta), decode_radius=_radius(n, cfg.p + cfg.delta),
+        encode_radius=cfg.encode_radius, decode_radius=cfg.decode_radius,
         attacked=path not in ("binary reference", "pk reference"), **kw)
     if path.startswith("pk"):
         return replace(stats, empirical_de=0.0, empirical_dr=0.0, dr_de_max_gap=0.0)
@@ -336,6 +344,7 @@ def case_codebooks(odd_n_codebooks):
             **{f"{r} rows": _few_rows_codebook(r) for r in (2, 3, 4)}}
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("path, n", BLOCK_CASES)
 def test_block_trials_match_the_per_trial_loop(path, n, case_codebooks):
     cfg, cb = {**ODD_N_CFGS, **EXTRA_CFGS}[n], case_codebooks[n]
