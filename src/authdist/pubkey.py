@@ -34,10 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim_binary import (BinCodebook, SimConfig, apply_bsc, bsc_channel, build_codebook, pack_bits,
+from .sim_binary import (BinCodebook, SimConfig, bsc_channel, build_codebook, pack_bits,
                          run_binary_trials)
-from .sim_common import (CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, per_trial, streams,
-                         substitute)
+from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams, substitute
 from .sim_gaussian import GaussSimConfig, build_gauss_codebook
 
 
@@ -178,7 +177,7 @@ def pk_decode(block, cb, tags: TagCarrier, public_key: bytes, radius: float) -> 
     """
     _check_carrier(cb, tags)
     block = cb.observe(block, cb.n + tags.scheme.tag_bits * tags.repetition)
-    inner = cb.decode(block[:cb.n], radius, check_admissibility=False)
+    inner = cb.decode_observed(block[:cb.n], radius, check_admissibility=False)
     if not (inner.authentic and tags.verify(block[cb.n:], inner.codeword_index, public_key)):
         return DecodeOutcome.not_authentic()
     return inner
@@ -257,24 +256,25 @@ def carrier_channel_robustness(
         rep = repetition if repetition is not None else repetition_for_recovery(config.p, scheme.tag_bits)
         cb = codebook if codebook is not None else build_codebook(config)
         step = 1
-        channel = lambda carrier, rng: apply_bsc(carrier, config.p, rng)
+        noise = lambda carriers, draws: carriers ^ (draws.random(carriers.shape[1]) < config.p)
     elif isinstance(config, GaussSimConfig):
         step, sigma_n = 6.0 * math.sqrt(config.sigma_n2), math.sqrt(config.sigma_n2)
         rep = repetition if repetition is not None else 3
         cb = codebook if codebook is not None else build_gauss_codebook(config)
-        channel = lambda carrier, rng: carrier + rng.normal(0.0, sigma_n, size=carrier.size)
+        noise = lambda carriers, draws: carriers + draws.normal(carriers.shape[1], sigma_n)
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
     tags = TagCarrier(scheme, cb.count, rep, step)
-    index, noise = per_trial(lambda rng: rng.integers(0, cb.count)), per_trial(channel)
     recovered = 0
     for start in range(0, config.trials, CHUNK):
         draws = streams(config.seed_public, CARRIER_KEY,
                         range(start, min(start + CHUNK, config.trials)))
-        # each trial draws its index, then its carrier noise; a tag is
-        # recovered when the tag read off the noisy carrier is the one read
-        # off the clean carrier, which is the signed tag exactly
-        carriers = tags.sign(index(draws), key)
+        # each trial draws its index (integers(0, 1) draws nothing), then
+        # its carrier noise; a tag is recovered when the tag read off the
+        # noisy carrier is the one read off the clean carrier, which is the
+        # signed tag exactly
+        index = draws.integers(cb.count) if cb.count > 1 else np.zeros(len(draws), dtype=np.int64)
+        carriers = tags.sign(index, key)
         noisy = noise(carriers, draws)
         recovered += int((tags.extract(noisy) == tags.extract(carriers)).all(axis=1).sum())
     return TrialStats(trials_run=config.trials, decode_failures=config.trials - recovered,

@@ -155,6 +155,11 @@ class BinCodebook(Codebook):
         """For n <= 32 a contiguous uint32 copy of the one word column."""
         return self.words[:, :1].astype(np.uint32) if self.n <= 32 else self.words
 
+    @cached_property
+    def _admissible_words(self) -> np.ndarray:
+        """The scan words of ``admissible_indices``, which are sorted."""
+        return self._scan_words[self.admissible_indices]
+
     def nearest(self, targets: np.ndarray, among=None,
                 radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Index and Hamming distance of the nearest codeword to each packed
@@ -167,8 +172,13 @@ class BinCodebook(Codebook):
         in preallocated buffers; rows outside a mask count all ones.
         """
         marked = among if among is not None and among.ndim == 2 else None
-        rows = None if among is None or marked is not None else np.sort(among)
-        words = self._scan_words if rows is None else self._scan_words[rows]
+        if among is None or marked is not None:
+            rows, words = None, self._scan_words
+        elif among is self.admissible_indices:
+            rows, words = among, self._admissible_words
+        else:
+            rows = np.sort(among)
+            words = self._scan_words[rows]
         targets = targets.astype(words.dtype, copy=False)
         acc = np.min_scalar_type(64 * words.shape[1])
         height = max(1, min(len(targets), SCAN_BYTES // words[:, 0].nbytes))

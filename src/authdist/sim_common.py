@@ -18,20 +18,23 @@ to bit-identical results no matter how trials are batched:
 :func:`streams`, bit-identical to one :func:`stream` call per trial: the
 ``(seed, key)`` part of the ``SeedSequence`` pool is hashed once per block
 and only the last spawn word t is mixed in per trial, as one vector
-operation over the block.  That gives each trial's PCG64 seed words.
+operation over the block.  That gives each trial's PCG64 seed words, and
+PCG64's seeding turns them into each trial's 128-bit state.
 
-Draws are then computed for the whole block from those words
-(:class:`Streams`): PCG64's state after k outputs is an affine function of
-its seed, so a jump table of multiplier powers gives every trial's next
-outputs at once, in 128-bit arithmetic on uint64 arrays, and NumPy's rules
-turn outputs into draws.  These are the binary and pk sources, the BSC and
-heavy-noise flips, the random_vector words, the substitute attacker
-(Lemire's bounded ``integers``, drawn again for the few rows it rejects or
-that hit the encoder's codeword, each row at its own draw position) and
-the pk forged tags that follow it.  Draws with NumPy's own samplers stay on
-per-trial ``Generator`` objects built lazily from the same words
-(:func:`per_trial`): Gaussian ``normal`` draws (ziggurat rejection), fresh
-markings (``permutation``) and ``pubkey.carrier_channel_robustness``.
+Draws are then computed for the whole block from those states
+(:class:`Streams`): PCG64's state after m more outputs is an affine
+function of its current state, so one slice of a jump table of multiplier
+powers gives every trial's next outputs at once, in 128-bit arithmetic on
+uint64 arrays, and NumPy's rules turn outputs into draws.  These are the
+binary and pk sources, the BSC and heavy-noise flips, the random_vector
+words, the substitute attacker (Lemire's bounded ``integers``, drawn again
+for the few rows it rejects or that hit the encoder's codeword, each row
+at its own draw position), the pk forged tags that follow it, and every
+Gaussian normal: NumPy's ziggurat takes one output per normal on its fast
+path, and the few rows whose draw leaves it finish on a ``Generator``
+placed at the row's state (:meth:`Streams.each`).  Fresh markings
+(``permutation``) alone are drawn one trial at a time that way
+(:func:`per_trial`).
 
 Per target, the rest of a trial's cost is the codebook's ``nearest``
 search, one block search for the encoder and the decoder alike: the binary
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 CODEBOOK_KEY = 0
 TRIAL_KEY = 1
@@ -56,6 +58,9 @@ CARRIER_KEY = 3
 CHUNK = 256    # trials per block of the driver
 MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
 MAX_TRIALS = 1 << 32    # trial indices of the streams lie below 2^32
+# the most normals per row a block draw computes at once: most wider rows
+# leave the ziggurat's fast path, and drawing them row by row is cheaper
+BLOCK_NORMALS = 48
 
 ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
@@ -70,16 +75,6 @@ POOL_SIZE = 4
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
-
-
-class _FixedState(ISeedSequence):
-    """Hands PCG64 a state already generated by :func:`streams`."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
 
 
 def _n_words(value: int) -> int:
@@ -103,7 +98,8 @@ def streams(seed: int, key: int, ts) -> Streams:
     everything but t mixed in, and SeedSequence's hash constant advances by
     a count fixed by the word lengths of seed and key.  Mixing in t and
     ``generate_state(4, uint64)`` then run in uint32 array arithmetic over
-    all of ``ts`` at once.
+    all of ``ts`` at once, and PCG64's seeding in 128-bit arithmetic on
+    those words.
     """
     pool = np.random.SeedSequence(seed, spawn_key=(key,)).pool
     t = np.asarray(ts, dtype=np.int64)
@@ -124,12 +120,21 @@ def streams(seed: int, key: int, ts) -> Streams:
     hash_const = INIT_B
     for j in range(2 * POOL_SIZE):
         state[:, j], hash_const = _hash(mixed[j % POOL_SIZE], hash_const, MULT_B)
-    return Streams(state.astype("<u4").view("<u8").astype(np.uint64))
+    # PCG64 seeded with words w0..w3 takes the odd increment
+    # c = (w2:w3) << 1 | 1 (128-bit numbers, high word first) and steps
+    # s -> A s + c once from c + (w0:w1)
+    w0, w1, w2, w3 = state.astype("<u4").view("<u8").astype(np.uint64).T
+    ch, cl = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    bl = w1 + cl
+    sh, sl = _mul128(np.uint64(PCG64_MULT >> 64), np.uint64(PCG64_MULT & MASK64),
+                     w0 + ch + (bl < cl), bl)
+    lo = sl + cl
+    return Streams(np.stack([sh + ch + (lo < sl), lo, ch, cl], axis=1))
 
 
 # PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
-MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
+MASK52, MASK64, MASK128 = (1 << 52) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 @cache
@@ -144,6 +149,13 @@ def _jump_table(size: int) -> np.ndarray:
     return table
 
 
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's ziggurat tables ``wi_double`` and ``ki_double``."""
+    from ._ziggurat import KI, WI
+    return np.array(WI), np.array(KI, dtype=np.uint64)
+
+
 def _mul128(ah, al, bh, bl):
     """High and low words of (ah:al) (bh:bl) mod 2^128, for uint64 arrays
     of high (h) and low (l) 64-bit words; the high word of al bl is summed
@@ -156,72 +168,73 @@ def _mul128(ah, al, bh, bl):
 
 
 class Streams:
-    """The PCG64 streams of a block of trials: ``generators`` holds each
-    trial's ``stream(seed, key, t)``, and the block draws compute every
-    trial's next draws at once from the streams' PCG64 states.
+    """The PCG64 streams of a block of trials, each at the draw it has
+    reached: row i starts as ``stream(seed, key, t_i)`` and every draw made
+    on the block moves it on as that Generator's draws would.
 
-    Each stream keeps its own draw position, so a draw may be made for some
-    rows only (``rows``, an index array): those rows move ahead alone.
-
-    A block draws one way or the other: its Generators are built when
-    first asked for, from the streams' first draw, and block draws are
-    refused after that.
+    The block draws compute every row's next draws at once from the rows'
+    128-bit states; :meth:`each` makes any other draw one row at a time on
+    a Generator placed at the row's state, and the two mix freely.  A draw
+    may be made for some rows only (``rows``, an index array): those rows
+    move ahead alone.
     """
 
-    def __init__(self, words: np.ndarray):
-        self.words = words      # (T, 4) uint64: each PCG64's seed words
-        self._drawn = np.zeros(len(words), dtype=np.int64)    # outputs drawn by each stream
-        self._half = np.zeros(len(words), dtype=np.uint64)    # upper 32-bit half held back
-        self._held = np.zeros(len(words), dtype=bool)         # whether a half is held back
+    def __init__(self, state: np.ndarray, half=None, held=None):
+        self.state = state      # (T, 4) uint64: each PCG64's state s, then its increment c
+        # whether a 32-bit draw held back the upper half of an output, and that half
+        self._held = np.zeros(len(state), dtype=bool) if held is None else held
+        self._half = np.zeros(len(state), dtype=np.uint64) if half is None else half
 
     def __len__(self) -> int:
-        return len(self.words)
-
-    @cached_property
-    def generators(self) -> list[np.random.Generator]:
-        if self._drawn.any():
-            raise ValueError("a block's Generators start at its streams' first draw")
-        self._drawn = None
-        return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in self.words]
+        return len(self.state)
 
     def take(self, rows) -> "Streams":
         """The streams of the given rows, each at the draw it has reached."""
-        sub = Streams(self.words[rows])
-        if self._drawn is None:
-            sub._drawn = None
-            sub.generators = [self.generators[i] for i in rows]
-        else:
-            sub._drawn, sub._half, sub._held = self._drawn[rows], self._half[rows], self._held[rows]
-        return sub
+        return Streams(self.state[rows], self._half[rows], self._held[rows])
+
+    def each(self, draw, *row_args, rows=None) -> list:
+        """``draw(*args, rng)`` for every row (or the rows of ``rows``) in
+        turn, with ``args`` the row's items of ``row_args`` and ``rng`` one
+        Generator placed at the row's state; the row then stands where the
+        Generator stopped."""
+        rng = np.random.Generator(np.random.PCG64(0))
+        got = []
+        for i, *args in zip(range(len(self)) if rows is None else rows, *row_args):
+            sh, sl, ch, cl = self.state[i].tolist()
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": sh << 64 | sl, "inc": ch << 64 | cl},
+                                       "has_uint32": int(self._held[i]),
+                                       "uinteger": int(self._half[i])}
+            got.append(draw(*args, rng))
+            state = rng.bit_generator.state
+            s = state["state"]["state"]
+            self.state[i, :2] = s >> 64, s & MASK64
+            self._held[i], self._half[i] = state["has_uint32"], state["uinteger"]
+        return got
+
+    def _steps(self, count: int, rows):
+        """(len(rows), count + 1) high and low words of the states of
+        ``rows`` after 0 to ``count`` more outputs: s, then A^m s + G_m c
+        after m > 0, read off one shared slice of the jump table."""
+        sh, sl, ch, cl = (self.state[rows, i, None] for i in range(4))
+        ah, al, gh, gl = _jump_table(1 << count.bit_length())[:, 1:count + 1]
+        hi, lo = np.empty((2, len(sh), count + 1), dtype=np.uint64)
+        hi[:, :1], lo[:, :1] = sh, sl
+        h1, l1 = _mul128(ah, al, sh, sl)
+        h2, l2 = _mul128(gh, gl, ch, cl)
+        np.add(l1, l2, out=lo[:, 1:])
+        np.add(h1 + h2, lo[:, 1:] < l1, out=hi[:, 1:], casting="unsafe")
+        return hi, lo
 
     def _outputs(self, count: int, rows, used) -> np.ndarray:
         """(len(rows), count) uint64: the next ``count`` outputs of the
-        streams of ``rows``, each from its own position, which then moves
-        ahead by ``used`` outputs.
-
-        PCG64 seeded with words w starts from initstate = w0:w1 and the odd
-        increment c = (w2:w3) << 1 | 1 (128-bit numbers, high word first).
-        Seeding steps s -> A s + c once from c + initstate, and each output
-        steps once more, so the output after k others is the XSL-RR of
-        A^(k+2) (initstate + c) + G_(k+2) c.
-        """
-        if self._drawn is None:
-            raise ValueError("the block's Generators have drawn from its streams")
-        w0, w1, w2, w3 = (self.words[rows, i, None] for i in range(4))
-        ch, cl = w2 << 1 | w3 >> 63, w3 << 1 | 1
-        bl = w1 + cl
-        bh = w0 + ch + (bl < cl)
-        drawn = self._drawn[rows]
-        last = int(drawn.max()) if drawn.size else 0
-        at = drawn[:, None] + np.arange(2, 2 + count)
-        ah, al, gh, gl = _jump_table(1 << (last + 1 + count).bit_length())[:, at]
-        self._drawn[rows] = drawn + used
-        h1, l1 = _mul128(ah, al, bh, bl)
-        h2, l2 = _mul128(gh, gl, ch, cl)
-        lo = l1 + l2
-        hi = h1 + h2 + (lo < l1)
-        x, rot = hi ^ lo, hi >> 58
-        return x >> rot | x << ((64 - rot) & 63)
+        streams of ``rows``, each the XSL-RR of the state it steps to;
+        each row then moves ahead by ``used`` outputs (one count, or one per
+        row)."""
+        hi, lo = self._steps(count, rows)
+        at = np.arange(len(hi))
+        self.state[rows, 0], self.state[rows, 1] = hi[at, used], lo[at, used]
+        return _xsl_rr(hi[:, 1:], lo[:, 1:])
 
     def uint32(self, count: int, rows=slice(None)) -> np.ndarray:
         """Every stream's (or the streams of ``rows``)
@@ -262,13 +275,50 @@ class Streams:
         a half held back stays held back."""
         return (self._outputs(count, slice(None), count) >> 11) * 2.0 ** -53
 
+    def normal(self, count: int, scale: float) -> np.ndarray:
+        """Every stream's ``normal(0.0, scale, count)``; a half held back
+        stays held back.
+
+        NumPy's ziggurat reads one output r per draw: idx = r & 0xff, a sign
+        bit 8 and the 52-bit rabs = r >> 9, and returns +-rabs wi[idx] when
+        rabs < ki[idx] (nearly always), scaled as ``0.0 + scale x``.  A row
+        whose draw leaves that path (the idx-0 tail or a wedge test) draws
+        the rest of its row through :meth:`each`, and so does every row of
+        more than BLOCK_NORMALS normals.
+        """
+        if count > BLOCK_NORMALS:
+            rows = self.each(lambda rng: rng.normal(0.0, scale, count))
+            return np.array(rows).reshape(len(self), count)
+        wi, ki = _ziggurat()
+        hi, lo = self._steps(count, slice(None))
+        r = _xsl_rr(hi[:, 1:], lo[:, 1:])
+        idx, rabs = r & 0xFF, r >> 9 & MASK52
+        x = rabs * wi[idx]
+        out = 0.0 + scale * np.where(r & 0x100 != 0, -x, x)
+        fast = rabs < ki[idx]
+        self.state[:, 0], self.state[:, 1] = hi[:, count], lo[:, count]
+        slow = np.flatnonzero(~fast.all(axis=1))
+        first = fast[slow].argmin(axis=1)     # each slow row's first draw off the path
+        self.state[slow, 0], self.state[slow, 1] = hi[slow, first], lo[slow, first]
+        rests = self.each(lambda j, rng: rng.normal(0.0, scale, count - j), first, rows=slow)
+        for i, j, rest in zip(slow, first, rests):
+            out[i, j:] = rest
+        return out
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of the 128-bit states (hi:lo)."""
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << ((64 - rot) & 63)
+
 
 def per_trial(draw):
-    """A block draw made one trial at a time on each trial's Generator:
-    ``draw(rng)`` for a source, ``draw(row, rng)`` for a channel."""
+    """A block draw made one trial at a time, each on its row's Generator
+    (:meth:`Streams.each`): ``draw(rng)`` for a source, ``draw(row, rng)``
+    for a channel."""
     def block_draw(*rows_and_streams):
         *rows, block = rows_and_streams
-        return np.stack([draw(*args) for args in zip(*rows, block.generators)])
+        return np.stack(block.each(draw, *rows))
     return block_draw
 
 
@@ -402,7 +452,12 @@ class Codebook:
         Every observation gives an outcome; one outside the content's
         alphabet is refused with a ValueError.
         """
-        (k,), (d,) = self.nearest(self.target(self.observe(y, self.n))[None], radius=radius)
+        return self.decode_observed(self.observe(y, self.n), radius, check_admissibility)
+
+    def decode_observed(self, samples: np.ndarray, radius: float,
+                        check_admissibility: bool = True) -> DecodeOutcome:
+        """:meth:`decode` of samples that ``observe`` has already checked."""
+        (k,), (d,) = self.nearest(self.target(samples)[None], radius=radius)
         if d > radius or (check_admissibility and not self.admissible[k]):
             return DecodeOutcome.not_authentic()
         return DecodeOutcome(self.content(k), int(k))

@@ -2,6 +2,7 @@
 per-trial Generators and the per-trial loop, and termination."""
 
 import argparse
+import copy
 import math
 import os
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from authdist import sim_common
+from authdist._ziggurat import KI, WI
 from authdist.cli import _run_pk_trials
 from authdist.pubkey import TagCarrier, TestDoubleScheme, source_bits
 from authdist.sim_binary import (BinCodebook, SimConfig, _random_words, bsc_channel,
@@ -84,11 +86,13 @@ SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 + 3, 2 ** 2
 def test_streams_match_one_stream_per_trial(seed, key, ts):
     got = sim_common.streams(seed, key, ts)
     assert len(got) == len(ts)
-    for rng, t in zip(got.generators, ts):
+
+    def check(t, rng):
         want = sim_common.stream(seed, key, t)
         assert rng.integers(0, 2 ** 63, 3).tolist() == want.integers(0, 2 ** 63, 3).tolist()
         assert rng.random(2).tolist() == want.random(2).tolist()
         assert rng.normal(size=2).tolist() == want.normal(size=2).tolist()
+    got.each(check, ts)
 
 
 @pytest.mark.oracle
@@ -158,6 +162,103 @@ def test_bounded_draws_match_per_trial_generators(seed, key, high, before, ts):
 
 
 @pytest.mark.oracle
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, key=st.sampled_from([0, 1, 2, 3]),
+       count=st.integers(32, sim_common.BLOCK_NORMALS + 8),
+       scale=st.one_of(st.sampled_from([1.0, 10.0]), st.floats(1e-3, 1e3)), high=HIGHS,
+       before=st.sampled_from([0, 1, 2, 13]), start=st.sampled_from([0, 2 ** 32 - 2048]))
+def test_block_normals_match_per_trial_generators(seed, key, count, scale, high, before, start):
+    """2048 rows of 32 normals or more, past BLOCK_NORMALS too: about 13
+    idx-0 tail draws and 300 wedge rejections come first off the fast path
+    in their rows at 32, more at more, and the test asserts that at least
+    one of each did."""
+    ts = range(start, start + 2048)
+    draws = sim_common.streams(seed, key, ts)
+    # an odd count of 32-bit draws holds a half back across the normals
+    got_int, got_before = draws.integers(high), draws.uint32(before)
+    got = draws.normal(count, scale)
+    got_after, got_random = draws.integers(high), draws.random(1)
+    raw = np.random.PCG64(0)
+    outputs = np.empty((len(ts), count), dtype=np.uint64)
+    for i, t in enumerate(ts):
+        rng = sim_common.stream(seed, key, t)
+        assert got_int[i] == rng.integers(0, high)
+        assert got_before[i].tolist() == rng.integers(0, 2 ** 32, before, dtype=np.uint64).tolist()
+        raw.state = rng.bit_generator.state
+        outputs[i] = raw.random_raw(count)
+        assert got[i].tobytes() == rng.normal(0.0, scale, count).tobytes()
+        assert got_after[i] == rng.integers(0, high)
+        assert got_random[i].tolist() == rng.random(1).tolist()
+    # a row's first draw off the fast path reads the output after those
+    # the row's fast draws took, one each
+    wi, ki = np.array(WI), np.array(KI, dtype=np.uint64)
+    idx, rabs = outputs & 0xFF, outputs >> 9 & (2 ** 52 - 1)
+    fast = rabs < ki[idx]
+    rows = np.flatnonzero(~fast.all(axis=1))
+    at = rows, fast[rows].argmin(axis=1)
+    tail = idx[at] == 0
+    # a wedge test that accepts returns the fast path's value
+    x = rabs[at] * wi[idx[at]]
+    rejected = ~tail & (got[at] != 0.0 + scale * np.where(outputs[at] & 0x100 != 0, -x, x))
+    assert tail.any() and rejected.any()
+
+
+MULT, MOD = sim_common.PCG64_MULT, 1 << 128
+
+
+def _crafted(out):
+    """A PCG64 state and increment whose next output is ``out``, and whose
+    output after it reads 0 as a double."""
+    inc = -MULT * out % MOD | 1     # steps out to 0 or 1, whose XSL-RR outputs are 0 or 1
+    return (out - inc) * pow(MULT, -1, MOD) % MOD, inc      # steps to out, whose output is out
+
+
+def _place(rng, state, inc):
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
+def _probe(rng, out):
+    """rng's standard normal from the :func:`_crafted` state of ``out``,
+    and whether the draw took that one output only."""
+    _place(rng, *_crafted(out))
+    x = rng.standard_normal()
+    return x, rng.bit_generator.state["state"]["state"] == out
+
+
+@pytest.mark.oracle
+def test_block_normals_at_the_fast_paths_edges_match_numpy():
+    """Rows whose first output has rabs = 0, ki[idx] - 1, ki[idx] or the
+    largest rabs, either sign, at the tail's idx 0 and at wedges."""
+    outs = [rabs << 9 | sign << 8 | idx for idx in (0, 1, 2, 128, 255) for sign in (0, 1)
+            for rabs in {0, max(KI[idx] - 1, 0), KI[idx], 2 ** 52 - 1}]
+    states = [_crafted(out) for out in outs]
+    words = np.array([[s >> 64, s & 2 ** 64 - 1, c >> 64, c & 2 ** 64 - 1] for s, c in states],
+                     dtype=np.uint64)
+    got = sim_common.Streams(words).normal(3, 2.5)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, state in zip(got, states):
+        _place(rng, *state)
+        assert row.tobytes() == rng.normal(0.0, 2.5, 3).tobytes()
+
+
+@pytest.mark.oracle
+def test_the_committed_ziggurat_tables_are_numpys():
+    rng = np.random.Generator(np.random.PCG64(0))
+    assert len(WI) == len(KI) == 256
+    for idx in range(256):
+        # rabs = 1 draws wi[idx] itself, through a wedge test that a
+        # uniform of 0 passes where the fast path takes no rabs
+        assert _probe(rng, 1 << 9 | idx)[0] == WI[idx]
+        assert _probe(rng, 1 << 9 | 1 << 8 | idx)[0] == -WI[idx]
+        # the fast path takes every rabs below ki[idx] and no other
+        if KI[idx]:
+            assert _probe(rng, KI[idx] - 1 << 9 | idx) == ((KI[idx] - 1) * WI[idx], True)
+        if KI[idx] < 2 ** 52:
+            assert not _probe(rng, KI[idx] << 9 | idx)[1]
+
+
+@pytest.mark.oracle
 def test_a_bounded_draw_refuses_a_range_beyond_32_bits():
     draws = sim_common.streams(5, sim_common.ATTACK_KEY, range(3))
     for high in (1, 2 ** 32 + 1):
@@ -192,25 +293,38 @@ def test_block_substitutes_and_forged_tags_match_per_trial_generators(seed, rows
     # taken from the block at the draw each has reached
     kept = np.arange(len(picks))[::-2]
     got_tags = dict(zip(kept, draws.take(kept).uint32(tag_bits) >> 31))
-    for i, rng in enumerate(sim_common.streams(seed, sim_common.ATTACK_KEY,
-                                               range(len(picks))).generators):
+
+    def check(i, rng):
         while ((want := cb.rows[rng.integers(0, rows)]) == x[i]).all():
             pass
         assert (got[i] == want).all()
         if i in got_tags:
             assert got_tags[i].tolist() == rng.integers(0, 2, tag_bits).tolist()
+    sim_common.streams(seed, sim_common.ATTACK_KEY, range(len(picks))).each(check,
+                                                                            range(len(picks)))
 
 
 @pytest.mark.oracle
-def test_a_block_draws_through_its_generators_or_itself_not_both():
-    drawn = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
-    drawn.random(2)
-    with pytest.raises(ValueError, match="first draw"):
-        drawn.generators
-    generated = sim_common.streams(5, sim_common.TRIAL_KEY, range(3))
-    generated.generators
-    with pytest.raises(ValueError, match="Generators have drawn"):
-        generated.uint32(2)
+def test_block_and_per_trial_draws_mix_on_one_block():
+    ts = range(40)
+    draws = sim_common.streams(5, sim_common.TRIAL_KEY, ts)
+    words = sim_common.per_trial(lambda rng: rng.integers(0, 2 ** 32, 2, dtype=np.uint64))
+    normals = sim_common.per_trial(lambda row, rng: row + rng.normal(size=2))
+    odd = np.arange(1, len(ts), 2)
+    # the half the first draw holds back passes to the Generators and back
+    got = [draws.uint32(1), words(draws), draws.normal(8, 3.0), normals(np.ones((40, 2)), draws),
+           draws.uint32(1)]
+    # rows taken from the block draw on from where they stand and leave it alone
+    got_taken, got_random = draws.take(odd).each(lambda rng: rng.random()), draws.random(2)
+    for i, t in enumerate(ts):
+        rng = sim_common.stream(5, sim_common.TRIAL_KEY, t)
+        want = [rng.integers(0, 2 ** 32, 1, dtype=np.uint64),
+                rng.integers(0, 2 ** 32, 2, dtype=np.uint64), rng.normal(0.0, 3.0, 8),
+                1 + rng.normal(size=2), rng.integers(0, 2 ** 32, 1, dtype=np.uint64)]
+        assert [g[i].tolist() for g in got] == [w.tolist() for w in want]
+        if i % 2:
+            assert got_taken[i // 2] == copy.deepcopy(rng).random()
+        assert got_random[i].tolist() == rng.random(2).tolist()
 
 
 def _per_trial_run_trials(cb, trials, seed, source, channel, *, encode_radius, decode_radius,
@@ -276,11 +390,17 @@ def _per_trial_path(path, cfg, cb):
                    if path.startswith("pk substitute") else tags.sign(int(idx), b"cli-pk-key"))
         return tags.verify(carrier, int(k), b"cli-pk-key")
 
-    if path == "gaussian substitute":
+    if path.startswith("gaussian"):
+        normal = lambda var, rng: rng.normal(0.0, math.sqrt(var), size=n)
+        channel = {"gaussian reference": lambda x, rng: x + normal(cfg.sigma_n2, rng),
+                   "gaussian substitute": substitute,
+                   "gaussian heavy_noise": lambda x, rng: x + normal(1.2, rng),
+                   "gaussian random_vector": lambda x, rng: normal(
+                       cfg.sigma_s2 + cfg.sigma_n2, rng)}[path]
         return _per_trial_run_trials(
-            cb, cfg.trials, cfg.seed_public,
-            lambda rng: rng.normal(0.0, math.sqrt(cfg.sigma_s2), size=n), substitute,
-            encode_radius=math.inf, decode_radius=cfg.decode_radius, attacked=True)
+            cb, cfg.trials, cfg.seed_public, lambda rng: normal(cfg.sigma_s2, rng), channel,
+            encode_radius=math.inf, decode_radius=cfg.decode_radius,
+            attacked=path != "gaussian reference")
     source, kw = words, {}
     if path.startswith("pk"):
         source = lambda rng: pack_bits(rng.integers(0, 2, n).astype(np.uint8))
@@ -319,12 +439,15 @@ def odd_n_codebooks():
     return {n: build_codebook(cfg) for n, cfg in ODD_N_CFGS.items()}
 
 
-# beyond the block paths at each blocklength: a Gaussian path, codebooks of
+# beyond the block paths at each blocklength: the Gaussian paths, codebooks of
 # 2 to 4 rows with duplicate rows, where most substitutes draw again, and
 # 13-bit forged tags, whose odd count of 32-bit draws holds a half back
 EXTRA_PATHS = {
+    "gaussian reference": lambda cfg, cb: run_gauss_trials(cfg, codebook=cb),
     "gaussian substitute": lambda cfg, cb: run_gauss_trials(cfg, "substitute_codeword",
                                                             codebook=cb),
+    "gaussian heavy_noise": lambda cfg, cb: run_gauss_trials(cfg, "heavy_noise", 1.2, codebook=cb),
+    "gaussian random_vector": lambda cfg, cb: run_gauss_trials(cfg, "random_vector", codebook=cb),
     "pk substitute, 13-bit tags": lambda cfg, cb: _run_pk_trials(
         _pk("substitute_codeword", 13), cfg, cb)[0],
 }
@@ -332,7 +455,7 @@ FEW_ROWS_CFG = SimConfig(n=9, tau=0.2, gamma=0.25, p=0.08, delta=0.3, trials=150
                          seed_public=61, seed_secret=62)
 EXTRA_CFGS = {"gaussian": G_CFG, **{f"{r} rows": FEW_ROWS_CFG for r in (2, 3, 4)}}
 BLOCK_CASES = [*((path, n) for path in BLOCK_PATHS for n in ODD_N_CFGS),
-               ("gaussian substitute", "gaussian"),
+               *((path, "gaussian") for path in EXTRA_PATHS if path.startswith("gaussian")),
                *((path, f"{r} rows") for r in (2, 3, 4)
                  for path in ("binary substitute", "pk substitute", "pk substitute, 13-bit tags")),
                *(("pk substitute, 13-bit tags", n) for n in ODD_N_CFGS)]
