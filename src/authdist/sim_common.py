@@ -58,9 +58,6 @@ CARRIER_KEY = 3
 CHUNK = 256    # trials per block of the driver
 MARKING_BYTES = 1 << 24    # bound on the per-trial admissible masks a block holds
 MAX_TRIALS = 1 << 32    # trial indices of the streams lie below 2^32
-# the most normals per row a block draw computes at once: most wider rows
-# leave the ziggurat's fast path, and drawing them row by row is cheaper
-BLOCK_NORMALS = 48
 
 ATTACKERS = ("substitute_codeword", "heavy_noise", "random_vector")
 
@@ -283,12 +280,8 @@ class Streams:
         bit 8 and the 52-bit rabs = r >> 9, and returns +-rabs wi[idx] when
         rabs < ki[idx] (nearly always), scaled as ``0.0 + scale x``.  A row
         whose draw leaves that path (the idx-0 tail or a wedge test) draws
-        the rest of its row through :meth:`each`, and so does every row of
-        more than BLOCK_NORMALS normals.
+        the rest of its row through :meth:`each`.
         """
-        if count > BLOCK_NORMALS:
-            rows = self.each(lambda rng: rng.normal(0.0, scale, count))
-            return np.array(rows).reshape(len(self), count)
         wi, ki = _ziggurat()
         hi, lo = self._steps(count, slice(None))
         r = _xsl_rr(hi[:, 1:], lo[:, 1:])

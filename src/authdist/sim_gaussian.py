@@ -128,8 +128,9 @@ class GaussCodebook(Codebook):
     def _tree(self):
         # for the decoder's short query bounded by its radius: sliding-
         # midpoint splits without shrunk cells build in half the time of
-        # scipy's default and query about as fast; leaves of 48 rows keep
-        # the nodes fewer than the default's
+        # scipy's default, and leaves of 48 rows keep the nodes fewer than
+        # the default's; the decoder's query is about 17% slower for it
+        # (8.7 -> 10.2 ms on 2000 targets at n=8, rate 2)
         return _kd_tree(self.codewords, balanced_tree=False, compact_nodes=False, leafsize=48)
 
     @cached_property
