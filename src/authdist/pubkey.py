@@ -34,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim_binary import (BinCodebook, SimConfig, bsc_channel, build_codebook, pack_bits,
-                         run_binary_trials)
-from .sim_common import CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, streams, substitute
-from .sim_gaussian import GaussSimConfig, build_gauss_codebook
+from .sim_binary import BinCodebook, SimConfig, bsc_channel, pack_bits, run_binary_trials
+from .sim_common import (CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, codebook_sizes, streams,
+                         substitute)
+from .sim_gaussian import GaussSimConfig
 
 
 class TestDoubleScheme:
@@ -241,30 +241,29 @@ def carrier_channel_robustness(
     config,
     scheme: TestDoubleScheme | None = None,
     repetition: int | None = None,
-    codebook=None,
 ) -> TrialStats:
     """Tag-recovery rate when the reference channel also hits the carrier.
 
     Accepts a binary :class:`SimConfig` (BSC on the carrier bits) or a
     Gaussian :class:`GaussSimConfig` (AWGN on the quantized carrier).  The
     repetition factor defaults to the smallest one whose predicted recovery
-    is >= 99% at the configured channel.
+    is >= 99% at the configured channel.  Trials sign uniform indices of the
+    config's codebook size; no codebook is built.
     """
     scheme = scheme or TestDoubleScheme()
     key = b"carrier-robustness"
     if isinstance(config, SimConfig):
         rep = repetition if repetition is not None else repetition_for_recovery(config.p, scheme.tag_bits)
-        cb = codebook if codebook is not None else build_codebook(config)
         step = 1
         noise = lambda carriers, draws: carriers ^ (draws.random(carriers.shape[1]) < config.p)
     elif isinstance(config, GaussSimConfig):
         step, sigma_n = 6.0 * math.sqrt(config.sigma_n2), math.sqrt(config.sigma_n2)
         rep = repetition if repetition is not None else 3
-        cb = codebook if codebook is not None else build_gauss_codebook(config)
         noise = lambda carriers, draws: carriers + draws.normal(carriers.shape[1], sigma_n)
     else:
         raise TypeError(f"unsupported config type {type(config).__name__}")
-    tags = TagCarrier(scheme, cb.count, rep, step)
+    count = codebook_sizes(config)[0]
+    tags = TagCarrier(scheme, count, rep, step)
     recovered = 0
     for start in range(0, config.trials, CHUNK):
         draws = streams(config.seed_public, CARRIER_KEY,
@@ -273,7 +272,7 @@ def carrier_channel_robustness(
         # its carrier noise; a tag is recovered when the tag read off the
         # noisy carrier is the one read off the clean carrier, which is the
         # signed tag exactly
-        index = draws.integers(cb.count) if cb.count > 1 else np.zeros(len(draws), dtype=np.int64)
+        index = draws.integers(count) if count > 1 else np.zeros(len(draws), dtype=np.int64)
         carriers = tags.sign(index, key)
         noisy = noise(carriers, draws)
         recovered += int((tags.extract(noisy) == tags.extract(carriers)).all(axis=1).sum())

@@ -12,8 +12,10 @@ decoder side (``SimConfig.encode_radius`` and ``decode_radius``), which the
 trial driver and the scalar ``BinCodebook.encode``/``decode`` take.
 
 Codewords are stored packed, 64 bits per word, so distances are XOR +
-popcount over the whole codebook at once, a tile of target rows at a time
-(one contiguous uint32 word per codeword when n <= 32).
+popcount over the searched rows at once, a tile of target rows at a time
+(one contiguous uint32 word per codeword when n <= 32).  The encoder
+searches a cached copy of the admissible rows' words, the decoder the whole
+codebook; per-trial markings (fresh markings) mask the whole codebook.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .core import binary_entropy
 from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, Streams, TrialStats,
-                         mark_admissible, per_trial, run_trials, stream, streams, substitute)
+                         draw_codebook, mark_admissible, run_trials, streams, substitute)
 
 LOG2_CODEBOOK_CAP = 24.0
 SCAN_BYTES = 1 << 19    # XOR words one tile of the nearest-codeword scan holds
@@ -160,25 +162,27 @@ class BinCodebook(Codebook):
         """The scan words of ``admissible_indices``, which are sorted."""
         return self._scan_words[self.admissible_indices]
 
-    def nearest(self, targets: np.ndarray, among=None,
+    def nearest(self, targets: np.ndarray, admissible=False,
                 radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Index and Hamming distance of the nearest codeword to each packed
-        target row, lowest index on ties, searching only the index array
-        ``among`` or the rows of a ``(targets, count)`` bool mask when given.
-        Every distance is exact, so ``radius`` is not needed.
+        target row, lowest index on ties, over every codeword (``False``),
+        the admissible rows (``True``) or the rows that row i of a
+        ``(len(targets), count)`` bool array marks for target i.  Every
+        distance is exact, so ``radius`` is not needed.
 
         A tile of target rows, as many as SCAN_BYTES of XOR words hold, is
-        XORed and popcounted against the codebook one word column at a time
-        in preallocated buffers; rows outside a mask count all ones.
+        XORed and popcounted against the searched rows one word column at a
+        time in preallocated buffers; rows outside a marking count all ones.
         """
-        marked = among if among is not None and among.ndim == 2 else None
-        if among is None or marked is not None:
-            rows, words = None, self._scan_words
-        elif among is self.admissible_indices:
-            rows, words = among, self._admissible_words
+        if isinstance(admissible, bool):
+            marked = None
+        elif (isinstance(admissible, np.ndarray) and admissible.dtype == bool
+              and admissible.shape == (len(targets), self.count)):
+            marked, admissible = admissible, False
         else:
-            rows = np.sort(among)
-            words = self._scan_words[rows]
+            raise ValueError("admissible must be True, False or a (targets, codewords) bool "
+                             "array of per-trial markings")
+        words = self._admissible_words if admissible else self._scan_words
         targets = targets.astype(words.dtype, copy=False)
         acc = np.min_scalar_type(64 * words.shape[1])
         height = max(1, min(len(targets), SCAN_BYTES // words[:, 0].nbytes))
@@ -197,7 +201,7 @@ class BinCodebook(Codebook):
                 d |= np.subtract(marked[tile], acc.type(1), out=p)   # 0 where marked
             idx[tile] = d.argmin(axis=1)
         dist = np.bitwise_count(words[idx] ^ targets).sum(axis=1, dtype=np.int64)
-        return (idx if rows is None else rows[idx]), dist
+        return (self.admissible_indices[idx] if admissible else idx), dist
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample Hamming distortion between codewords and packed rows."""
@@ -205,26 +209,10 @@ class BinCodebook(Codebook):
 
 
 def build_codebook(config: SimConfig) -> BinCodebook:
-    """Draw the public codebook and mark the secret admissible subset.
-
-    |C| = round(2^(n R)) i.i.d. uniform codewords from seed_public;
-    |A| = round(2^(n (R - gamma))) indices chosen as the head of a keyed
-    pseudorandom permutation derived from seed_secret, which is a uniformly
-    random subset of the index set.
-    """
-    count = round(2.0 ** config.log2_codebook_size)
-    n_adm = round(2.0 ** (config.n * (config.rate - config.gamma)))
-    n_adm = min(max(n_adm, 1), count)
-    words = _random_words(stream(config.seed_public, CODEBOOK_KEY), count, config.n)
-    admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
-    return BinCodebook(config.n, words, admissible)
-
-
-def apply_bsc(x, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p using the given stream."""
-    x = np.asarray(x, dtype=np.uint8)
-    flips = (rng.random(x.size) < p).astype(np.uint8)
-    return x ^ flips
+    """The public codebook of i.i.d. uniform codewords with its secret
+    admissible subset (``sim_common.draw_codebook``)."""
+    return BinCodebook(config.n, *draw_codebook(
+        config, lambda rng, count: _random_words(rng, count, config.n)))
 
 
 def run_binary_trials(config: SimConfig, cb: BinCodebook, channel, source=None,
@@ -283,8 +271,8 @@ def run_attack_trials(
         channel = lambda x, draws: uniform_words(draws, n)
     marking = None
     if fresh_marking:
-        draw = per_trial(lambda rng: mark_admissible(rng, cb.count, cb.n_admissible))
-        marking = lambda ts: draw(streams(config.seed_secret, CODEBOOK_KEY, ts))
+        marking = lambda ts: np.stack(streams(config.seed_secret, CODEBOOK_KEY, ts).each(
+            lambda rng: mark_admissible(rng, cb.count, cb.n_admissible)))
     stats = run_binary_trials(config, cb, channel, attacked=True, marking=marking)
     # binary attack runs report the encoding distortion only
     return replace(stats, empirical_dr=0.0, dr_de_max_gap=0.0)

@@ -33,14 +33,14 @@ at its own draw position), the pk forged tags that follow it, and every
 Gaussian normal: NumPy's ziggurat takes one output per normal on its fast
 path, and the few rows whose draw leaves it finish on a ``Generator``
 placed at the row's state (:meth:`Streams.each`).  Fresh markings
-(``permutation``) alone are drawn one trial at a time that way
-(:func:`per_trial`).
+(``permutation``) alone are drawn one trial at a time that way.
 
 Per target, the rest of a trial's cost is the codebook's ``nearest``
-search, one block search for the encoder and the decoder alike: the binary
-scan popcounts a tile of targets against the whole packed codebook (masked
-by per-trial markings), the Gaussian one is a k=2 k-d tree query bounded by
-the radius, rescanning targets whose second row lies within a relative 1e-9.
+search, one block search for the encoder (the admissible rows) and the
+decoder (every codeword) alike: the binary scan popcounts a tile of targets
+against the packed rows it searches (masked by per-trial markings), the
+Gaussian one is a k=2 k-d tree query bounded by the radius, rescanning
+targets whose second row lies within a relative 1e-9.
 """
 
 from __future__ import annotations
@@ -305,16 +305,6 @@ def _xsl_rr(hi, lo):
     return x >> rot | x << ((64 - rot) & 63)
 
 
-def per_trial(draw):
-    """A block draw made one trial at a time, each on its row's Generator
-    (:meth:`Streams.each`): ``draw(rng)`` for a source, ``draw(row, rng)``
-    for a channel."""
-    def block_draw(*rows_and_streams):
-        *rows, block = rows_and_streams
-        return np.stack(block.each(draw, *rows))
-    return block_draw
-
-
 @dataclass(frozen=True)
 class DecodeOutcome:
     """Either an authentic reconstruction or the not-authentic verdict.
@@ -392,12 +382,16 @@ class Codebook:
 
     Subclasses hold ``n``, ``rows`` (one codeword per row, compared by
     value) and ``admissible`` (a bool mask over them), and define
-    ``nearest(targets, among=None, radius=inf)``: the index of the nearest
-    codeword to each target row, lowest index on ties, searching only the
-    index array ``among`` (in any order) or the rows of a ``(targets, count)``
-    bool mask when given, and its distance in the unit of the radii passed to
-    ``run_trials``, exact within ``radius`` and above it for a target with no
-    codeword within it; ``distortion(indices, targets)``: the per-sample
+    ``nearest(targets, admissible=False, radius=inf)``: the index of the
+    nearest codeword to each target row, lowest index on ties, and its
+    distance in the unit of the radii passed to ``run_trials``, exact within
+    ``radius`` and above it for a target with no codeword within it.  It
+    searches every codeword (``admissible=False``, the decoder's search) or
+    the admissible rows (``True``, the encoder's); the binary codebook also
+    takes per-trial markings, a ``(len(targets), count)`` bool array whose
+    row i marks the rows target i may take.  Any other ``admissible`` is
+    refused with a ValueError before any search.  Subclasses also define
+    ``distortion(indices, targets)``: the per-sample
     distortion between codewords and target rows; ``observe(samples,
     length)``: the samples of one block of ``length`` as an array, refused
     with a ValueError when the length or a sample is outside the content's
@@ -432,8 +426,8 @@ class Codebook:
         Returns ``(content, codeword_index)``, or None when no admissible
         codeword lies within the radius (an encoding failure).
         """
-        (k,), (d,) = self.nearest(self.target(self.observe(source, self.n))[None],
-                                  self.admissible_indices, radius)
+        (k,), (d,) = self.nearest(self.target(self.observe(source, self.n))[None], True,
+                                  radius)
         return None if d > radius else (self.content(k), int(k))
 
     def decode(self, y, radius: float, check_admissibility: bool = True) -> DecodeOutcome:
@@ -454,6 +448,24 @@ class Codebook:
         if d > radius or (check_admissibility and not self.admissible[k]):
             return DecodeOutcome.not_authentic()
         return DecodeOutcome(self.content(k), int(k))
+
+
+def codebook_sizes(config) -> tuple[int, int]:
+    """|C| = round(2^(n R)) codewords and |A| = round(2^(n (R - gamma)))
+    admissible ones, at least one and at most |C|, for a config's blocklength
+    ``n``, ``rate`` R and ``gamma``."""
+    count = round(2.0 ** (config.n * config.rate))
+    return count, min(max(round(2.0 ** (config.n * (config.rate - config.gamma))), 1), count)
+
+
+def draw_codebook(config, draw) -> tuple[np.ndarray, np.ndarray]:
+    """A config's public codewords and secret admissible mask: the
+    :func:`codebook_sizes` rows drawn by ``draw(rng, count)`` on
+    ``stream(seed_public, CODEBOOK_KEY)``, then the admissible ones marked
+    on ``stream(seed_secret, CODEBOOK_KEY)``."""
+    count, n_admissible = codebook_sizes(config)
+    rows = draw(stream(config.seed_public, CODEBOOK_KEY), count)
+    return rows, mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_admissible)
 
 
 def mark_admissible(rng: np.random.Generator, count: int, n_admissible: int) -> np.ndarray:
@@ -497,8 +509,8 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     Sources and channels draw a block of trials at once: ``source(draws)``
     returns one source row per trial of the block and ``channel(x, draws)``
     one channel output per codeword row of ``x``, where ``draws`` are the
-    :class:`Streams` of those trials (wrap a per-trial draw with
-    :func:`per_trial`).  Trial t's source and reference channel draw from
+    :class:`Streams` of those trials (a per-trial draw goes through
+    :meth:`Streams.each`).  Trial t's source and reference channel draw from
     ``(seed, (1, t))``, in that order; when ``attacked`` the channel is an
     attacker drawing from ``(seed, (2, t))`` and every encoded trial is an
     attack, won by a wrong reconstruction.  The encoder takes the nearest
@@ -524,8 +536,7 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
         draws = streams(seed, TRIAL_KEY, ts)
         sources = source(draws)
         masks = None if marking is None else marking(ts)
-        idx, dist = cb.nearest(sources, cb.admissible_indices if masks is None else masks,
-                               encode_radius)
+        idx, dist = cb.nearest(sources, True if masks is None else masks, encode_radius)
         ok = np.flatnonzero(dist <= encode_radius)
         enc_fail += len(ts) - ok.size
         if not ok.size:

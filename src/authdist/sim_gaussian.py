@@ -12,14 +12,14 @@ bounds every attacker's success probability.
 Both nearest-codeword searches are one exact k-d tree query for the two
 nearest rows within the search radius (over a tree of the codebook for the
 decoder, of the admissible rows for the encoder, each built once per
-codebook); a second row within a relative 1e-9 of the first triggers a
-direct rescan, which keeps the ``Codebook`` protocol's lowest-index tie
-rule.  The trees are scipy.spatial's ``cKDTree``, imported when the first
-tree is built, so importing this module loads no scipy.  Each tree is built
-for the search it serves (see ``GaussCodebook._tree`` and
-``_admissible_tree``); the searches are exact and the rescan reads the
-tree's rows in their original order, so no build option moves an index or
-a distance.
+codebook; no other subset is searched, so per-trial markings are refused);
+a second row within a relative 1e-9 of the first triggers a direct rescan,
+which keeps the ``Codebook`` protocol's lowest-index tie rule.  The trees
+are scipy.spatial's ``cKDTree``, imported when the first tree is built, so
+importing this module loads no scipy.  Each tree is built for the search
+it serves (see ``GaussCodebook._tree`` and ``_admissible_tree``); the
+searches are exact and the rescan reads the tree's rows in their original
+order, so no build option moves an index or a distance.
 
 The trials' normals (source, reference channel, heavy noise, random
 vector) are block draws (``sim_common.Streams.normal``).
@@ -38,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sim_common import (ATTACKERS, CODEBOOK_KEY, MAX_TRIALS, Codebook, TrialStats,
-                         mark_admissible, run_trials, stream, substitute)
+from .sim_common import (ATTACKERS, MAX_TRIALS, Codebook, TrialStats, draw_codebook, run_trials,
+                         substitute)
 
 LOG2_GAUSS_CAP = 22.0
 CHUNK = 256    # unused by the search; perfbench/tracer.py still reads it
@@ -121,10 +121,6 @@ class GaussCodebook(Codebook):
         return self.codewords[index].copy()
 
     @cached_property
-    def _all_indices(self) -> np.ndarray:
-        return np.arange(self.count)
-
-    @cached_property
     def _tree(self):
         # for the decoder's short query bounded by its radius: sliding-
         # midpoint splits without shrunk cells build in half the time of
@@ -138,32 +134,32 @@ class GaussCodebook(Codebook):
         # leaves of 64 rows speed the encoder's unbounded query by a third
         return _kd_tree(self.codewords[self.admissible_indices], leafsize=64)
 
-    def nearest(self, targets: np.ndarray, among: np.ndarray | None = None,
+    def nearest(self, targets: np.ndarray, admissible: bool = False,
                 radius: float = math.inf):
         """Index and per-sample squared distance of the nearest codeword to
-        each target row, searching only the indices ``among`` when given.
+        each target row, over every codeword (``False``) or the admissible
+        rows (``True``); per-trial markings are refused.
 
-        One exact k-d tree query over the whole codebook or over
-        ``admissible_indices`` (any other ``among`` gets a tree of its own)
-        finds the two nearest rows within a bound just above the radius.
-        Where the second comes within a relative TIE_TOL of the first, the
-        target is rescanned with direct distances and the lowest index among
-        the minima wins.  A target with no row within the bound reports an
-        infinite distance.
+        One exact k-d tree query over the whole codebook or the admissible
+        rows finds the two nearest rows within a bound just above the
+        radius.  Where the second comes within a relative TIE_TOL of the
+        first, the target is rescanned with direct distances and the first
+        (lowest-index) minimum wins.  A target with no row within the bound
+        reports an infinite distance.
         """
-        if among is None:
-            among, tree = self._all_indices, self._tree
-        else:
-            tree = (self._admissible_tree if among is self.admissible_indices
-                    else _kd_tree(self.codewords[among]))
+        if not isinstance(admissible, bool):
+            raise ValueError("a Gaussian codebook searches every codeword (admissible=False) "
+                             "or the admissible ones (True)")
+        tree = self._admissible_tree if admissible else self._tree
         # the tree keeps d^2 < bound^2 only: the absolute term finds exact hits at radius 0
         bound = math.sqrt(self.n * max(radius, 0.0)) * (1 + TIE_TOL) + TIE_TOL
         dist, pos = tree.query(targets, k=2, distance_upper_bound=bound)
         far = np.isinf(dist[:, 0])
-        idx = among[np.where(far, 0, pos[:, 0])]
+        idx = np.where(far, 0, pos[:, 0])
         for i in np.flatnonzero(~far & (dist[:, 1] <= dist[:, 0] * (1 + TIE_TOL))):
-            d2 = ((tree.data - targets[i]) ** 2).sum(axis=1)
-            idx[i] = among[d2 == d2.min()].min()
+            idx[i] = ((tree.data - targets[i]) ** 2).sum(axis=1).argmin()
+        if admissible:
+            idx = self.admissible_indices[idx]
         return idx, np.where(far, math.inf, self.distortion(idx, targets))
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -172,15 +168,10 @@ class GaussCodebook(Codebook):
 
 
 def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
-    """|C| = round(2^(n rate)) i.i.d. N(0, sigma_s2) codewords; admissible
-    subset of size round(2^(n (rate - gamma))) from the secret stream."""
-    count = round(2.0 ** (config.n * config.rate))
-    n_adm = round(2.0 ** (config.n * (config.rate - config.gamma)))
-    n_adm = min(max(n_adm, 1), count)
-    rng = stream(config.seed_public, CODEBOOK_KEY)
-    codewords = rng.normal(0.0, math.sqrt(config.sigma_s2), size=(count, config.n))
-    admissible = mark_admissible(stream(config.seed_secret, CODEBOOK_KEY), count, n_adm)
-    return GaussCodebook(codewords, admissible)
+    """The public codebook of i.i.d. N(0, sigma_s2) codewords with its
+    secret admissible subset (``sim_common.draw_codebook``)."""
+    return GaussCodebook(*draw_codebook(config, lambda rng, count: rng.normal(
+        0.0, math.sqrt(config.sigma_s2), size=(count, config.n))))
 
 
 def run_gauss_trials(
@@ -196,11 +187,11 @@ def run_gauss_trials(
     Otherwise the attacker replaces the channel output; success iff the
     decoder outputs a reconstruction different from the encoder's.
     ``attack_param`` is heavy_noise's per-sample noise variance, positive
-    (None: 4 sigma_n2).
+    and finite (None: 4 sigma_n2).
     """
     if attacker not in (None, *ATTACKERS):
         raise ValueError(f"attacker must be one of {ATTACKERS}")
-    if attacker == "heavy_noise" and not (attack_param is None or attack_param > 0):
+    if attacker == "heavy_noise" and not (attack_param is None or 0 < attack_param < math.inf):
         raise ValueError("heavy_noise needs a positive per-sample noise variance attack_p")
     cb = codebook if codebook is not None else build_gauss_codebook(config)
     n = config.n

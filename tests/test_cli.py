@@ -206,7 +206,7 @@ def test_manifest_replay_rejects_foreign_manifests_and_unknown_params(tmp_path, 
     assert main(["sim", "--from-manifest", str(path), "--out", str(tmp_path / "y.json")]) == 2
 
 
-@pytest.mark.parametrize("attack_p", ["0", "-1", "nan"])
+@pytest.mark.parametrize("attack_p", ["0", "-1", "nan", "inf"])
 def test_gaussian_heavy_noise_rejects_a_non_positive_variance(attack_p, tmp_path, capsys):
     assert main(["sim", "gaussian", "--n", "4", "--rate", "1", "--trials", "5",
                  "--seed", "1", "--seed-secret", "2", "--attacker", "heavy_noise",

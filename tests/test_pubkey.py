@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from authdist import sim_gaussian
+from authdist import sim_binary, sim_common, sim_gaussian
 from authdist.pubkey import (
     TagCarrier,
     TestDoubleScheme,
@@ -14,7 +14,7 @@ from authdist.pubkey import (
     pk_encode,
     repetition_for_recovery,
 )
-from authdist.sim_binary import SimConfig, apply_bsc, build_codebook
+from authdist.sim_binary import SimConfig, build_codebook
 from authdist.sim_common import TrialStats, stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook
 
@@ -190,16 +190,16 @@ def test_repetition_for_recovery_meets_target():
     assert repetition_for_recovery(0.0, 64) == 1
 
 
-def test_carrier_robustness_clean_channel(bin_cb, scheme):
+def test_carrier_robustness_clean_channel(scheme):
     cfg = bin_config(p=0.0, trials=200)
-    stats = carrier_channel_robustness(cfg, scheme, repetition=1, codebook=bin_cb)
+    stats = carrier_channel_robustness(cfg, scheme, repetition=1)
     assert stats.tag_recoveries == cfg.trials
 
 
-def test_carrier_robustness_needs_redundancy(bin_cb, scheme):
+def test_carrier_robustness_needs_redundancy(scheme):
     cfg = bin_config(p=0.08, trials=2000)
-    rep9 = carrier_channel_robustness(cfg, scheme, repetition=9, codebook=bin_cb)
-    rep1 = carrier_channel_robustness(cfg, scheme, repetition=1, codebook=bin_cb)
+    rep9 = carrier_channel_robustness(cfg, scheme, repetition=9)
+    rep1 = carrier_channel_robustness(cfg, scheme, repetition=1)
     # predictions: (1 - 3.14e-4)^64 = 0.9801 vs 0.92^64 = 0.0048
     assert rep9.tag_recoveries / cfg.trials >= 0.96
     assert rep1.tag_recoveries / cfg.trials <= 0.05
@@ -248,7 +248,8 @@ def test_carrier_codec_matches_the_binary_oracle(tag_bits, repetition):
         carrier = tags.embed(tag)
         assert carrier.dtype == np.uint8
         assert np.array_equal(carrier, _embed_binary(tag, repetition))
-        noisy = apply_bsc(carrier, rng.uniform(0.0, 0.5), rng)
+        p = rng.uniform(0.0, 0.5)
+        noisy = carrier ^ (rng.random(carrier.size) < p).astype(np.uint8)
         assert np.array_equal(tags.extract(noisy), _extract_binary(noisy, tag_bits, repetition))
 
 
@@ -365,6 +366,19 @@ def test_carrier_robustness_pinned_stats():
     gstats = carrier_channel_robustness(gcfg, TestDoubleScheme(64), repetition=1)
     assert gstats == TrialStats(trials_run=600, decode_failures=80, matched=520,
                                 tag_recoveries=520)
+
+
+def test_carrier_robustness_builds_no_codebook(monkeypatch):
+    # the pinned stats again, with every codebook build and codebook stream refused
+    for module, name in ((sim_binary, "build_codebook"), (sim_gaussian, "build_gauss_codebook"),
+                         (sim_common, "draw_codebook"), (sim_common, "stream")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: pytest.fail(name))
+    stats = carrier_channel_robustness(bin_config(p=0.05, trials=600), TestDoubleScheme(64),
+                                       repetition=3)
+    assert stats.tag_recoveries == 384
+    gcfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=600,
+                          seed_public=5, seed_secret=6)
+    assert carrier_channel_robustness(gcfg, TestDoubleScheme(64), repetition=1).matched == 520
 
 
 @pytest.mark.oracle

@@ -1,4 +1,3 @@
-import math
 from itertools import repeat
 
 import numpy as np
@@ -10,7 +9,6 @@ from authdist.core import binary_entropy
 from authdist.sim_binary import (
     BinCodebook,
     SimConfig,
-    apply_bsc,
     build_codebook,
     pack_bits,
     run_attack_trials,
@@ -165,22 +163,6 @@ def test_encode_skips_forbidden_and_breaks_ties_low():
     assert idx == 0
 
 
-def test_apply_bsc_statistics():
-    rng = stream(5, 0)
-    x = np.zeros(100000, dtype=np.uint8)
-    assert (apply_bsc(x, 0.0, rng) == x).all()
-    y = apply_bsc(x, 0.5, stream(5, 1))
-    ones = int(y.sum())
-    assert abs(ones - 50000) <= 3 * math.sqrt(100000 * 0.25)
-    flips = 0
-    trials = 10000
-    for t in range(trials):
-        flips += int(apply_bsc(np.zeros(32, dtype=np.uint8), 0.08, stream(6, t)).sum())
-    mean = flips / trials
-    sigma = math.sqrt(32 * 0.08 * 0.92 / trials)
-    assert abs(mean - 2.56) <= 3 * sigma
-
-
 def test_decode_noiseless_recovers_codeword():
     # the decoded reconstruction must equal the encoder's codeword whenever
     # decoding succeeds; rare rejections happen when a forbidden duplicate
@@ -317,8 +299,19 @@ def _brute_nearest(cb, targets, among=None):
     return np.array(idx), np.array(dist)
 
 
-def _assert_matches_brute(cb, targets, among=None):
-    idx, dist = cb.nearest(targets, among)
+def _marked(cb, among):
+    """``cb`` with the index array ``among`` as its admissible rows."""
+    admissible = np.zeros(cb.count, dtype=bool)
+    admissible[among] = True
+    return BinCodebook(cb.n, cb.words, admissible)
+
+
+def _assert_matches_brute(cb, targets, admissible=False):
+    """``cb.nearest(targets, admissible)`` against the brute force over
+    every row, the admissible rows or the per-trial markings."""
+    idx, dist = cb.nearest(targets, admissible)
+    among = (None if admissible is False else cb.admissible_indices if admissible is True
+             else admissible)
     want_idx, want_dist = _brute_nearest(cb, targets, among)
     assert idx.tolist() == want_idx.tolist()
     assert dist.tolist() == want_dist.tolist()
@@ -340,8 +333,7 @@ def test_nearest_matches_brute_force_over_unpacked_bits(n, scan_bytes, monkeypat
         [bits[400:420], noisy, rng.integers(0, 2, size=(40, n))])])
     markings = rng.random((len(targets), 600)) < 0.2
     _assert_matches_brute(cb, targets)
-    _assert_matches_brute(cb, targets, cb.admissible_indices)
-    _assert_matches_brute(cb, targets, cb.admissible_indices[::-1].copy())
+    _assert_matches_brute(cb, targets, True)
     _assert_matches_brute(cb, targets, markings)
     assert cb.nearest(targets[:20])[0].tolist() == list(range(10, 30))
 
@@ -356,15 +348,17 @@ def test_nearest_lowest_index_wins_among_duplicate_rows():
     targets = np.stack([pack_bits(np.array(t, dtype=np.uint8))
                         for t in (zeros, two, [1] + [0] * (n - 1), ones)])
     assert cb.nearest(targets)[0].tolist() == [2, 1, 1, 0]
-    assert cb.nearest(targets, np.array([3, 4, 5]))[0].tolist() == [4, 3, 3, 5]
-    assert cb.nearest(targets, np.array([5, 4, 3]))[0].tolist() == [4, 3, 3, 5]
-    assert cb.nearest(targets, np.array([3, 1]))[0].tolist() == [1, 1, 1, 1]
+    # a subset is searched as the admissible rows of the same words
+    assert _marked(cb, [3, 4, 5]).nearest(targets, True)[0].tolist() == [4, 3, 3, 5]
+    assert _marked(cb, [1, 3]).nearest(targets, True)[0].tolist() == [1, 1, 1, 1]
     masks = np.zeros((4, 6), dtype=bool)
     for row, marked in enumerate([[0, 3], [4, 5], [1, 2, 3], [1, 3]]):
         masks[row, marked] = True
     assert cb.nearest(targets, masks)[0].tolist() == [3, 4, 1, 1]
     _assert_matches_brute(cb, targets)
     _assert_matches_brute(cb, targets, masks)
+    for among in ([3, 4, 5], [1, 3], [0, 2, 4]):
+        _assert_matches_brute(_marked(cb, among), targets, True)
 
 
 @pytest.mark.oracle
@@ -381,3 +375,18 @@ def test_nearest_distances_do_not_wrap_past_255_bits():
     zero = pack_bits(np.zeros(n, dtype=np.uint8))[None, :]
     idx, dist = cb.nearest(zero, np.array([[True, False]]))
     assert (idx.tolist(), dist.tolist()) == ([0], [260])
+
+
+@pytest.mark.parametrize("admissible", [np.array([0, 2]), np.array([True, False, True]),
+                                        np.ones((3, 3), dtype=bool), np.ones((2, 4), dtype=bool),
+                                        np.ones((2, 3), dtype=np.uint8), None, 1])
+def test_nearest_refuses_anything_but_the_two_searches_and_per_trial_markings(admissible):
+    # an index array, a 1-D or mis-shaped marking, a non-bool array or
+    # another object: refused before the scan words are built
+    n = 16
+    cb = handmade_codebook([[0] * n, [1] * n, [1] * 8 + [0] * 8], [True, False, True], n)
+    targets = pack_bits(np.zeros((2, n), dtype=np.uint8))
+    with pytest.raises(ValueError, match="admissible must be"):
+        cb.nearest(targets, admissible)
+    assert "_scan_words" not in vars(cb)
+    assert cb.nearest(targets, np.ones((2, 3), dtype=bool))[0].tolist() == [0, 0]

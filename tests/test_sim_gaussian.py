@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from authdist import sim_gaussian
 from authdist.sim_common import binomial_sigma, stream
 from authdist.sim_gaussian import (
     GaussCodebook,
@@ -153,9 +154,22 @@ def _brute_nearest(cb, targets, among=None):
     return idx, ((cb.codewords[idx] - targets) ** 2).mean(axis=1)
 
 
-def _assert_matches_brute(cb, targets, among=None):
-    idx, dist = cb.nearest(targets, among)
-    want_idx, want_dist = _brute_nearest(cb, targets, among)
+def _marked(cb, among):
+    """``cb`` with the index array ``among`` as its admissible rows."""
+    admissible = np.zeros(cb.count, dtype=bool)
+    admissible[among] = True
+    return GaussCodebook(cb.codewords, admissible)
+
+
+def _among(cb, admissible):
+    return cb.admissible_indices if admissible else None
+
+
+def _assert_matches_brute(cb, targets, admissible=False):
+    """``cb.nearest(targets, admissible)`` against the brute force over
+    every row or the admissible rows."""
+    idx, dist = cb.nearest(targets, admissible)
+    want_idx, want_dist = _brute_nearest(cb, targets, _among(cb, admissible))
     assert (idx == want_idx).all()
     assert (dist == want_dist).all()
 
@@ -168,10 +182,8 @@ def test_nearest_matches_brute_force_on_random_targets(codebook):
     subset = np.sort(rng.choice(codebook.count, 500, replace=False))
     for targets in (sources, outputs):
         _assert_matches_brute(codebook, targets)
-        _assert_matches_brute(codebook, targets, codebook.admissible_indices)
-        _assert_matches_brute(codebook, targets, codebook.admissible_indices.copy())
-        _assert_matches_brute(codebook, targets, subset)
-        _assert_matches_brute(codebook, targets, subset[::-1].copy())
+        _assert_matches_brute(codebook, targets, True)
+        _assert_matches_brute(_marked(codebook, subset), targets, True)
 
 
 @pytest.mark.oracle
@@ -180,7 +192,7 @@ def test_nearest_finds_exact_codeword_hits(codebook):
     idx, dist = codebook.nearest(codebook.codewords[picks])
     assert (idx == picks).all() and (dist == 0.0).all()
     adm = codebook.admissible_indices[::97]
-    idx, dist = codebook.nearest(codebook.codewords[adm], codebook.admissible_indices)
+    idx, dist = codebook.nearest(codebook.codewords[adm], True)
     assert (idx == adm).all() and (dist == 0.0).all()
 
 
@@ -190,12 +202,13 @@ def test_nearest_lowest_index_wins_among_duplicate_rows():
                          [1, 2, 3, 4], [0, 0, 0, 0], [1, 2, 3, 4]])
     targets = np.array([[1, 2, 3, 4], [1.1, 2, 3, 4], [0, 0, 0, 0.2], [9, 9, 9, 9]])
     assert cb.nearest(targets)[0].tolist() == [1, 1, 2, 0]
-    assert cb.nearest(targets, np.array([3, 4, 5]))[0].tolist() == [3, 3, 4, 3]
-    assert cb.nearest(targets, np.array([5, 4, 3]))[0].tolist() == [3, 3, 4, 3]
+    # a subset is searched as the admissible rows of the same codewords
+    assert _marked(cb, [3, 4, 5]).nearest(targets, True)[0].tolist() == [3, 3, 4, 3]
     # a target equidistant from two distinct rows takes the lower index
     assert cb.nearest(np.array([[0.5, 1, 1.5, 2]]))[0].tolist() == [1]
-    for among in (None, np.array([0, 2, 4]), np.array([1, 3, 5])):
-        _assert_matches_brute(cb, targets, among)
+    _assert_matches_brute(cb, targets)
+    for among in ([0, 2, 4], [1, 3, 5]):
+        _assert_matches_brute(_marked(cb, among), targets, True)
 
 
 @pytest.mark.oracle
@@ -207,8 +220,8 @@ def test_nearest_on_one_and_two_row_codebooks(rows):
     rng = np.random.default_rng(9)
     targets = np.vstack([cb.codewords, rng.normal(0.0, 2.0, size=(50, 4))])
     _assert_matches_brute(cb, targets)
-    _assert_matches_brute(cb, targets, np.array([len(rows) - 1]))
-    _assert_matches_brute(cb, targets, cb.admissible_indices)
+    _assert_matches_brute(_marked(cb, [len(rows) - 1]), targets, True)
+    _assert_matches_brute(cb, targets, True)
 
 
 @pytest.mark.oracle
@@ -222,15 +235,15 @@ def test_nearest_keeps_the_tie_rule_on_integer_lattices(count, n, seed):
     among = np.flatnonzero(rng.random(count) < 0.5)
     _assert_matches_brute(cb, targets)
     if among.size:
-        _assert_matches_brute(cb, targets, among)
+        _assert_matches_brute(_marked(cb, among), targets, True)
 
 
 # -- the search within a radius ------------------------------------------------
 
-def _assert_matches_brute_within(cb, targets, radius, among, want):
+def _assert_matches_brute_within(cb, targets, radius, admissible, want):
     # within the radius: the brute-force index and distortion ``want``;
     # beyond it, any distance above the radius
-    idx, dist = cb.nearest(targets, among, radius)
+    idx, dist = cb.nearest(targets, admissible, radius)
     want_idx, want_dist = want
     inside = want_dist <= radius
     assert (idx[inside] == want_idx[inside]).all()
@@ -245,12 +258,13 @@ def test_nearest_within_a_radius_matches_brute_force(codebook):
     sources = rng.normal(0.0, 10.0, size=(100, 8))
     outputs = codebook.codewords[rng.integers(0, codebook.count, 100)] + rng.normal(size=(100, 8))
     subset = np.sort(rng.choice(codebook.count, 500, replace=False))
+    searches = [(codebook, False), (codebook, True), (_marked(codebook, subset), True)]
     for targets in (sources, outputs, codebook.codewords[:40]):
-        for among in (None, codebook.admissible_indices, subset[::-1].copy()):
-            want = _brute_nearest(codebook, targets, among)
+        for cb, admissible in searches:
+            want = _brute_nearest(cb, targets, _among(cb, admissible))
             for radius in (0.0, *np.quantile(want[1], [0.1, 0.5, 0.9]), want[1][3], -1.0,
                            math.inf):
-                _assert_matches_brute_within(codebook, targets, radius, among, want)
+                _assert_matches_brute_within(cb, targets, radius, admissible, want)
 
 
 @pytest.mark.oracle
@@ -262,14 +276,16 @@ def test_nearest_within_a_radius_keeps_the_tie_rule(gap):
     cb = _hand_codebook([[1 + gap, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1 + gap, 0], [9, 9, 9, 9]])
     target = np.zeros((1, 4))
     near, far = 0.25, (1 + gap) ** 2 / 4
+    searches = [(cb, False),
+                *((_marked(cb, among), True) for among in ([0, 1, 2], [0, 2], [2, 3]))]
     for radius in (near * (1 - 1e-9), near, (near + far) / 2, far, far * (1 + 1e-9), math.inf):
-        for among in (None, np.array([2, 1, 0]), np.array([0, 2]), np.array([3, 2])):
-            want = _brute_nearest(cb, target, among)
-            _assert_matches_brute_within(cb, target, radius, among, want)
+        for search, admissible in searches:
+            want = _brute_nearest(search, target, _among(search, admissible))
+            _assert_matches_brute_within(search, target, radius, admissible, want)
     if gap == 0.0:
         # equidistant rows inside the radius: the lower index wins
         assert cb.nearest(target, radius=0.3)[0].tolist() == [0]
-        assert cb.nearest(target, np.array([2, 1]), 0.3)[0].tolist() == [1]
+        assert _marked(cb, [1, 2]).nearest(target, True, 0.3)[0].tolist() == [1]
 
 
 @pytest.mark.oracle
@@ -282,6 +298,20 @@ def test_nearest_radius_does_not_change_gauss_trials(codebook, attacker, param, 
     cfg = make_config(trials=300)
     bounded = run_gauss_trials(cfg, attacker, param, budget, codebook=codebook)
     unbounded = GaussCodebook.nearest
-    monkeypatch.setattr(GaussCodebook, "nearest", lambda self, targets, among=None,
-                        radius=math.inf: unbounded(self, targets, among))
+    monkeypatch.setattr(GaussCodebook, "nearest", lambda self, targets, admissible=False,
+                        radius=math.inf: unbounded(self, targets, admissible))
     assert run_gauss_trials(cfg, attacker, param, budget, codebook=codebook) == bounded
+
+
+@pytest.mark.parametrize("admissible", [np.array([0, 2]), np.array([True, False, True]),
+                                        np.ones((2, 3), dtype=bool), np.ones((3, 3), dtype=bool),
+                                        None, 1])
+def test_nearest_refuses_an_index_array_and_any_marking(admissible, monkeypatch):
+    # a Gaussian codebook searches every codeword or its admissible rows:
+    # anything else, per-trial markings of the right shape included, is
+    # refused before any tree is built
+    cb = GaussCodebook(np.array([[0.0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]]),
+                       np.array([True, False, True]))
+    monkeypatch.setattr(sim_gaussian, "_kd_tree", lambda *a, **kw: pytest.fail("searched"))
+    with pytest.raises(ValueError, match="searches every codeword"):
+        cb.nearest(np.zeros((2, 4)), admissible)

@@ -307,8 +307,10 @@ def test_block_substitutes_and_forged_tags_match_per_trial_generators(seed, rows
 def test_block_and_per_trial_draws_mix_on_one_block():
     ts = range(40)
     draws = sim_common.streams(5, sim_common.TRIAL_KEY, ts)
-    words = sim_common.per_trial(lambda rng: rng.integers(0, 2 ** 32, 2, dtype=np.uint64))
-    normals = sim_common.per_trial(lambda row, rng: row + rng.normal(size=2))
+    words = lambda block: np.stack(block.each(
+        lambda rng: rng.integers(0, 2 ** 32, 2, dtype=np.uint64)))
+    normals = lambda rows, block: np.stack(block.each(lambda row, rng: row + rng.normal(size=2),
+                                                      rows))
     odd = np.arange(1, len(ts), 2)
     # the half the first draw holds back passes to the Generators and back
     got = [draws.uint32(1), words(draws), draws.normal(8, 3.0), normals(np.ones((40, 2)), draws),
@@ -337,7 +339,7 @@ def _per_trial_run_trials(cb, trials, seed, source, channel, *, encode_radius, d
         ts = range(start, min(start + sim_common.CHUNK, trials))
         rngs = [sim_common.stream(seed, sim_common.TRIAL_KEY, t) for t in ts]
         sources = np.stack([source(rng) for rng in rngs])
-        idx, dist = cb.nearest(sources, cb.admissible_indices)
+        idx, dist = cb.nearest(sources, True)
         ok = np.flatnonzero(dist <= encode_radius)
         enc_fail += len(ts) - ok.size
         if not ok.size:
