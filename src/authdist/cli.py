@@ -6,9 +6,10 @@ every sim/optimize result embeds a manifest (command, parameters, seeds,
 version, checksum of the results block) from which the run can be
 reproduced byte-identically via ``sim --from-manifest``.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a
-``sim --from-manifest`` rerun whose results checksum differs from the
-recorded one (or whose recorded results do not match their checksum).
+Exit codes: 0 success, 2 configuration error (an array too large to allocate
+included), 3 I/O error, 4 a ``sim --from-manifest`` rerun whose results
+checksum differs from the recorded one (or whose recorded results do not
+match their checksum).
 Replaying a manifest written by another version prints one line on stderr
 and leaves the exit code as it is.
 """
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (IOError, OSError) as exc:

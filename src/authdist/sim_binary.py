@@ -11,11 +11,14 @@ thresholds n(tau + delta) on the encoder side and n(p + delta) on the
 decoder side (``SimConfig.encode_radius`` and ``decode_radius``), which the
 trial driver and the scalar ``BinCodebook.encode``/``decode`` take.
 
-Codewords are stored packed, 64 bits per word, so distances are XOR +
-popcount over the searched rows at once, a tile of target rows at a time
-(one contiguous uint32 word per codeword when n <= 32).  The encoder
+Codewords, sources and channel outputs share one packed layout, ceil(n/32)
+little-endian uint32 words per row, so distances are XOR + popcount over
+the searched rows at once, a tile of target rows at a time.  The encoder
 searches a cached copy of the admissible rows' words, the decoder the whole
 codebook; per-trial markings (fresh markings) mask the whole codebook.
+Uniform rows are drawn as the 32-bit halves of ceil(n/64) 64-bit words
+each, every row's low halves before any high half, and interleaved low
+half first.
 """
 
 from __future__ import annotations
@@ -84,43 +87,43 @@ class SimConfig:
 
 
 def _n_words(n: int) -> int:
-    return (n + 63) // 64
+    """32-bit words per packed n-bit row."""
+    return (n + 31) // 32
 
 
-def _join_words(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Packed n-bit rows from their low and high 32-bit halves."""
-    words = (hi << np.uint64(32)) | lo
-    rem = n % 64
-    if rem:
-        words[:, -1] &= np.uint64((1 << rem) - 1)
+def _interleave(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Packed n-bit rows from the low and high 32-bit halves of their
+    64-bit words, (rows, ceil(n/64)) each."""
+    words = np.stack([lo, hi], axis=-1, dtype=np.uint32).reshape(len(lo), -1)
+    words = words[:, :_n_words(n)].copy()
+    words[:, -1] &= np.uint32(0xFFFFFFFF >> -n % 32)     # the last word's bits below n
     return words
 
 
 def _random_words(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, W) packed matrix of i.i.d. uniform bits."""
-    w = _n_words(n)
-    lo = rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64)
-    return _join_words(lo, rng.integers(0, 1 << 32, size=(count, w), dtype=np.uint64), n)
+    """(count, W) packed matrix of i.i.d. uniform bits: every row's 64-bit
+    words' low halves, then every row's high halves, in one draw."""
+    return _interleave(*rng.integers(0, 1 << 32, (2, count, (_n_words(n) + 1) // 2),
+                                     dtype=np.uint32), n)
 
 
 def uniform_words(draws: Streams, n: int) -> np.ndarray:
-    """Every stream's ``_random_words(rng, 1, n)[0]``: W low halves, then
-    W high halves."""
-    lo = draws.uint32(_n_words(n))
-    return _join_words(lo, draws.uint32(_n_words(n)), n)
+    """Every stream's ``_random_words(rng, 1, n)[0]``: its 64-bit words'
+    low halves, then their high halves."""
+    return _interleave(*np.split(draws.uint32((_n_words(n) + 1) // 2 * 2), 2, axis=1), n)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """(..., n) bits -> (..., W) uint64 words, LSB-first within each word."""
+    """(..., n) bits -> (..., W) uint32 words, LSB-first within each word."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    buf = np.zeros((*packed.shape[:-1], 8 * _n_words(np.shape(bits)[-1])), dtype=np.uint8)
+    buf = np.zeros((*packed.shape[:-1], 4 * _n_words(np.shape(bits)[-1])), dtype=np.uint8)
     buf[..., :packed.shape[-1]] = packed
-    return buf.view("<u8").astype(np.uint64, copy=False)
+    return buf.view("<u4").astype(np.uint32, copy=False)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(W,) uint64 words -> (n,) uint8 bits."""
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
+    """(W,) uint32 words -> (n,) uint8 bits."""
+    return np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), count=n,
                          bitorder="little")
 
 
@@ -153,14 +156,9 @@ class BinCodebook(Codebook):
         return pack_bits(samples)
 
     @cached_property
-    def _scan_words(self) -> np.ndarray:
-        """For n <= 32 a contiguous uint32 copy of the one word column."""
-        return self.words[:, :1].astype(np.uint32) if self.n <= 32 else self.words
-
-    @cached_property
     def _admissible_words(self) -> np.ndarray:
-        """The scan words of ``admissible_indices``, which are sorted."""
-        return self._scan_words[self.admissible_indices]
+        """The words of ``admissible_indices``, which are sorted."""
+        return self.words[self.admissible_indices]
 
     def nearest(self, targets: np.ndarray, admissible=False,
                 radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +169,9 @@ class BinCodebook(Codebook):
         distance is exact, so ``radius`` is not needed.
 
         A tile of target rows, as many as SCAN_BYTES of XOR words hold, is
-        XORed and popcounted against the searched rows one word column at a
-        time in preallocated buffers; rows outside a marking count all ones.
+        XORed and popcounted against the searched rows (``words`` or its
+        cached admissible rows) one uint32 word column at a time in
+        preallocated buffers; rows outside a marking count all ones.
         """
         if isinstance(admissible, bool):
             marked = None
@@ -182,9 +181,8 @@ class BinCodebook(Codebook):
         else:
             raise ValueError("admissible must be True, False or a (targets, codewords) bool "
                              "array of per-trial markings")
-        words = self._admissible_words if admissible else self._scan_words
-        targets = targets.astype(words.dtype, copy=False)
-        acc = np.min_scalar_type(64 * words.shape[1])
+        words = self._admissible_words if admissible else self.words
+        acc = np.min_scalar_type(32 * words.shape[1])
         height = max(1, min(len(targets), SCAN_BYTES // words[:, 0].nbytes))
         xor = np.empty((height, len(words)), dtype=words.dtype)
         counts, part = np.empty((2, height, len(words)), dtype=acc)

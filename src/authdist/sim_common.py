@@ -120,7 +120,7 @@ def streams(seed: int, key: int, ts) -> Streams:
     # PCG64 seeded with words w0..w3 takes the odd increment
     # c = (w2:w3) << 1 | 1 (128-bit numbers, high word first) and steps
     # s -> A s + c once from c + (w0:w1)
-    w0, w1, w2, w3 = state.astype("<u4").view("<u8").astype(np.uint64).T
+    w0, w1, w2, w3 = (state[:, 1::2].astype(np.uint64) << 32 | state[:, 0::2]).T
     ch, cl = w2 << 1 | w3 >> 63, w3 << 1 | 1
     bl = w1 + cl
     sh, sl = _mul128(np.uint64(PCG64_MULT >> 64), np.uint64(PCG64_MULT & MASK64),
@@ -428,7 +428,7 @@ class Codebook:
         """
         (k,), (d,) = self.nearest(self.target(self.observe(source, self.n))[None], True,
                                   radius)
-        return None if d > radius else (self.content(k), int(k))
+        return (self.content(k), int(k)) if d <= radius else None
 
     def decode(self, y, radius: float, check_admissibility: bool = True) -> DecodeOutcome:
         """Nearest-codeword decoding of one observed block over the whole
@@ -445,7 +445,7 @@ class Codebook:
                         check_admissibility: bool = True) -> DecodeOutcome:
         """:meth:`decode` of samples that ``observe`` has already checked."""
         (k,), (d,) = self.nearest(self.target(samples)[None], radius=radius)
-        if d > radius or (check_admissibility and not self.admissible[k]):
+        if not d <= radius or (check_admissibility and not self.admissible[k]):
             return DecodeOutcome.not_authentic()
         return DecodeOutcome(self.content(k), int(k))
 

@@ -386,6 +386,23 @@ def test_a_region_resolution_below_two_is_a_configuration_error(argv, resolution
     assert not out.exists()
 
 
+# each asks numpy for more than 2^57 bytes, which any allocator refuses at once
+@pytest.mark.parametrize("argv", [
+    ["sim", "pk", "--n", "16", "--trials", "3", "--seed", "1", "--seed-secret", "2",
+     "--repetition", "1000000000000000"],
+    ["sim", "pk", "--n", "16", "--trials", "3", "--seed", "1", "--seed-secret", "2",
+     "--repetition", "1000000000000000", "--attacker", "substitute_codeword"],
+    ["region-binary", "--p", "0.2", "--resolution", "100000000000000000"],
+    ["region-gaussian", "--snr-db", "10", "--resolution", "100000000000000000"],
+])
+def test_an_allocation_too_large_is_a_configuration_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: Unable to allocate")
+    assert not out.exists()
+
+
 NO_SCIPY_SCRIPT = r"""
 import json, pathlib, sys
 from authdist import cli

@@ -40,17 +40,17 @@ def test_pack_unpack_roundtrip(n):
 
 def _pack_bits_by_or_at(bits):
     """The bit-at-a-time packing formula pack_bits must reproduce."""
-    bits = np.asarray(bits, dtype=np.uint64)
-    out = np.zeros((bits.size + 63) // 64, dtype=np.uint64)
+    bits = np.asarray(bits, dtype=np.uint32)
+    out = np.zeros((bits.size + 31) // 32, dtype=np.uint32)
     idx = np.arange(bits.size)
-    np.bitwise_or.at(out, idx // 64, bits << (idx % 64).astype(np.uint64))
+    np.bitwise_or.at(out, idx // 32, bits << (idx % 32).astype(np.uint32))
     return out
 
 
 def _unpack_bits_by_shift_and_mask(words, n):
     """The shift-and-mask formula unpack_bits must reproduce."""
     idx = np.arange(n)
-    return ((words[idx // 64] >> (idx % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+    return ((words[idx // 32] >> (idx % 32).astype(np.uint32)) & np.uint32(1)).astype(np.uint8)
 
 
 @pytest.mark.oracle
@@ -71,8 +71,27 @@ def test_pack_bits_matches_the_bitwise_or_formula():
         for bits in (rng.integers(0, 2, n).astype(np.uint8), rng.random(n) < 0.5,
                      np.ones(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)):
             got, want = pack_bits(bits), _pack_bits_by_or_at(bits)
-            assert got.dtype == np.uint64 and got.shape == want.shape
+            assert got.dtype == np.uint32 and got.shape == want.shape
             assert (got == want).all()
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 130])
+def test_codebook_words_keep_the_draw_order_of_two_64_bit_draws(n):
+    # two draws of (count, ceil(n/64)) 32-bit values as uint64, the rows'
+    # 64-bit words' low halves and then their high halves
+    count, w = 5, -(-n // 64)
+    rng = np.random.default_rng(n)
+    lo, hi = (rng.integers(0, 2 ** 32, (count, w), dtype=np.uint64) for _ in range(2))
+    want = np.zeros((count, 2 * w), dtype=np.uint32)
+    want[:, 0::2], want[:, 1::2] = lo, hi
+    want = want[:, :-(-n // 32)]
+    want &= np.array([(1 << min(32, n - 32 * j)) - 1 for j in range(want.shape[1])],
+                     dtype=np.uint32)
+    got_rng = np.random.default_rng(n)
+    got = _random_words(got_rng, count, n)
+    assert got.dtype == np.uint32 and got.tolist() == want.tolist()
+    assert got_rng.random() == rng.random()
 
 
 def test_config_validation():

@@ -113,7 +113,7 @@ def test_streams_reject_what_seed_sequence_rejects():
        ts=st.lists(st.one_of(st.integers(0, 300), st.integers(2 ** 32 - 300, 2 ** 32 - 1)),
                    min_size=1, max_size=4))
 def test_block_draws_match_per_trial_generators(seed, key, n, p, ts):
-    zeros = np.zeros((len(ts), -(-n // 64)), dtype=np.uint64)
+    zeros = pack_bits(np.zeros((len(ts), n), dtype=np.uint8))
     words = sim_common.streams(seed, key, ts)
     got_words, got_flips = uniform_words(words, n), bsc_channel(n, p)(zeros, words)
     bits = sim_common.streams(seed, key, ts)
@@ -546,3 +546,28 @@ def test_every_accepted_small_gaussian_config_finishes_every_attacker(n, rate, s
     cb = build_gauss_codebook(cfg)
     for attacker in ("substitute_codeword", "heavy_noise", "random_vector"):
         _finishes_or_refuses(lambda: run_gauss_trials(cfg, attacker, codebook=cb), cb)
+
+
+@pytest.mark.parametrize("kind", ["binary", "gaussian"])
+def test_a_nan_radius_accepts_nothing_on_the_scalar_and_block_paths(kind):
+    # both paths accept with d <= radius, which no distance meets at NaN
+    if kind == "binary":
+        cb = build_codebook(SimConfig(n=16, tau=0.2, gamma=0.25, p=0.08, delta=0.12,
+                                      trials=200, seed_public=1, seed_secret=2))
+        far = 1 - cb.content(int(cb.admissible_indices[0]))
+        source, channel = (lambda draws: uniform_words(draws, 16)), bsc_channel(16, 0.08)
+    else:
+        cb = build_gauss_codebook(GaussSimConfig(n=8, rate=1.0, sigma_s2=100.0, sigma_n2=1.0,
+                                                 trials=200, seed_public=1, seed_secret=2))
+        far = np.full(8, 1e3)
+        source = lambda draws: draws.normal(8, 10.0)
+        channel = lambda x, draws: x + draws.normal(8, 1.0)
+    k = int(cb.admissible_indices[0])
+    assert cb.decode(cb.content(k), 0.0).authentic
+    assert cb.encode(cb.content(k), 0.0)[1] == k
+    assert not cb.decode(cb.content(k), math.nan).authentic
+    assert cb.encode(cb.content(k), math.nan) is None
+    assert cb.encode(far, math.nan) is None
+    stats = sim_common.run_trials(cb, 200, 1, source, channel, encode_radius=math.nan,
+                                  decode_radius=math.nan)
+    assert stats.encode_failures == 200
