@@ -299,9 +299,7 @@ def embedding_capacity(de: float, p: float) -> float:
         raise ValueError(f"crossover must be in [0, 1/2], got {p}")
     hp = binary_entropy(p)
     dp = 1.0 - 2.0 ** (-hp)
-    if de <= dp:
-        if dp <= 0.0:
-            return max(binary_entropy(de) - hp, 0.0)
+    if 0.0 < de <= dp:
         slope = (binary_entropy(dp) - hp) / dp
         return max(slope * de, 0.0)
     return max(binary_entropy(de) - hp, 0.0)
@@ -543,8 +541,7 @@ def best_family_member(de: float, dr: float, p: float) -> BinaryAuxParams | None
     largest alpha the budgets allow; the best cell wins.
     """
     if p == 0.0:
-        return BinaryAuxParams(min(1.0, de / 0.25) if de < 0.25 else 1.0,
-                               0.25, GRID_EPS)
+        return BinaryAuxParams(min(1.0, de / 0.25), 0.25, GRID_EPS)
     T, V, B1, B2 = _tau_nu_table(p, 200, 200)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_de = np.where(T > 0, de / T, np.inf)

@@ -199,8 +199,6 @@ def region_slice(scenario: LayeredScenario, de: float, resolution: int = 100) ->
         if beta is None:
             continue
         params = LayeredParams(a2, b2, alpha, beta)
-        if coarse_gap(scenario, params) < -FEAS_TOL:
-            continue
         cands.append(SlicePoint(distortion_triple(scenario, params), params))
     if not cands:
         return []

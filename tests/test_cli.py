@@ -156,6 +156,14 @@ def test_optimize_command(tmp_path):
     assert doc["manifest"]["params"]["cardinality"] == 7
 
 
+def test_optimize_at_p_zero_starts_from_the_family_member(tmp_path):
+    # best_family_member's p = 0 member is the only parametric seed there
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--de", "0.1", "--dr", "0.1", "--p", "0", "--restarts", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["r_star"] >= 0.0
+
+
 def _small_sim_manifest(tmp_path):
     path = tmp_path / "run.json"
     assert main(["sim", "binary", "--n", "16", "--trials", "200", "--seed", "7",
@@ -401,6 +409,34 @@ def test_an_allocation_too_large_is_a_configuration_error(argv, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: Unable to allocate")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["region-binary", "--p", "0.6"], "crossover must be in [0, 1/2], got 0.6"),
+    (["optimize", "--de", "0.2", "--dr", "0.2", "--p", "0.6"],
+     "crossover must be in [0, 1/2], got 0.6"),
+    (["optimize", "--de", "0.6", "--dr", "0.2", "--p", "0.2"],
+     "distortion budgets must be in [0, 1/2]"),
+    (["sim", "binary", "--p", "0.6", "--seed", "1", "--seed-secret", "2"],
+     "p must be in [0, 1/2]"),
+    (["sim", "pk", "--tag-bits", "7", "--seed", "1", "--seed-secret", "2"],
+     "tag_bits must be in [8, 512]"),
+    (["region-layered", "--snr-db", "-3000", "--sigma-v-db", "10", "--de-db", "0"],
+     "empty slice; no endpoints available"),
+    (["sim", "--from-manifest", "bogus.json"], "unknown sim kind 'bogus'"),
+])
+def test_a_parameter_outside_its_domain_is_a_configuration_error(argv, message, tmp_path,
+                                                                 capsys, monkeypatch):
+    # bogus.json: a sim manifest of an unknown kind whose results match its checksum
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("bogus.json").write_text(json.dumps({
+        "manifest": {"command": "sim", "params": {"kind": "bogus", "seed": 1, "seed_secret": 2},
+                     "seeds": {"seed": 1, "seed_secret": 2}, "version": cli.__version__,
+                     "output_checksum": _results_checksum({})},
+        "results": {}}))
+    assert main([*argv, "--out", "x.out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+    assert not pathlib.Path("x.out").exists()
 
 
 NO_SCIPY_SCRIPT = r"""

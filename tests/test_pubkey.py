@@ -57,6 +57,10 @@ def test_scheme_sign_verify_contract(scheme):
     block = scheme.sign(np.array([[1, 0, 1, 1, 0, 0, 1], [1, 0, 1, 1, 0, 0, 0]], np.uint8), KS)
     assert np.array_equal(block, [tag, other])
     assert scheme.verify(np.stack([msg, msg]), np.stack([tag, 1 - tag]), KP).tolist() == [True, False]
+    # a tag one bit short of the scheme's verifies for nothing
+    assert scheme.verify(msg, tag[:63], KP) is False
+    short = np.stack([tag[:63]] * 2)
+    assert scheme.verify(np.stack([msg, msg]), short, KP).tolist() == [False, False]
     empty = scheme.sign(np.array([], dtype=np.uint8), KS)
     assert empty.size == 64 and np.array_equal(scheme.sign(np.zeros((2, 0), np.uint8), KS),
                                                [empty, empty])
@@ -92,6 +96,7 @@ def test_embedding_overhead_and_exact_extraction(bin_cb, bin_tags):
     s = rng.integers(0, 2, 16).astype(np.uint8)
     pe = pk_encode(s, bin_cb, bin_tags, KS, bin_config().encode_radius)
     assert pe is not None
+    assert pk_encode(s, bin_cb, bin_tags, KS, -1) is None
     assert pe.embedding_overhead == pytest.approx(64 / (16 + 64))
     out = pk_decode(pe.block, bin_cb, bin_tags, KP, bin_config().decode_radius)
     assert out.authentic and out.codeword_index == pe.codeword_index

@@ -1,29 +1,21 @@
 """Byte-for-byte replay of the committed region CSVs.
 
-Each case runs ``cli.main`` with the exact argv of the script in
-``scripts/`` that wrote the file, into a temporary directory, and compares
-the result with ``out/``.
+Each case runs ``cli.main`` with the argv that ``scripts/goldens.py``
+records for the file, into a temporary directory, and compares the result
+with ``out/``.
 """
 
 import pathlib
+import runpy
 
 import pytest
 
 from authdist.cli import main
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
-
-CASES = {
-    **{
-        f"binary_region_p{p:.2f}.csv": ["region-binary", "--p", str(p), "--resolution", "500"]
-        for p in (0.05, 0.10, 0.15, 0.20)
-    },
-    "gaussian_bounds.csv": ["region-gaussian", "--snr-db", "-10", "--snr-db", "0",
-                            "--snr-db", "10", "--snr-db", "30", "--resolution", "200"],
-    "layered_slices.csv": ["region-layered", "--snr-db", "30", "--sigma-v-db", "10",
-                           *[a for de_db in (10, 5, 0, -5, -10) for a in ("--de-db", str(de_db))],
-                           "--resolution", "80"],
-}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "out"
+GOLDENS = runpy.run_path(str(ROOT / "scripts" / "goldens.py"))["GOLDENS"]
+CASES = {name: argv for name, argv in GOLDENS.items() if name.endswith(".csv")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

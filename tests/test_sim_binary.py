@@ -401,11 +401,11 @@ def test_nearest_distances_do_not_wrap_past_255_bits():
                                         np.ones((2, 3), dtype=np.uint8), None, 1])
 def test_nearest_refuses_anything_but_the_two_searches_and_per_trial_markings(admissible):
     # an index array, a 1-D or mis-shaped marking, a non-bool array or
-    # another object: refused before the scan words are built
+    # another object: refused before the admissible rows' words are cached
     n = 16
     cb = handmade_codebook([[0] * n, [1] * n, [1] * 8 + [0] * 8], [True, False, True], n)
     targets = pack_bits(np.zeros((2, n), dtype=np.uint8))
     with pytest.raises(ValueError, match="admissible must be"):
         cb.nearest(targets, admissible)
-    assert "_scan_words" not in vars(cb)
+    assert "_admissible_words" not in vars(cb)
     assert cb.nearest(targets, np.ones((2, 3), dtype=bool))[0].tolist() == [0, 0]

@@ -1,10 +1,10 @@
 """Pinned outputs of every simulation path.
 
-The committed ``out/`` manifests must replay byte for byte.  The paths no
-golden file covers are pinned by small runs recorded before the trial
-loops were merged into one driver: binary and public-key runs by their
-results checksum, Gaussian runs by every count and the largest D_r - D_e
-gap exactly.
+The committed ``out/`` manifests, whose argv ``scripts/goldens.py``
+records, must replay byte for byte.  The paths no golden file covers are
+pinned by small runs recorded before the trial loops were merged into one
+driver: binary and public-key runs by their results checksum, Gaussian
+runs by every count and the largest D_r - D_e gap exactly.
 
 The Gaussian distortion means are pinned exactly too, as the correctly
 rounded (``math.fsum``) means of the per-trial distortions those runs
@@ -19,13 +19,17 @@ either way.
 import dataclasses
 import json
 import pathlib
+import runpy
 
 import pytest
 
-from authdist.cli import main
+from authdist.cli import _sim_params, build_parser, main
 from authdist.sim_binary import SimConfig, run_attack_trials
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "out"
+GOLDENS = runpy.run_path(str(ROOT / "scripts" / "goldens.py"))["GOLDENS"]
+SIM_GOLDENS = [name for name, argv in GOLDENS.items() if argv[0] == "sim"]
 
 BIN = ["--tau", "0.2", "--p", "0.08", "--delta", "0.12", "--trials", "300"]
 CHECKSUM_PINS = {
@@ -80,8 +84,15 @@ def _run(argv, tmp_path):
     return json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("name", ["bin_substitute.json", "bin_heavy_noise.json", "pk_forgery.json",
-                                  "gauss_substitute.json"])
+def test_goldens_table_writes_every_out_file_with_its_manifest_params():
+    assert sorted(GOLDENS) == sorted(path.name for path in OUT.iterdir())
+    for name in SIM_GOLDENS:
+        args = build_parser().parse_args([*GOLDENS[name], "--out", "unused.json"])
+        manifest = json.loads((OUT / name).read_text())["manifest"]
+        assert _sim_params(args) == manifest["params"], name
+
+
+@pytest.mark.parametrize("name", SIM_GOLDENS)
 def test_golden_manifest_replays_byte_identically(name, tmp_path):
     rerun = tmp_path / name
     assert main(["sim", "--from-manifest", str(OUT / name), "--out", str(rerun)]) == 0
