@@ -220,7 +220,7 @@ def cmd_sim(args) -> int:
 
 def cmd_optimize(args) -> int:
     res = optimize_rate_fn(args.de, args.dr, args.p, args.cardinality,
-                           restarts=args.restarts, seed=args.seed or 0)
+                           restarts=args.restarts, seed=args.seed)
     results = {
         "r_star": float(res.value),
         "converged": bool(res.converged),
@@ -232,8 +232,8 @@ def cmd_optimize(args) -> int:
     manifest = {"command": "optimize",
                 "params": {"de": args.de, "dr": args.dr, "p": args.p,
                            "cardinality": args.cardinality, "restarts": args.restarts,
-                           "seed": args.seed or 0},
-                "seeds": {"seed": args.seed or 0}}
+                           "seed": args.seed},
+                "seeds": {"seed": args.seed}}
     _write_text(args.out, _results_json(manifest, results))
     return 0
 

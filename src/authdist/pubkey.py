@@ -21,9 +21,9 @@ extracts and verifies one tag or a block of them, one per row, so the trial
 driver checks a block of trials' tags in one call.
 
 :func:`pk_encode` and :func:`pk_decode` wrap any ``sim_common.Codebook``'s
-scalar ``encode``/``decode`` with a :class:`TagCarrier`; the codebook's
-``observe`` checks the whole block, carrier included, against the content's
-alphabet.
+scalar ``encode``/``decode`` with a :class:`TagCarrier` and answer as they
+do, ``(samples, index)`` or None; the codebook's ``observe`` checks the
+whole block, carrier included, against the content's alphabet.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sim_binary import BinCodebook, SimConfig, bsc_channel, pack_bits, run_binary_trials
-from .sim_common import (CARRIER_KEY, CHUNK, DecodeOutcome, TrialStats, codebook_sizes, streams,
-                         substitute)
+from .sim_common import CARRIER_KEY, CHUNK, TrialStats, codebook_sizes, streams, substitute
 from .sim_gaussian import GaussSimConfig
 
 
@@ -134,52 +133,36 @@ class TagCarrier:
         return self.scheme.verify(index_bits(index, self.count), self.extract(carrier), public_key)
 
 
-@dataclass(frozen=True)
-class PublicEncoding:
-    """Content block plus the tag carrier appended to it."""
-
-    content: np.ndarray
-    carrier: np.ndarray
-    codeword_index: int
-
-    @property
-    def block(self) -> np.ndarray:
-        return np.concatenate([self.content, self.carrier])
-
-    @property
-    def embedding_overhead(self) -> float:
-        """Carrier fraction of the transmitted block."""
-        return self.carrier.size / (self.content.size + self.carrier.size)
-
-
 def pk_encode(source, cb, tags: TagCarrier, signing_key: bytes, radius: float):
     """Encode within ``radius``, sign the codeword index, append the tag's
     carrier.
 
-    Returns a :class:`PublicEncoding` or None when the encoder fails.
+    Returns ``(block, codeword_index)``, the content followed by its
+    carrier, or None when the encoder fails.
     """
     _check_carrier(cb, tags)
     result = cb.encode(source, radius)
     if result is None:
         return None
     x, idx = result
-    return PublicEncoding(x, tags.sign(idx, signing_key), idx)
+    return np.concatenate([x, tags.sign(idx, signing_key)]), idx
 
 
-def pk_decode(block, cb, tags: TagCarrier, public_key: bytes, radius: float) -> DecodeOutcome:
+def pk_decode(block, cb, tags: TagCarrier, public_key: bytes, radius: float):
     """Decode the content publicly within ``radius`` (marking ignored),
     read the tag off the carrier and accept only if it verifies.
 
-    The admissibility predicate plays no role: anyone holding the public
-    key can decode.  Rejection happens only on decode failure or signature
-    mismatch.  The whole block, carrier included, must hold samples of the
-    content's alphabet (``cb.observe``).
+    Returns ``(content, codeword_index)``, or None for the not-authentic
+    verdict.  The admissibility predicate plays no role: anyone holding the
+    public key can decode.  Rejection happens only on decode failure or
+    signature mismatch.  The whole block, carrier included, must hold
+    samples of the content's alphabet (``cb.observe``).
     """
     _check_carrier(cb, tags)
     block = cb.observe(block, cb.n + tags.scheme.tag_bits * tags.repetition)
-    inner = cb.decode_observed(block[:cb.n], radius, check_admissibility=False)
-    if not (inner.authentic and tags.verify(block[cb.n:], inner.codeword_index, public_key)):
-        return DecodeOutcome.not_authentic()
+    inner = cb.decode(block[:cb.n], radius, check_admissibility=False)
+    if inner is None or not tags.verify(block[cb.n:], inner[1], public_key):
+        return None
     return inner
 
 
@@ -226,15 +209,15 @@ def binomial_majority_error(repetition: int, p: float) -> float:
     return sum(math.comb(k, j) * p ** j * (1 - p) ** (k - j) for j in range(thresh, k + 1))
 
 
-def repetition_for_recovery(p: float, tag_bits: int, target: float = 0.99) -> int:
-    """Smallest odd repetition factor with predicted tag recovery >= target."""
+def repetition_for_recovery(p: float, tag_bits: int) -> int:
+    """Smallest odd repetition factor with predicted tag recovery >= 99%."""
     if p <= 0:
         return 1
     for k in range(1, 199, 2):
         per_bit = binomial_majority_error(k, p)
-        if (1.0 - per_bit) ** tag_bits >= target:
+        if (1.0 - per_bit) ** tag_bits >= 0.99:
             return k
-    raise ValueError(f"no repetition factor below 199 reaches {target} at p={p}")
+    raise ValueError(f"no repetition factor below 199 reaches 0.99 at p={p}")
 
 
 def carrier_channel_robustness(

@@ -512,7 +512,7 @@ def _checked(z: np.ndarray, de: float, dr: float, K: int,
     return de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL, val, zz
 
 
-def params_to_joint(params: BinaryAuxParams, K: int = 7) -> np.ndarray:
+def params_to_joint(params: BinaryAuxParams, K: int) -> np.ndarray:
     """Embed the parametric witness into the packed optimizer variables."""
     if K < 4:
         raise ValueError("parametric embedding needs at least 4 auxiliary symbols")

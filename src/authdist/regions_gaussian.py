@@ -33,6 +33,7 @@ import numpy as np
 
 SWEEP_LO_FACTOR = 1e-4   # sigma_t2 sweep spans [lo * sigma_n2, hi * sigma_s2]
 SWEEP_HI_FACTOR = 1e4
+SWEEP_POINTS = 400        # sigma_t2 values per regime, log-spaced
 
 
 @dataclass(frozen=True)
@@ -135,32 +136,30 @@ def _lower_hull(points: np.ndarray) -> np.ndarray:
     return np.asarray(hull)
 
 
-def sweep_points(scenario: GaussianScenario, resolution: int = 400):
+def sweep_points(scenario: GaussianScenario):
     """Raw (D_e, D_r) samples of the two achievable regimes over sigma_t2."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
     t_lo = SWEEP_LO_FACTOR * scenario.sigma_n2
     t_hi = SWEEP_HI_FACTOR * scenario.sigma_s2
-    t_grid = np.logspace(math.log10(t_lo), math.log10(t_hi), resolution)
+    t_grid = np.logspace(math.log10(t_lo), math.log10(t_hi), SWEEP_POINTS)
     low = np.array([low_de_point(scenario, t) for t in t_grid])
     high = np.array([high_de_point(scenario, t) for t in t_grid])
     return low, high
 
 
-def outer_boundary(scenario: GaussianScenario, resolution: int = 400) -> GaussCurve:
+def outer_boundary(scenario: GaussianScenario) -> GaussCurve:
     """Lower convex envelope of the two achievable regimes (time sharing)."""
-    low, high = sweep_points(scenario, resolution)
+    low, high = sweep_points(scenario)
     hull = _lower_hull(np.concatenate([low, high]))
     return GaussCurve(hull[:, 0], hull[:, 1])
 
 
-def envelope_dr(scenario: GaussianScenario, de, resolution: int = 400):
+def envelope_dr(scenario: GaussianScenario, de):
     """Envelope D_r interpolated at the query D_e values (scalar or array).
 
     Queries outside the swept range clamp to the end values; a running
     minimum enforces the monotonicity that budget slackness implies.
     """
-    curve = outer_boundary(scenario, resolution)
+    curve = outer_boundary(scenario)
     de_q = np.atleast_1d(np.asarray(de, dtype=float))
     out = np.interp(de_q, curve.de, curve.dr)
     # up-closure in De: more budget can never hurt

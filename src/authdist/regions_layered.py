@@ -38,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions_gaussian import GaussianScenario, inner_bound_dr, low_de_alpha, low_de_gap
-
-FEAS_TOL = 1e-9
+from .regions_gaussian import GaussianScenario, inner_bound_dr, low_de_alpha
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,6 @@ def coarse_alpha_root(scenario: LayeredScenario, sigma_a2: float, sigma_b2: floa
     if sigma_a2 <= 0 or sigma_b2 < 0:
         raise ValueError("invalid innovation variances")
     return low_de_alpha(_coarse_channel(scenario, sigma_b2), sigma_a2)
-
-
-def coarse_gap(scenario: LayeredScenario, params: LayeredParams) -> float:
-    """I(U;Y_c) - I(S;U) in bits, closed form."""
-    return low_de_gap(_coarse_channel(scenario, params.sigma_b2), params.sigma_a2, params.alpha)
 
 
 def _conditional_variances(scenario: LayeredScenario, a2, b2, alpha):

@@ -306,30 +306,6 @@ def _xsl_rr(hi, lo):
 
 
 @dataclass(frozen=True)
-class DecodeOutcome:
-    """Either an authentic reconstruction or the not-authentic verdict.
-
-    ``codeword_index is None`` iff the decoder declared the input
-    unauthenticatable; in that case there is no reconstruction.
-    """
-
-    reconstruction: np.ndarray | None
-    codeword_index: int | None
-
-    def __post_init__(self):
-        if (self.reconstruction is None) != (self.codeword_index is None):
-            raise ValueError("reconstruction and codeword_index must be both set or both absent")
-
-    @property
-    def authentic(self) -> bool:
-        return self.codeword_index is not None
-
-    @classmethod
-    def not_authentic(cls) -> "DecodeOutcome":
-        return cls(None, None)
-
-
-@dataclass(frozen=True)
 class TrialStats:
     """Aggregated Monte Carlo outcomes for one simulator run.
 
@@ -379,6 +355,8 @@ class TrialStats:
 class Codebook:
     """A codebook of blocklength ``n`` with a keyed admissible subset, as
     the trial driver and the scalar :meth:`encode`/:meth:`decode` use it.
+    Both scalar calls give one block's answer as ``(content, index)``, the
+    codeword's samples and its index, or None when they fail.
 
     Subclasses hold ``n``, ``rows`` (one codeword per row, compared by
     value) and ``admissible`` (a bool mask over them), and define
@@ -430,24 +408,20 @@ class Codebook:
                                   radius)
         return (self.content(k), int(k)) if d <= radius else None
 
-    def decode(self, y, radius: float, check_admissibility: bool = True) -> DecodeOutcome:
+    def decode(self, y, radius: float, check_admissibility: bool = True):
         """Nearest-codeword decoding of one observed block over the whole
         codebook, lowest index on ties.
 
-        Not-authentic when nothing lies within ``radius`` or, when
-        ``check_admissibility``, when the nearest codeword is forbidden.
-        Every observation gives an outcome; one outside the content's
-        alphabet is refused with a ValueError.
+        Returns ``(content, codeword_index)``, or None for the not-authentic
+        verdict: nothing lies within ``radius`` or, when
+        ``check_admissibility``, the nearest codeword is forbidden.  Every
+        observation gives an outcome; one outside the content's alphabet is
+        refused with a ValueError.
         """
-        return self.decode_observed(self.observe(y, self.n), radius, check_admissibility)
-
-    def decode_observed(self, samples: np.ndarray, radius: float,
-                        check_admissibility: bool = True) -> DecodeOutcome:
-        """:meth:`decode` of samples that ``observe`` has already checked."""
-        (k,), (d,) = self.nearest(self.target(samples)[None], radius=radius)
+        (k,), (d,) = self.nearest(self.target(self.observe(y, self.n))[None], radius=radius)
         if not d <= radius or (check_admissibility and not self.admissible[k]):
-            return DecodeOutcome.not_authentic()
-        return DecodeOutcome(self.content(k), int(k))
+            return None
+        return self.content(k), int(k)
 
 
 def codebook_sizes(config) -> tuple[int, int]:
@@ -581,10 +555,11 @@ def binomial_sigma(rate: float, trials: int) -> float:
     return math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

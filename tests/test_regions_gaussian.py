@@ -126,8 +126,8 @@ def test_high_de_limits():
 
 
 def test_envelope_below_sampled_regimes():
-    low, high = sweep_points(SCN, 200)
-    curve = outer_boundary(SCN, 200)
+    low, high = sweep_points(SCN)
+    curve = outer_boundary(SCN)
     for pts in (low, high):
         interp = np.interp(pts[:, 0], curve.de, curve.dr)
         assert (interp <= pts[:, 1] + 1e-9).all()

@@ -4,14 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from authdist.regions_gaussian import GaussianScenario, inner_bound_dr
+from authdist.regions_gaussian import GaussianScenario, inner_bound_dr, low_de_gap
 from authdist.regions_layered import (
-    FEAS_TOL,
     DistortionTriple,
     LayeredParams,
     LayeredScenario,
     coarse_alpha_root,
-    coarse_gap,
     distortion_triple,
     fine_feasibility_margin,
     region_slice,
@@ -22,6 +20,15 @@ from authdist.regions_layered import (
 )
 
 SCN = LayeredScenario(sigma_s2=1000.0, sigma_n2=1.0, sigma_v2=10.0)
+FEAS_TOL = 1e-9
+
+
+def coarse_gap(scenario: LayeredScenario, params: LayeredParams) -> float:
+    """I(U;Y_c) - I(S;U) in bits, closed form: the single-layer gap at the
+    coarse layer's noise sigma_n2 + sigma_v2 + sigma_b2, the channel whose
+    root coarse_alpha_root takes."""
+    noise = scenario.sigma_n2 + scenario.sigma_v2 + params.sigma_b2
+    return low_de_gap(GaussianScenario(scenario.sigma_s2, noise), params.sigma_a2, params.alpha)
 
 
 def coarse_gap_covariance(scenario: LayeredScenario, params: LayeredParams) -> float:

@@ -198,9 +198,9 @@ def test_decode_noiseless_recovers_codeword():
         encoded += 1
         x, idx = res
         out = cb.decode(x, cfg.decode_radius)
-        if out.authentic:
+        if out is not None:
             authentic += 1
-            assert (out.reconstruction == x).all()
+            assert (out[0] == x).all()
     assert encoded > 0 and authentic >= 0.9 * encoded
 
 
@@ -210,11 +210,11 @@ def test_decode_out_of_radius_and_forbidden():
     cb = handmade_codebook([zeros], [True], n)
     radius = make_config(p=0.08, delta=0.12).decode_radius
     far = [1] * 8 + [0] * 8          # distance 8 > n(p+delta) = 3.2
-    assert not cb.decode(far, radius).authentic
+    assert cb.decode(far, radius) is None
     cb_forbidden = handmade_codebook([zeros], [False], n)
-    assert not cb_forbidden.decode(zeros, radius).authentic
+    assert cb_forbidden.decode(zeros, radius) is None
     # public decoding ignores the marking
-    assert cb_forbidden.decode(zeros, radius, check_admissibility=False).authentic
+    assert cb_forbidden.decode(zeros, radius, check_admissibility=False) is not None
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,7 +222,7 @@ def test_decode_out_of_radius_and_forbidden():
 def test_decode_is_total(bits):
     cfg = make_config()    # p = 0.08, delta = 0.12
     out = build_codebook(cfg).decode(np.array(bits, dtype=np.uint8), cfg.decode_radius)
-    assert out.authentic in (True, False)
+    assert out is None or len(out) == 2
 
 
 def test_resubmitted_encoding_is_never_an_attack():
@@ -236,8 +236,8 @@ def test_resubmitted_encoding_is_never_an_attack():
             continue
         x, _ = res
         out = cb.decode(x, cfg.decode_radius)
-        if out.authentic:
-            assert (out.reconstruction == x).all()
+        if out is not None:
+            assert (out[0] == x).all()
 
 
 def test_reference_trials_reproducible_and_identity():

@@ -75,16 +75,16 @@ def test_decode_roundtrip_and_radius(codebook):
     cfg = make_config()
     adm0 = int(codebook.admissible_indices[0])
     out = codebook.decode(codebook.codewords[adm0], cfg.decode_radius)
-    assert out.authentic and out.codeword_index == adm0
+    assert out is not None and out[1] == adm0
     # forbidden codeword: rejected unless the marking is ignored
     forb = int(np.flatnonzero(~codebook.admissible)[0])
     out = codebook.decode(codebook.codewords[forb], cfg.decode_radius)
-    assert not out.authentic
+    assert out is None
     out = codebook.decode(codebook.codewords[forb], cfg.decode_radius, check_admissibility=False)
-    assert out.authentic and out.codeword_index == forb
+    assert out is not None and out[1] == forb
     # far input: outside every decoding sphere
     far = np.full(8, 1000.0)
-    assert not codebook.decode(far, cfg.decode_radius).authentic
+    assert codebook.decode(far, cfg.decode_radius) is None
 
 
 def test_reference_trials_identity_and_reproducibility(codebook):

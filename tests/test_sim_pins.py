@@ -20,6 +20,8 @@ import dataclasses
 import json
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +92,14 @@ def test_goldens_table_writes_every_out_file_with_its_manifest_params():
         args = build_parser().parse_args([*GOLDENS[name], "--out", "unused.json"])
         manifest = json.loads((OUT / name).read_text())["manifest"]
         assert _sim_params(args) == manifest["params"], name
+
+
+def test_reading_the_goldens_table_imports_no_numpy():
+    # a tool that takes its argv from GOLDENS need not load numpy
+    code = "import runpy, sys; runpy.run_path(sys.argv[1]); print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / "goldens.py")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("name", SIM_GOLDENS)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from authdist import sim_common
 from authdist._ziggurat import KI, WI
 from authdist.cli import _run_pk_trials
-from authdist.pubkey import TagCarrier, TestDoubleScheme, source_bits
+from authdist.pubkey import TagCarrier, TestDoubleScheme, pk_decode, pk_encode, source_bits
 from authdist.sim_binary import (BinCodebook, SimConfig, _random_words, bsc_channel,
                                  build_codebook, pack_bits, run_attack_trials,
                                  run_reference_trials, uniform_words)
@@ -550,7 +550,8 @@ def test_every_accepted_small_gaussian_config_finishes_every_attacker(n, rate, s
 
 @pytest.mark.parametrize("kind", ["binary", "gaussian"])
 def test_a_nan_radius_accepts_nothing_on_the_scalar_and_block_paths(kind):
-    # both paths accept with d <= radius, which no distance meets at NaN
+    # both paths accept with d <= radius, which no distance meets at NaN;
+    # every scalar call answers (samples, codeword index) or None
     if kind == "binary":
         cb = build_codebook(SimConfig(n=16, tau=0.2, gamma=0.25, p=0.08, delta=0.12,
                                       trials=200, seed_public=1, seed_secret=2))
@@ -563,10 +564,17 @@ def test_a_nan_radius_accepts_nothing_on_the_scalar_and_block_paths(kind):
         source = lambda draws: draws.normal(8, 10.0)
         channel = lambda x, draws: x + draws.normal(8, 1.0)
     k = int(cb.admissible_indices[0])
-    assert cb.decode(cb.content(k), 0.0).authentic
-    assert cb.encode(cb.content(k), 0.0)[1] == k
-    assert not cb.decode(cb.content(k), math.nan).authentic
-    assert cb.encode(cb.content(k), math.nan) is None
+    content, key = cb.content(k), b"nan-radius"
+    tags = TagCarrier(TestDoubleScheme(64), cb.count, 1, 1 if kind == "binary" else 6.0)
+    block, idx = pk_encode(content, cb, tags, key, 0.0)
+    assert np.array_equal(block[cb.n:], tags.sign(k, key))
+    for samples, idx in (cb.encode(content, 0.0), cb.decode(content, 0.0), (block[:cb.n], idx),
+                         pk_decode(block, cb, tags, key, 0.0)):
+        assert np.array_equal(samples, content) and isinstance(idx, int) and idx == k
+    assert cb.encode(content, math.nan) is None
+    assert cb.decode(content, math.nan) is None
+    assert pk_encode(content, cb, tags, key, math.nan) is None
+    assert pk_decode(block, cb, tags, key, math.nan) is None
     assert cb.encode(far, math.nan) is None
     stats = sim_common.run_trials(cb, 200, 1, source, channel, encode_radius=math.nan,
                                   decode_radius=math.nan)
