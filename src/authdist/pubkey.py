@@ -55,13 +55,16 @@ class TestDoubleScheme:
         self.tag_bits = tag_bits
 
     def sign(self, message_bits, signing_key: bytes) -> np.ndarray:
-        """The tag of a message, or of each row of a (rows, bits) block."""
+        """The tag of a message, or of each row of a (rows, bits) block, under
+        a key of BLAKE2b's 1 to 64 bytes (an empty one would leave it unkeyed)."""
+        if not 1 <= len(signing_key) <= 64:
+            raise ValueError(f"a signing key is 1 to 64 bytes, got {len(signing_key)}")
         msg = np.asarray(message_bits, dtype=np.uint8)
         digest_size = (self.tag_bits + 7) // 8
         packed = np.packbits(msg, axis=-1)
         buf, width, suffix = packed.tobytes(), packed.shape[-1], bytes([msg.shape[-1] % 256])
         digests = b"".join([hashlib.blake2b(buf[i * width:(i + 1) * width] + suffix,
-                                            key=signing_key[:64], digest_size=digest_size).digest()
+                                            key=signing_key, digest_size=digest_size).digest()
                             for i in range(math.prod(msg.shape[:-1]))])
         return np.unpackbits(np.frombuffer(digests, dtype=np.uint8).reshape(
             *msg.shape[:-1], digest_size), axis=-1, count=self.tag_bits)

@@ -33,6 +33,7 @@ import numpy as np
 from .core import binary_entropy, binary_entropy_arr
 
 GRID_EPS = 1e-4          # open-interval clamp for tau, nu grids
+NTAU = NNU = 200         # tau and nu values of the (tau, nu) grid
 FEAS_TOL = 1e-9          # mutual-information feasibility tolerance
 NEAR_ONE = 8 * 2.0 ** -53  # boundary's full-scan bound on (1 - a_max) * nu step
 CANDIDATE_CHUNK = 32     # grid points per block of boundary's candidate evaluation
@@ -59,6 +60,7 @@ SCREEN_SNAP = 1e-3
 SCREEN_GAIN_TOL = 1e-9
 POLISH_FTOL = 1e-12
 POLISH_COUNT = 4
+MAX_ITER = 300           # bound on the screen's steps and on each SLSQP run's iterations
 AGREE_TOL = 1e-9
 LN2 = math.log(2.0)
 
@@ -135,26 +137,24 @@ def _de_grid(p: float, resolution: int) -> np.ndarray:
     return np.linspace(0.0, 0.5, resolution)
 
 
-def _tau_nu_table(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
-    """(T, V, B1, B2) over the (tau, nu) grid, indexed [tau, nu]: the flip
+def _tau_nu_table(p: float) -> tuple[np.ndarray, ...]:
+    """(T, V, B1, B2) over the NTAU x NNU grid, indexed [tau, nu]: the flip
     rates and the coded and uncoded gap brackets (the uncoded one <= 0)."""
-    if ntau < 1 or nnu < 1:
-        raise ValueError("the (tau, nu) grid needs ntau >= 1 and nnu >= 1")
-    tau = np.linspace(GRID_EPS, 0.5 - GRID_EPS, ntau)
+    tau = np.linspace(GRID_EPS, 0.5 - GRID_EPS, NTAU)
     if 0.0 < p < 0.5:
         # the flat part of the frontier needs tau == p exactly
         tau = np.unique(np.append(tau, p))
-    nu = np.linspace(GRID_EPS, 0.5 - GRID_EPS, nnu)
+    nu = np.linspace(GRID_EPS, 0.5 - GRID_EPS, NNU)
     b1 = binary_entropy_arr(tau) - binary_entropy(p)
     b2 = binary_entropy_arr(nu) - binary_entropy_arr(p + nu - 2 * p * nu)
     return (*np.meshgrid(tau, nu, indexing="ij"), *np.meshgrid(b1, b2, indexing="ij"))
 
 
-def _alpha_floor(p: float, ntau: int, nnu: int) -> tuple[np.ndarray, ...]:
+def _alpha_floor(p: float) -> tuple[np.ndarray, ...]:
     """(T, V, a_min) over the (tau, nu) grid: the flip rates and each cell's
     smallest alpha with rate gap alpha B1 + (1 - alpha) B2 >= 0, inf where
     no alpha in [0, 1] reaches it."""
-    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
+    T, V, B1, B2 = _tau_nu_table(p)
     span = B1 - B2
     with np.errstate(divide="ignore", invalid="ignore"):
         a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
@@ -177,7 +177,7 @@ def _scan(a_max: np.ndarray, a_min: np.ndarray, V: np.ndarray, slope: np.ndarray
     return float(dr_cell.flat[j]), j
 
 
-def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -> RegionCurve:
+def boundary(p: float, resolution: int = 500) -> RegionCurve:
     """Lower frontier D_r(D_e) of the achievable region on a D_e grid.
 
     For each grid D_e, minimizes D_r over all parameter triples with
@@ -217,7 +217,7 @@ def boundary(p: float, resolution: int = 500, ntau: int = 200, nnu: int = 200) -
         wit = tuple(BinaryAuxParams(0.0, 0.25, GRID_EPS) for _ in de_grid)
         return RegionCurve(de_grid, dr, wit)
 
-    T, V, a_min = _alpha_floor(p, ntau, nnu)
+    T, V, a_min = _alpha_floor(p)
     slope = T - V
     with np.errstate(invalid="ignore"):
         # the a_min end of D_r (nan or inf only where a_min is inf, a cell
@@ -534,7 +534,7 @@ def params_to_joint(params: BinaryAuxParams, K: int) -> np.ndarray:
 
 def best_family_member(de: float, dr: float, p: float) -> BinaryAuxParams | None:
     """Family member maximizing the rate gap within both distortion budgets,
-    over a 200 x 200 (tau, nu) grid.
+    over the (tau, nu) grid of ``boundary``.
 
     For a fixed (tau, nu) cell the gap is increasing in alpha (the coded
     bracket dominates the uncoded one), so the cell optimum sits at the
@@ -542,7 +542,7 @@ def best_family_member(de: float, dr: float, p: float) -> BinaryAuxParams | None
     """
     if p == 0.0:
         return BinaryAuxParams(min(1.0, de / 0.25), 0.25, GRID_EPS)
-    T, V, B1, B2 = _tau_nu_table(p, 200, 200)
+    T, V, B1, B2 = _tau_nu_table(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_de = np.where(T > 0, de / T, np.inf)
         a_dr = np.where(T > V, (dr - V) / (T - V), np.inf)
@@ -629,7 +629,7 @@ def _snap(z: np.ndarray, de: float, dr: float, K: int) -> np.ndarray:
     return z
 
 
-def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[tuple]:
+def _screen(de: float, dr: float, p: float, K: int, z0s) -> list[tuple]:
     """The screen of ``optimize_rate_fn``: every start advanced at once, as
     one (B, 4K) array, by augmented-Lagrangian ascent on both budgets.
 
@@ -640,7 +640,7 @@ def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[
     and then doubles its step size; otherwise it halves it.  Every
     ``SCREEN_STEPS`` steps each start updates the multipliers of both budgets
     and re-picks its hard decoder; the screen takes ``SCREEN_ROUNDS`` such
-    rounds, at most ``max_iter`` steps in all.  Ends within ``SCREEN_SNAP``
+    rounds, at most ``MAX_ITER`` steps in all.  Ends within ``SCREEN_SNAP``
     of the budgets are then pulled onto them (``_snap``).  Every pass is
     elementwise or reduces within one start, with no matrix product, so a
     start's result does not depend on the other starts in the batch.
@@ -682,7 +682,7 @@ def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[
         return np.concatenate([(q_new / q_new.sum(axis=2, keepdims=True)).reshape(B, 2 * K),
                                r_new], axis=1)
 
-    steps = min(SCREEN_ROUNDS * SCREEN_STEPS, max_iter)
+    steps = min(SCREEN_ROUNDS * SCREEN_STEPS, MAX_ITER)
     nfev = 0
     for k in range(steps):
         if k % SCREEN_STEPS == 0:
@@ -713,8 +713,7 @@ def _screen(de: float, dr: float, p: float, K: int, z0s, max_iter: int) -> list[
     return ends
 
 
-def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray,
-               max_iter: int) -> tuple:
+def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray) -> tuple:
     """The polish of one start of ``optimize_rate_fn``: up to four SLSQP
     alternations to ``POLISH_FTOL`` with hard-decoder updates from ``z0``,
     then the end point's evaluation.
@@ -742,7 +741,7 @@ def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray,
     for _ in range(4):
         res = minimize(neg_gap, z, jac=True, method="SLSQP", bounds=bounds,
                        constraints=[simplex, _budget_constraint(de, dr, K, g)],
-                       options={"maxiter": max_iter, "ftol": POLISH_FTOL})
+                       options={"maxiter": MAX_ITER, "ftol": POLISH_FTOL})
         nit.append(int(res.nit))
         nfev.append(int(res.nfev))
         z = np.clip(res.x, 0.0, 1.0)
@@ -770,16 +769,16 @@ def _starts(de: float, dr: float, p: float, K: int, restarts: int,
     return starts
 
 
-def _solve(de: float, dr: float, p: float, K: int, starts, max_iter: int) -> RateFnResult:
+def _solve(de: float, dr: float, p: float, K: int, starts) -> RateFnResult:
     """The search of ``optimize_rate_fn`` from its ``starts``, run in its
     worker: the screen, the polish of the ``POLISH_COUNT`` best feasible
     screened ends one after another, then each start's kept point and the
     winner."""
-    screened = _screen(de, dr, p, K, [z0 for _, z0 in starts], max_iter)
+    screened = _screen(de, dr, p, K, [z0 for _, z0 in starts])
     # a stable sort: equal values keep start order
     leaders = sorted((i for i, end in enumerate(screened) if end[1]),
                      key=lambda i: -screened[i][2])[:POLISH_COUNT]
-    polished = {i: _run_start(de, dr, p, K, screened[i][3], max_iter) for i in leaders}
+    polished = {i: _run_start(de, dr, p, K, screened[i][3]) for i in leaders}
 
     # each start keeps its best feasible point, the first of equal values in
     # the order (a parametric seed's start point,) screened end, polished end;
@@ -825,7 +824,6 @@ def optimize_rate_fn(
     p: float,
     cardinality: int = 7,
     restarts: int = 32,
-    max_iter: int = 300,
     seed: int = 0,
 ) -> RateFnResult:
     """Estimate sup I(U;Y) - I(S;U) subject to E[d_e] <= de, E[d_r] <= dr.
@@ -889,4 +887,4 @@ def optimize_rate_fn(
     # which ``_run_start`` calls through the module global.
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(),)) as ex:
-        return ex.submit(_solve, de, dr, p, K, starts, max_iter).result()
+        return ex.submit(_solve, de, dr, p, K, starts).result()

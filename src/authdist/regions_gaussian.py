@@ -19,7 +19,7 @@ reference-channel noise variance ``sigma_n2``:
 
 - quantize-and-embed baseline:  D_r = sigma_s2 / (1 + D_e / sigma_n2)
 
-The achievable frontier reported by :func:`outer_boundary` is the lower
+The achievable frontier interpolated by :func:`envelope_dr` is the lower
 convex envelope (time-sharing closure) of the two achievable regimes swept
 over the auxiliary noise variance ``sigma_t2``.
 """
@@ -44,28 +44,6 @@ class GaussianScenario:
     def __post_init__(self):
         if not (self.sigma_s2 > 0 and self.sigma_n2 > 0):
             raise ValueError("variances must be positive")
-
-
-@dataclass(frozen=True)
-class GaussCurve:
-    """(D_e, D_r) samples in squared units, sorted by D_e."""
-
-    de: np.ndarray
-    dr: np.ndarray
-
-    def __post_init__(self):
-        de = np.asarray(self.de, dtype=float)
-        dr = np.asarray(self.dr, dtype=float)
-        if de.shape != dr.shape or de.ndim != 1:
-            raise ValueError("curve needs matching 1-D arrays")
-        if (de < 0).any() or (dr <= 0).any():
-            raise ValueError("De must be >= 0 and Dr > 0")
-        if (np.diff(de) < 0).any():
-            raise ValueError("points must be sorted by De")
-        de.setflags(write=False)
-        dr.setflags(write=False)
-        object.__setattr__(self, "de", de)
-        object.__setattr__(self, "dr", dr)
 
 
 def inner_bound_dr(scenario: GaussianScenario, de: float) -> float:
@@ -146,22 +124,15 @@ def sweep_points(scenario: GaussianScenario):
     return low, high
 
 
-def outer_boundary(scenario: GaussianScenario) -> GaussCurve:
-    """Lower convex envelope of the two achievable regimes (time sharing)."""
-    low, high = sweep_points(scenario)
-    hull = _lower_hull(np.concatenate([low, high]))
-    return GaussCurve(hull[:, 0], hull[:, 1])
-
-
 def envelope_dr(scenario: GaussianScenario, de):
     """Envelope D_r interpolated at the query D_e values (scalar or array).
 
     Queries outside the swept range clamp to the end values; a running
     minimum enforces the monotonicity that budget slackness implies.
     """
-    curve = outer_boundary(scenario)
+    hull = _lower_hull(np.concatenate(sweep_points(scenario)))
     de_q = np.atleast_1d(np.asarray(de, dtype=float))
-    out = np.interp(de_q, curve.de, curve.dr)
+    out = np.interp(de_q, hull[:, 0], hull[:, 1])
     # up-closure in De: more budget can never hurt
     order = np.argsort(de_q)
     run = np.minimum.accumulate(out[order])

@@ -89,18 +89,13 @@ def distortion_triple(scenario: LayeredScenario, params: LayeredParams) -> Disto
     return DistortionTriple(de, drc, drf)
 
 
-def _coarse_channel(scenario: LayeredScenario, sigma_b2: float) -> GaussianScenario:
-    """The single-layer scenario the coarse layer faces: the refinement
-    noise B adds to the harsh channel's noise."""
-    return GaussianScenario(scenario.sigma_s2, scenario.sigma_n2 + scenario.sigma_v2 + sigma_b2)
-
-
 def coarse_alpha_root(scenario: LayeredScenario, sigma_a2: float, sigma_b2: float) -> float:
     """Largest coarse scaling with nonnegative gap; the refinement noise B
     adds to the effective channel noise seen by the coarse layer."""
     if sigma_a2 <= 0 or sigma_b2 < 0:
         raise ValueError("invalid innovation variances")
-    return low_de_alpha(_coarse_channel(scenario, sigma_b2), sigma_a2)
+    coarse = GaussianScenario(scenario.sigma_s2, scenario.sigma_n2 + scenario.sigma_v2 + sigma_b2)
+    return low_de_alpha(coarse, sigma_a2)
 
 
 def _conditional_variances(scenario: LayeredScenario, a2, b2, alpha):

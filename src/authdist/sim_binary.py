@@ -253,12 +253,15 @@ def run_attack_trials(
     the 2^(-n gamma) security statement averages over; successes are then
     i.i.d. across trials.  Otherwise one fixed marking is attacked
     throughout, and the empirical rate concentrates on that realization.
+    ``attack_p`` is heavy_noise's crossover, in (p, 1/2], and is refused
+    with any other attacker.
     """
     if attacker not in ATTACKERS:
         raise ValueError(f"attacker must be one of {ATTACKERS}")
-    if attacker == "heavy_noise":
-        if attack_p is None or not (config.p < attack_p <= 0.5):
-            raise ValueError("heavy_noise needs attack_p in (p, 1/2]")
+    if attacker == "heavy_noise" and (attack_p is None or not config.p < attack_p <= 0.5):
+        raise ValueError("heavy_noise needs attack_p in (p, 1/2]")
+    if attacker != "heavy_noise" and attack_p is not None:
+        raise ValueError("attack_p applies only to the heavy_noise attacker")
     cb = codebook if codebook is not None else build_codebook(config)
     n = config.n
     if attacker == "substitute_codeword":

@@ -177,7 +177,7 @@ def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:
 def run_gauss_trials(
     config: GaussSimConfig,
     attacker: str | None = None,
-    attack_param: float | None = None,
+    attack_p: float | None = None,
     encode_budget: float | None = None,
     codebook: GaussCodebook | None = None,
 ) -> TrialStats:
@@ -186,13 +186,15 @@ def run_gauss_trials(
     attacker=None: source -> nearest admissible -> AWGN -> decode.
     Otherwise the attacker replaces the channel output; success iff the
     decoder outputs a reconstruction different from the encoder's.
-    ``attack_param`` is heavy_noise's per-sample noise variance, positive
-    and finite (None: 4 sigma_n2).
+    ``attack_p`` is heavy_noise's per-sample noise variance, positive and
+    finite (None: 4 sigma_n2), and is refused with any other attacker.
     """
     if attacker not in (None, *ATTACKERS):
         raise ValueError(f"attacker must be one of {ATTACKERS}")
-    if attacker == "heavy_noise" and not (attack_param is None or 0 < attack_param < math.inf):
+    if attacker == "heavy_noise" and not (attack_p is None or 0 < attack_p < math.inf):
         raise ValueError("heavy_noise needs a positive per-sample noise variance attack_p")
+    if attacker != "heavy_noise" and attack_p is not None:
+        raise ValueError("attack_p applies only to the heavy_noise attacker")
     cb = codebook if codebook is not None else build_gauss_codebook(config)
     n = config.n
     sigma_s = math.sqrt(config.sigma_s2)
@@ -202,7 +204,7 @@ def run_gauss_trials(
     elif attacker == "substitute_codeword":
         channel = substitute(cb)
     elif attacker == "heavy_noise":
-        scale = 2.0 * sigma_n if attack_param is None else math.sqrt(attack_param)
+        scale = 2.0 * sigma_n if attack_p is None else math.sqrt(attack_p)
         channel = lambda x, draws: x + draws.normal(n, scale)
     else:
         scale = math.sqrt(config.sigma_s2 + config.sigma_n2)

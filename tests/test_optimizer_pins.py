@@ -37,7 +37,7 @@ BENCH_SHA = {
     "below": "7ef9a252b6a05a90ff0528ff82c98024257d941899e21ea70c4f992c5f1189e1",
 }
 
-# (de, dr, p, cardinality, max_iter) with restarts=4, seed=0
+# (de, dr, p, cardinality, regions_binary.MAX_ITER) with restarts=4, seed=0
 CHEAP = {
     "p0.05": (0.1, 0.15, 0.05, 7, 300),
     "p0.20_above": (0.25, 0.201, 0.2, 7, 300),
@@ -90,9 +90,10 @@ with tempfile.TemporaryDirectory() as tmp:
                 "--cardinality", "7", "--restarts", "32", "--seed", "0", "--out", str(path)]
         assert main(argv) == 0
         out["bench"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
-for name, (de, dr, p, k, max_iter) in cheap.items():
-    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
-                                          max_iter=max_iter, seed=0)
+for name, (de, dr, p, k, steps) in cheap.items():
+    # the worker forks inside the call, so it sees the value set here
+    regions_binary.MAX_ITER = steps
+    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4, seed=0)
     h = hashlib.sha256(repr(float(res.value)).encode())
     h.update(np.ascontiguousarray(res.q_u_given_s, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(res.p_x1_given_us, dtype=np.float64).tobytes())
@@ -136,10 +137,10 @@ with open("/proc/self/maps") as fh:
     openblas = any("openblas" in line for line in fh)
 out = {"cpus": len(os.sched_getaffinity(0)), "openblas": openblas, "pid": os.getpid(),
        "calls": {}}
-for name, (de, dr, p, k, max_iter) in cheap.items():
+for name, (de, dr, p, k, steps) in cheap.items():
     pids.write_text("")
-    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4,
-                                          max_iter=max_iter, seed=0)
+    regions_binary.MAX_ITER = steps
+    res = regions_binary.optimize_rate_fn(de, dr, p, cardinality=k, restarts=4, seed=0)
     out["calls"][name] = {
         "result": [repr(float(res.value)), res.q_u_given_s.tobytes().hex(),
                    res.p_x1_given_us.tobytes().hex(), res.decoder.tolist(),

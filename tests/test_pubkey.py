@@ -66,6 +66,18 @@ def test_scheme_sign_verify_contract(scheme):
                                                [empty, empty])
 
 
+@pytest.mark.oracle
+def test_a_key_outside_1_to_64_bytes_is_refused(scheme):
+    msg = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
+    # keys sharing their first 64 bytes are not one key
+    tag = scheme.sign(msg, b"x" * 64)
+    for key in (b"", b"x" * 64 + b"alice"):
+        with pytest.raises(ValueError, match="1 to 64 bytes"):
+            scheme.sign(msg, key)
+        with pytest.raises(ValueError, match="1 to 64 bytes"):
+            scheme.verify(msg, tag, key)
+
+
 def test_index_bits_width_and_value():
     bits = index_bits(5, 5592)
     assert bits.size == 13                       # ceil(log2 5592)
@@ -194,6 +206,35 @@ def test_repetition_for_recovery_meets_target():
     assert (1 - binomial_majority_error(k, 0.08)) ** 64 >= 0.99
     assert (1 - binomial_majority_error(k - 2, 0.08)) ** 64 < 0.99
     assert repetition_for_recovery(0.0, 64) == 1
+
+
+@pytest.mark.oracle
+def test_recovery_and_robustness_refuse_what_they_cannot_serve(scheme):
+    # at p = 1/2 no repetition carries a bit
+    with pytest.raises(ValueError, match="no repetition factor"):
+        repetition_for_recovery(0.5, 64)
+    with pytest.raises(TypeError, match="unsupported config type"):
+        carrier_channel_robustness(object(), scheme, repetition=1)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("kind", ["binary", "gaussian"])
+def test_a_block_of_the_wrong_length_is_refused(kind, extra, bin_cb, bin_tags):
+    if kind == "binary":
+        cb, tags, radius = bin_cb, bin_tags, bin_config().decode_radius
+    else:
+        cfg = GaussSimConfig(n=8, rate=1.5, sigma_s2=100.0, sigma_n2=1.0, trials=10,
+                             seed_public=5, seed_secret=6)
+        cb, radius = build_gauss_codebook(cfg), cfg.decode_radius
+        tags = TagCarrier(TestDoubleScheme(64), cb.count, 3, 6.0)
+    block = np.concatenate([cb.content(3), tags.sign(3, KS)])
+    assert pk_decode(block, cb, tags, KP, radius)[1] == 3
+    longer = np.append(block, block[-1])
+    for call in (lambda: cb.decode(longer[:cb.n + extra], radius),
+                 lambda: pk_decode(longer[:block.size + extra], cb, tags, KP, radius)):
+        with pytest.raises(ValueError, match="samples expected"):
+            call()
 
 
 def test_carrier_robustness_clean_channel(scheme):

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from authdist.regions_binary import (
     POLISH_COUNT,
     POLISH_FTOL,
     BinaryAuxParams,
+    RegionCurve,
     boundary,
     embedding_capacity,
     optimize_rate_fn,
@@ -131,19 +133,40 @@ def test_params_validation():
         BinaryAuxParams(0.5, 0.2, 0.5)
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegionCurve([0.0], [0.5]), "matching 1-D"),
+    (lambda: RegionCurve([0.0, 0.1], [[0.5], [0.4]]), "matching 1-D"),
+    (lambda: RegionCurve([0.1, 0.1], [0.5, 0.4]), "strictly increasing"),
+    (lambda: RegionCurve([0.0, 0.1], [0.4, 0.5]), "non-increasing"),
+    (lambda: RegionCurve([0.0, 0.6], [0.5, 0.4]), "lie in"),
+    (lambda: embedding_capacity(-0.1, 0.2), "De must be in"),
+    (lambda: embedding_capacity(0.6, 0.2), "De must be in"),
+    (lambda: embedding_capacity(0.1, -0.1), "crossover must be in"),
+    (lambda: embedding_capacity(0.1, 0.6), "crossover must be in"),
+    (lambda: params_to_joint(BinaryAuxParams(0.5, 0.1, 0.05), 3), "at least 4"),
+], ids=["one point", "two axes", "repeated de", "rising dr", "de above 1/2",
+        "capacity de < 0", "capacity de > 1/2", "capacity p < 0", "capacity p > 1/2",
+        "joint K = 3"])
+def test_curves_capacity_and_embedding_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.fixture(scope="module")
 def boundary_curve():
     return boundary(0.2, resolution=200)
 
 
-def _parent_sweep(p, resolution, ntau, nnu):
+def _parent_sweep(p, resolution):
     """The (tau, nu) sweep ``boundary`` ran before it hoisted its per-call
     terms: every cell's a_max and both D_r ends are rebuilt per grid D_e.
-    Kept as the oracle for the current sweep: (dr, witnesses as tuples)."""
+    Kept as the oracle for the current sweep, on the grid ``NTAU`` and
+    ``NNU`` set: (dr, witnesses as tuples)."""
     de_grid = _de_grid(p, resolution)
     if p == 0.0:
         return np.zeros_like(de_grid), [(0.0, 0.25, GRID_EPS)] * resolution
-    T, V, B1, B2 = _tau_nu_table(p, ntau, nnu)
+    T, V, B1, B2 = _tau_nu_table(p)
     span = B1 - B2
     with np.errstate(divide="ignore", invalid="ignore"):
         a_min = np.where(span > 0, -B2 / span, np.where(B2 >= -FEAS_TOL, 0.0, np.inf))
@@ -172,21 +195,24 @@ def _parent_sweep(p, resolution, ntau, nnu):
 
 @pytest.mark.oracle
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.2, 0.49, 0.5])
-@pytest.mark.parametrize("resolution,ntau,nnu", [(2, 2, 2), (7, 5, 9), (41, 23, 17),
-                                                 (120, 60, 45)])
-def test_boundary_matches_the_parent_sweep(p, resolution, ntau, nnu):
-    curve = boundary(p, resolution, ntau, nnu)
-    dr, witnesses = _parent_sweep(p, resolution, ntau, nnu)
+@pytest.mark.parametrize("resolution,n_tau,n_nu", [(2, 2, 2), (7, 5, 9), (41, 23, 17),
+                                                   (120, 60, 45)])
+def test_boundary_matches_the_parent_sweep(p, resolution, n_tau, n_nu):
+    with mock.patch.multiple(regions_binary, NTAU=n_tau, NNU=n_nu):
+        curve = boundary(p, resolution)
+        dr, witnesses = _parent_sweep(p, resolution)
     assert curve.dr.tobytes() == dr.tobytes()
     assert [None if w is None else (w.alpha, w.tau, w.nu) for w in curve.witnesses] == witnesses
 
 
-def _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu):
-    """Bit for bit, witnesses included.  A cell feasible through the 1e-15
-    slack alone can give the sweep a witness alpha in (1, 1 + 1e-15], which
-    ``boundary`` reports as 1 (a larger alpha is no valid parameter)."""
-    curve = boundary(p, resolution, ntau, nnu)
-    dr, witnesses = _parent_sweep(p, resolution, ntau, nnu)
+def _assert_boundary_is_the_parent_sweep(p, resolution, n_tau, n_nu):
+    """Bit for bit, witnesses included, on an n_tau x n_nu grid.  A cell
+    feasible through the 1e-15 slack alone can give the sweep a witness
+    alpha in (1, 1 + 1e-15], which ``boundary`` reports as 1 (a larger alpha
+    is no valid parameter)."""
+    with mock.patch.multiple(regions_binary, NTAU=n_tau, NNU=n_nu):
+        curve = boundary(p, resolution)
+        dr, witnesses = _parent_sweep(p, resolution)
     assert curve.dr.tobytes() == dr.tobytes()
     assert ([None if w is None else (w.alpha, w.tau, w.nu) for w in curve.witnesses]
             == [None if w is None else (min(w[0], 1.0), *w[1:]) for w in witnesses])
@@ -194,14 +220,14 @@ def _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu):
 
 @pytest.mark.oracle
 @settings(max_examples=120, deadline=None)
-@given(p=st.floats(0.0, 0.5), resolution=st.integers(2, 60), ntau=st.integers(1, 40),
-       nnu=st.integers(1, 40))
-def test_boundary_matches_the_parent_sweep_on_random_grids(p, resolution, ntau, nnu):
-    _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu)
+@given(p=st.floats(0.0, 0.5), resolution=st.integers(2, 60), n_tau=st.integers(1, 40),
+       n_nu=st.integers(1, 40))
+def test_boundary_matches_the_parent_sweep_on_random_grids(p, resolution, n_tau, n_nu):
+    _assert_boundary_is_the_parent_sweep(p, resolution, n_tau, n_nu)
 
 
 @pytest.mark.oracle
-@pytest.mark.parametrize("p,resolution,ntau,nnu", [
+@pytest.mark.parametrize("p,resolution,n_tau,n_nu", [
     # a grid D_e (0.1, 0.2) lies one ulp below p: the tau = p row has
     # a_max = 1 - 1.1e-16, and its cells, at a_min = 1, are feasible
     # through the slack alone
@@ -212,12 +238,12 @@ def test_boundary_matches_the_parent_sweep_on_random_grids(p, resolution, ntau, 
     # through the slack alone from a_max = 1 on, witness alpha above 1
     (0.25, 67, 51, 55),
 ])
-def test_boundary_full_scan_fallback_matches_the_parent_sweep(p, resolution, ntau, nnu,
+def test_boundary_full_scan_fallback_matches_the_parent_sweep(p, resolution, n_tau, n_nu,
                                                               monkeypatch):
     scanned = []
     scan = regions_binary._scan
     monkeypatch.setattr(regions_binary, "_scan", lambda *a: scanned.append(a) or scan(*a))
-    _assert_boundary_is_the_parent_sweep(p, resolution, ntau, nnu)
+    _assert_boundary_is_the_parent_sweep(p, resolution, n_tau, n_nu)
     assert scanned
 
 
@@ -326,7 +352,8 @@ class TestOptimizeRateFn:
         de, dr, p = 0.1, 0.3, 0.2
         res = optimize_rate_fn(de, dr, p, restarts=4, seed=0)
         best = -np.inf
-        curve = boundary(p, resolution=101, ntau=80, nnu=80)
+        with mock.patch.multiple(regions_binary, NTAU=80, NNU=80):
+            curve = boundary(p, resolution=101)
         for w in curve.witnesses:
             if w is None:
                 continue
@@ -356,8 +383,9 @@ class TestOptimizeRateFn:
         assert all(s.value <= res.value for s in res.starts if s.feasible)
         assert sum(s.polished for s in res.starts) <= POLISH_COUNT
 
-    def test_start_record_without_a_feasible_start(self):
-        res = optimize_rate_fn(0.0, 0.0, 0.2, restarts=4, max_iter=1, seed=0)
+    def test_start_record_without_a_feasible_start(self, monkeypatch):
+        monkeypatch.setattr(regions_binary, "MAX_ITER", 1)
+        res = optimize_rate_fn(0.0, 0.0, 0.2, restarts=4, seed=0)
         assert res.value == -np.inf
         assert len(res.starts) == res.restarts_used
         assert not any(s.won or s.feasible for s in res.starts)
@@ -405,7 +433,7 @@ def _fake_minimize(polish, status=lambda x0: 0):
 
 
 def _fake_rounds(monkeypatch, screen, polish, status=lambda x0: 0):
-    def mapped(de, dr, p, K, z0s, max_iter):
+    def mapped(de, dr, p, K, z0s):
         """Stand-in for the batched screen: maps each start through ``screen``
         and evaluates the image as the screen evaluates its ends."""
         ends = []
@@ -536,18 +564,19 @@ def test_screen_is_batch_invariant(de, dr, p):
     # a start screens bit for bit the same alone, in the full batch and in the
     # batch reversed, so splitting the batch could not change the result
     z0s = [z0 for _, z0 in _starts(de, dr, p, 7, 32, 0)]
-    full = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s, 300)]
-    reverse = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s[::-1], 300)][::-1]
-    alone = [_screen_key(_screen(de, dr, p, 7, [z0], 300)[0]) for z0 in z0s]
+    full = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s)]
+    reverse = [_screen_key(e) for e in _screen(de, dr, p, 7, z0s[::-1])][::-1]
+    alone = [_screen_key(_screen(de, dr, p, 7, [z0])[0]) for z0 in z0s]
     assert full == alone == reverse
     assert sum(key[1] for key in full) >= POLISH_COUNT
 
 
 @pytest.mark.oracle
-def test_screen_of_one_step_ends_outside_zero_budgets():
-    # what leaves optimize_rate_fn(0, 0, 0.2, max_iter=1) its -inf sentinel
+def test_screen_of_one_step_ends_outside_zero_budgets(monkeypatch):
+    # what leaves optimize_rate_fn(0, 0, 0.2) at MAX_ITER = 1 its -inf sentinel
+    monkeypatch.setattr(regions_binary, "MAX_ITER", 1)
     z0s = [z0 for _, z0 in _starts(0.0, 0.0, 0.2, 7, 4, 0)]
-    ends = _screen(0.0, 0.0, 0.2, 7, z0s, 1)
+    ends = _screen(0.0, 0.0, 0.2, 7, z0s)
     # one evaluation at the start, one trial step: iteration limit, infeasible
     assert all(e[0] == 9 and not e[1] and e[5][0] <= 1 and e[6] == (2,) for e in ends)
 
@@ -556,7 +585,7 @@ def test_screen_of_one_step_ends_outside_zero_budgets():
 def test_screen_ends_within_the_snap_are_pulled_onto_the_budgets():
     de, dr, p, K = 0.25, 0.2013, 0.2, 7
     z0s = [z0 for _, z0 in _starts(de, dr, p, K, 32, 0)]
-    for end in _screen(de, dr, p, K, z0s, 300):
+    for end in _screen(de, dr, p, K, z0s):
         _, de_got, dr_got, _ = _evaluate(end[3], K, p)
         assert end[1] == (de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL)
         assert end[1] or max(de_got - de, dr_got - dr) > regions_binary.SCREEN_SNAP

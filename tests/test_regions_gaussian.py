@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from authdist.regions_gaussian import (
     GaussianScenario,
+    _lower_hull,
     envelope_dr,
     high_de_beta,
     high_de_point,
@@ -13,7 +14,6 @@ from authdist.regions_gaussian import (
     low_de_alpha,
     low_de_gap,
     low_de_point,
-    outer_boundary,
     qe_dr,
     sweep_points,
 )
@@ -127,9 +127,9 @@ def test_high_de_limits():
 
 def test_envelope_below_sampled_regimes():
     low, high = sweep_points(SCN)
-    curve = outer_boundary(SCN)
+    hull = _lower_hull(np.concatenate([low, high]))
     for pts in (low, high):
-        interp = np.interp(pts[:, 0], curve.de, curve.dr)
+        interp = np.interp(pts[:, 0], hull[:, 0], hull[:, 1])
         assert (interp <= pts[:, 1] + 1e-9).all()
 
 
@@ -246,6 +246,15 @@ def test_refinement_dominates_both_regimes():
                 hi = mid
         assert refined <= high_de_point(SCN, lo)[1] + 1e-6
         assert refined >= inner_bound_dr(SCN, de) - 1e-9
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("call", [lambda: high_de_beta(SCN, 0.0), lambda: high_de_beta(SCN, -1.0),
+                                  lambda: qe_dr(SCN, -1e-9)],
+                         ids=["beta at sigma_t2 = 0", "beta at sigma_t2 < 0", "qe at De < 0"])
+def test_high_regime_and_baseline_refuse_arguments_outside_their_domain(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_scenario_validation():

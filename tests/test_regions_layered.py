@@ -79,6 +79,23 @@ def test_triple_validation():
         LayeredParams(0.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("call, message", [
+    (lambda: LayeredScenario(0.0, 1.0, 10.0), "variances must be positive"),
+    (lambda: LayeredScenario(1000.0, 1.0, -1.0), "variances must be positive"),
+    (lambda: LayeredParams(0.5, 0.5, math.nan, 1.0), "must be finite"),
+    (lambda: LayeredParams(0.5, 0.5, 1.0, math.inf), "must be finite"),
+    (lambda: DistortionTriple(-1e-9, 0.5, 0.2), "de must be >= 0"),
+    (lambda: DistortionTriple(1.0, 0.5, 0.0), "0 < drf <= drc"),
+    (lambda: region_slice(SCN, 0.0), "De must be positive"),
+    (lambda: region_slice(SCN, -1.0), "De must be positive"),
+], ids=["scenario s2 = 0", "scenario v2 < 0", "params nan alpha", "params inf beta",
+        "triple de < 0", "triple drf = 0", "slice De = 0", "slice De < 0"])
+def test_layered_types_and_slice_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_coarse_gap_zero_at_substituted_root():
     alpha = coarse_alpha_root(SCN, 0.5, 0.5)
     gap = coarse_gap(SCN, LayeredParams(0.5, 0.5, alpha, 1.0))

@@ -301,6 +301,8 @@ def test_heavy_noise_needs_param():
         run_attack_trials(cfg, "heavy_noise", attack_p=0.05)   # not heavier than p
     with pytest.raises(ValueError):
         run_attack_trials(cfg, "unknown_attacker")
+    with pytest.raises(ValueError, match="only to the heavy_noise attacker"):
+        run_attack_trials(cfg, "substitute_codeword", 0.3)
 
 
 # -- nearest-codeword search against distances over unpacked bits ----------

@@ -303,6 +303,20 @@ def test_nearest_radius_does_not_change_gauss_trials(codebook, attacker, param, 
     assert run_gauss_trials(cfg, attacker, param, budget, codebook=codebook) == bounded
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("attacker, attack_p, message", [
+    ("unknown_attacker", None, "attacker must be one of"),
+    (None, 5.0, "only to the heavy_noise attacker"),
+    ("random_vector", 5.0, "only to the heavy_noise attacker"),
+])
+def test_gauss_trials_refuse_an_attacker_or_strength_they_cannot_run(attacker, attack_p,
+                                                                     message, monkeypatch):
+    # refused before any codebook is drawn
+    monkeypatch.setattr(sim_gaussian, "build_gauss_codebook", lambda cfg: pytest.fail("drawn"))
+    with pytest.raises(ValueError, match=message):
+        run_gauss_trials(make_config(), attacker, attack_p)
+
+
 @pytest.mark.parametrize("admissible", [np.array([0, 2]), np.array([True, False, True]),
                                         np.ones((2, 3), dtype=bool), np.ones((3, 3), dtype=bool),
                                         None, 1])

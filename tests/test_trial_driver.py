@@ -96,6 +96,15 @@ def test_streams_match_one_stream_per_trial(seed, key, ts):
 
 
 @pytest.mark.oracle
+def test_stats_refuse_counts_above_the_trials_run_and_sigma_of_no_trials_is_zero():
+    for field in ("encode_failures", "decode_failures", "wrong_codeword", "matched",
+                  "attack_successes", "attack_trials"):
+        with pytest.raises(ValueError, match="counts must lie"):
+            sim_common.TrialStats(trials_run=3, **{field: 4})
+    assert sim_common.binomial_sigma(0.5, 0) == 0.0
+
+
+@pytest.mark.oracle
 def test_streams_reject_what_seed_sequence_rejects():
     with pytest.raises(ValueError) as want:
         np.random.SeedSequence(-1)
