@@ -39,6 +39,11 @@ from .sim_common import CARRIER_KEY, CHUNK, TrialStats, codebook_sizes, streams,
 from .sim_gaussian import GaussSimConfig
 
 
+def _check_key(key: bytes) -> None:
+    if not 1 <= len(key) <= 64:
+        raise ValueError(f"a key is 1 to 64 bytes, got {len(key)}")
+
+
 class TestDoubleScheme:
     """Keyed deterministic tag standing in for a real signature scheme.
 
@@ -57,8 +62,7 @@ class TestDoubleScheme:
     def sign(self, message_bits, signing_key: bytes) -> np.ndarray:
         """The tag of a message, or of each row of a (rows, bits) block, under
         a key of BLAKE2b's 1 to 64 bytes (an empty one would leave it unkeyed)."""
-        if not 1 <= len(signing_key) <= 64:
-            raise ValueError(f"a signing key is 1 to 64 bytes, got {len(signing_key)}")
+        _check_key(signing_key)
         msg = np.asarray(message_bits, dtype=np.uint8)
         digest_size = (self.tag_bits + 7) // 8
         packed = np.packbits(msg, axis=-1)
@@ -71,7 +75,8 @@ class TestDoubleScheme:
 
     def verify(self, message_bits, tag_bits, public_key: bytes):
         """Whether the tag verifies for the message; one verdict per row
-        for a block."""
+        for a block.  A key outside 1 to 64 bytes is refused whatever the tag."""
+        _check_key(public_key)
         tag = np.asarray(tag_bits, dtype=np.uint8)
         if tag.shape[-1:] != (self.tag_bits,):
             ok = np.zeros(np.shape(message_bits)[:-1], dtype=bool)

@@ -112,6 +112,8 @@ class RegionCurve:
         dr = np.asarray(self.dr, dtype=float)
         if de.shape != dr.shape or de.ndim != 1 or de.size < 2:
             raise ValueError("curve needs matching 1-D de/dr arrays, >= 2 points")
+        if not (np.isfinite(de).all() and np.isfinite(dr).all()):
+            raise ValueError("curve coordinates must be finite")
         if not (np.diff(de) > 0).all():
             raise ValueError("de grid must be strictly increasing")
         if (np.diff(dr) > 1e-12).any():
@@ -402,9 +404,15 @@ def _xlog(a: np.ndarray) -> np.ndarray:
 def _gap_value_grad(z: np.ndarray, K: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Objective I(U;Y) - I(S;U) and its gradient wrt the packed variables,
     for each row of the (B, 4K) array ``z``.  Each row's numbers depend on
-    that row alone: the passes are elementwise or reduce within a row."""
+    that row alone: the passes are elementwise or reduce within a row.
+
+    The two sums over the length-2 ``s`` axis, p(u) and the (U, Y) joint's
+    y = 1 column, are written out as one ``np.add`` of the two slices:
+    numpy reduces two terms as exactly that sum, in a costlier call.  The
+    sums over ``u`` stay numpy's reductions in their layouts, which fix
+    their summation order (pairwise from K = 8 on a contiguous axis)."""
     B = len(z)
-    q = np.clip(z[:, : 2 * K].reshape(B, 2, K), 1e-15, None)
+    q = np.maximum(z[:, : 2 * K].reshape(B, 2, K), 1e-15)
     r = z[:, 2 * K:].reshape(B, K, 2)
     w1 = p + r * (1.0 - 2.0 * p)                      # P(Y=1 | u, s)
     # the two joints and three marginals share one buffer, so one pass takes
@@ -414,8 +422,9 @@ def _gap_value_grad(z: np.ndarray, K: int, p: float) -> tuple[np.ndarray, np.nda
     jus = np.multiply(0.5, q, out=buf[:, : 2 * K].reshape(B, 2, K)).transpose(0, 2, 1)
     juy = buf[:, 2 * K: 4 * K].reshape(B, K, 2)                     # joint of (U, Y)
     pu, ps, py = buf[:, 4 * K: 5 * K], buf[:, 5 * K: 5 * K + 2], buf[:, 5 * K + 2:]
-    jus.sum(axis=2, out=pu)
-    (jus * w1).sum(axis=2, out=juy[:, :, 1])
+    np.add(buf[:, :K], buf[:, K: 2 * K], out=pu)
+    jw = jus * w1
+    np.add(jw[:, :, 0], jw[:, :, 1], out=juy[:, :, 1])
     np.subtract(pu, juy[:, :, 1], out=juy[:, :, 0])
     jus.sum(axis=1, out=ps)
     juy.sum(axis=1, out=py)
@@ -493,23 +502,28 @@ def _best_decoder(q: np.ndarray) -> np.ndarray:
     return (q[..., 1, :] > q[..., 0, :]).astype(int)
 
 
-def _evaluate(z: np.ndarray, K: int, p: float) -> tuple[float, float, float, np.ndarray]:
-    q = np.clip(z[: 2 * K].reshape(2, K), 0.0, None)
-    q = q / q.sum(axis=1, keepdims=True)
-    r = np.clip(z[2 * K:].reshape(K, 2), 0.0, 1.0)
-    zz = np.concatenate([q.reshape(-1), r.reshape(-1)])
-    val = _gap_value_grad(zz[None], K, p)[0][0]
-    de = _de_value_grad(zz[None], K)[0][0]
-    dr = _dr_value_grad(zz[None], K, _best_decoder(q)[None])[0][0]
-    return float(val), float(de), float(dr), zz
+def _evaluate(z: np.ndarray, K: int,
+              p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rate gap, E[d_e] and E[d_r] of each row of the (B, 4K) array ``z``
+    once q is clipped to >= 0 and normalized and r clipped to [0, 1], and
+    those clipped rows."""
+    B = len(z)
+    q = np.clip(z[:, : 2 * K].reshape(B, 2, K), 0.0, None)
+    q = q / q.sum(axis=2, keepdims=True)
+    zz = np.concatenate([q.reshape(B, 2 * K), np.clip(z[:, 2 * K:], 0.0, 1.0)], axis=1)
+    return (_gap_value_grad(zz, K, p)[0], _de_value_grad(zz, K)[0],
+            _dr_value_grad(zz, K, _best_decoder(q))[0], zz)
 
 
 def _checked(z: np.ndarray, de: float, dr: float, K: int,
-             p: float) -> tuple[bool, float, np.ndarray]:
-    """Feasibility within both budgets (up to ``FEAS_TOL``), rate gap and
-    clipped variables of the point ``z``."""
+             p: float) -> list[tuple[bool, float, np.ndarray, np.ndarray]]:
+    """Feasibility within both budgets (up to ``FEAS_TOL``), rate gap,
+    clipped variables and their best hard decoder, one tuple for each row of
+    the (B, 4K) array ``z``."""
     val, de_got, dr_got, zz = _evaluate(z, K, p)
-    return de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL, val, zz
+    feasible = (de_got <= de + FEAS_TOL) & (dr_got <= dr + FEAS_TOL)
+    g = _best_decoder(zz[:, : 2 * K].reshape(len(z), 2, K))
+    return [(bool(f), float(v), row, gb) for f, v, row, gb in zip(feasible, val, zz, g)]
 
 
 def params_to_joint(params: BinaryAuxParams, K: int) -> np.ndarray:
@@ -641,9 +655,16 @@ def _screen(de: float, dr: float, p: float, K: int, z0s) -> list[tuple]:
     ``SCREEN_STEPS`` steps each start updates the multipliers of both budgets
     and re-picks its hard decoder; the screen takes ``SCREEN_ROUNDS`` such
     rounds, at most ``MAX_ITER`` steps in all.  Ends within ``SCREEN_SNAP``
-    of the budgets are then pulled onto them (``_snap``).  Every pass is
-    elementwise or reduces within one start, with no matrix product, so a
-    start's result does not depend on the other starts in the batch.
+    of the budgets are then pulled onto them (``_snap``), and all ends are
+    checked in one batched ``_checked``.  Every pass is elementwise or
+    reduces within one start, with no matrix product, so a start's result
+    does not depend on the other starts in the batch.
+
+    At the optimizer's sizes numpy's per-call overhead is most of a step's
+    time, so a step makes few calls: the objective unrolls its sums over
+    ``s`` (see ``_gap_value_grad``), E[d_r]'s gradient, which depends only
+    on the round's decoder, is built once a round, and accepted steps are
+    copied into the start's arrays in place.
 
     Returns one ``_run_start`` tuple per start.  Its status is 0 where the
     end is within both budgets and the last round raised the start's
@@ -660,27 +681,31 @@ def _screen(de: float, dr: float, p: float, K: int, z0s) -> list[tuple]:
     lam = np.zeros((B, 2))
     eta = np.full(B, SCREEN_ETA)
     nit = np.zeros(B, dtype=int)
+    trial = np.empty_like(z)
 
-    def lagrangian(z, lam, g):
-        """Augmented Lagrangian, its gradient and the budget excesses."""
+    def lagrangian(z, lam, grad_r):
+        """Augmented Lagrangian, its gradient and the budget excesses, given
+        the round's gradient ``grad_r`` of E[d_r], which is E[d_r]'s
+        coefficients too."""
         f, grad = _gap_value_grad(z, K, p)
         d_e, grad_e = _de_value_grad(z, K)
-        d_r, grad_r = _dr_value_grad(z, K, g)
-        h = np.stack([d_e - de, d_r - dr], axis=1)
+        h = np.empty((B, 2))
+        np.subtract(d_e, de, out=h[:, 0])
+        np.subtract((z[:, : 2 * K] * grad_r[:, : 2 * K]).sum(axis=1), dr, out=h[:, 1])
         m = np.maximum(lam + SCREEN_RHO * h, 0.0)
         pen = m * m - lam * lam
         grad -= m[:, :1] * grad_e + m[:, 1:] * grad_r
         return f - (pen[:, 0] + pen[:, 1]) / (2.0 * SCREEN_RHO), grad, h
 
     def step(z, grad, eta):
+        """Write the step from ``z`` along ``grad`` into ``trial``."""
         e = eta[:, None]
         q = z[:, : 2 * K].reshape(B, 2, K)
         lq = (e * grad[:, : 2 * K]).reshape(B, 2, K)
         q_new = q * np.exp(lq - lq.max(axis=2, keepdims=True))
+        np.divide(q_new, q_new.sum(axis=2, keepdims=True), out=trial[:, : 2 * K].reshape(B, 2, K))
         jus = np.maximum(0.5 * q.transpose(0, 2, 1).reshape(B, 2 * K), SCREEN_FLOOR)
-        r_new = np.clip(z[:, 2 * K:] + e * grad[:, 2 * K:] / jus, 0.0, 1.0)
-        return np.concatenate([(q_new / q_new.sum(axis=2, keepdims=True)).reshape(B, 2 * K),
-                               r_new], axis=1)
+        np.clip(z[:, 2 * K:] + e * grad[:, 2 * K:] / jus, 0.0, 1.0, out=trial[:, 2 * K:])
 
     steps = min(SCREEN_ROUNDS * SCREEN_STEPS, MAX_ITER)
     nfev = 0
@@ -688,29 +713,27 @@ def _screen(de: float, dr: float, p: float, K: int, z0s) -> list[tuple]:
         if k % SCREEN_STEPS == 0:
             if k:
                 lam = np.maximum(lam + SCREEN_RHO * h, 0.0)
-            g = _best_decoder(z[:, : 2 * K].reshape(B, 2, K))
-            val, grad, h = lagrangian(z, lam, g)
-            round_start = val
+            # E[d_r] is linear in z for the round's decoder
+            grad_r = _dr_value_grad(z, K, _best_decoder(z[:, : 2 * K].reshape(B, 2, K)))[1]
+            val, grad, h = lagrangian(z, lam, grad_r)
+            round_start = val.copy()      # val takes accepted steps in place
             nfev += 1
-        trial = step(z, grad, eta)
-        t_val, t_grad, t_h = lagrangian(trial, lam, g)
+        step(z, grad, eta)
+        t_val, t_grad, t_h = lagrangian(trial, lam, grad_r)
         nfev += 1
         up = t_val >= val
-        z = np.where(up[:, None], trial, z)
-        val = np.where(up, t_val, val)
-        grad = np.where(up[:, None], t_grad, grad)
-        h = np.where(up[:, None], t_h, h)
-        eta = np.where(up, 2.0 * eta, 0.5 * eta)
+        np.copyto(z, trial, where=up[:, None])
+        np.copyto(val, t_val, where=up)
+        np.copyto(grad, t_grad, where=up[:, None])
+        np.copyto(h, t_h, where=up[:, None])
+        eta *= np.where(up, 2.0, 0.5)
         nit += up
     gain = val - round_start if steps else np.zeros(B)
     z = _snap(z, de, dr, K)
     seconds = (time.perf_counter() - t0) / B
-    ends = []
-    for b in range(B):
-        feasible, value, zz = _checked(z[b], de, dr, K, p)
-        ends.append((0 if feasible and gain[b] <= SCREEN_GAIN_TOL else 9, feasible, value, zz,
-                     _best_decoder(zz[: 2 * K].reshape(2, K)), (int(nit[b]),), (nfev,), seconds))
-    return ends
+    return [(0 if feasible and gain[b] <= SCREEN_GAIN_TOL else 9, feasible, value, zz, g,
+             (int(nit[b]),), (nfev,), seconds)
+            for b, (feasible, value, zz, g) in enumerate(_checked(z, de, dr, K, p))]
 
 
 def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray) -> tuple:
@@ -750,7 +773,7 @@ def _run_start(de: float, dr: float, p: float, K: int, z0: np.ndarray) -> tuple:
         if (g_new == g).all():
             break
         g = g_new
-    feasible, val, zz = _checked(z, de, dr, K, p)
+    [(feasible, val, zz, _)] = _checked(z[None], de, dr, K, p)
     return (int(res.status), feasible, val, zz, g, tuple(nit), tuple(nfev),
             time.perf_counter() - t0)
 
@@ -788,8 +811,7 @@ def _solve(de: float, dr: float, p: float, K: int, starts) -> RateFnResult:
     for (kind, z0), ends in zip(starts, rounds):
         points = [(feasible, val, zz, g) for _, feasible, val, zz, g, *_ in ends]
         if kind != "random":
-            feasible, val, zz = _checked(z0, de, dr, K, p)
-            points.insert(0, (feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K))))
+            points.insert(0, _checked(z0[None], de, dr, K, p)[0])
         kept.append(max((pt for pt in points if pt[0]), key=lambda pt: pt[1], default=points[-1]))
 
     # max keeps the first of equal values: the winner is picked in start order
@@ -805,9 +827,8 @@ def _solve(de: float, dr: float, p: float, K: int, starts) -> RateFnResult:
         # the uniform independent auxiliary is always feasible when dr ~ 1/2,
         # otherwise report the (infeasible-start) sentinel
         z = np.concatenate([np.full(2 * K, 1.0 / K), np.full(2 * K, 0.5)])
-        feasible, value, zz = _checked(z, de, dr, K, p)
+        [(feasible, value, zz, g)] = _checked(z[None], de, dr, K, p)
         value = value if feasible else -np.inf
-        g = _best_decoder(zz[: 2 * K].reshape(2, K))
         converged = False
     records = tuple(
         StartRecord(kind, feasible, val, sum((e[5] for e in ends), ()),

@@ -73,7 +73,7 @@ class DistortionTriple:
     drf: float
 
     def __post_init__(self):
-        if self.de < 0:
+        if not self.de >= 0:
             raise ValueError("de must be >= 0")
         if not (0 < self.drf <= self.drc):
             raise ValueError("need 0 < drf <= drc")

@@ -548,13 +548,6 @@ def run_trials(cb, trials: int, seed: int, source, channel, *, encode_radius: fl
     )
 
 
-def binomial_sigma(rate: float, trials: int) -> float:
-    """Standard deviation of an empirical rate over the given trial count."""
-    if trials <= 0:
-        return 0.0
-    return math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:

@@ -31,8 +31,9 @@ from authdist.regions_layered import (
     time_share,
 )
 from authdist.sim_binary import SimConfig, build_codebook, run_attack_trials, run_reference_trials
-from authdist.sim_common import binomial_sigma, stream
+from authdist.sim_common import stream
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
+from binomial import binomial_sigma
 
 
 def report(num: int, detail: str) -> None:

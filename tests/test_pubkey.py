@@ -76,6 +76,9 @@ def test_a_key_outside_1_to_64_bytes_is_refused(scheme):
             scheme.sign(msg, key)
         with pytest.raises(ValueError, match="1 to 64 bytes"):
             scheme.verify(msg, tag, key)
+        # the key is checked before the tag's length
+        with pytest.raises(ValueError, match="1 to 64 bytes"):
+            scheme.verify(msg, tag[:63], key)
 
 
 def test_index_bits_width_and_value():

@@ -140,12 +140,16 @@ def test_params_validation():
     (lambda: RegionCurve([0.1, 0.1], [0.5, 0.4]), "strictly increasing"),
     (lambda: RegionCurve([0.0, 0.1], [0.4, 0.5]), "non-increasing"),
     (lambda: RegionCurve([0.0, 0.6], [0.5, 0.4]), "lie in"),
+    (lambda: RegionCurve([0.0, 0.1], [np.nan, np.nan]), "finite"),
+    (lambda: RegionCurve([0.0, np.nan], [0.5, 0.4]), "finite"),
+    (lambda: RegionCurve([0.0, 0.1], [np.inf, 0.4]), "finite"),
     (lambda: embedding_capacity(-0.1, 0.2), "De must be in"),
     (lambda: embedding_capacity(0.6, 0.2), "De must be in"),
     (lambda: embedding_capacity(0.1, -0.1), "crossover must be in"),
     (lambda: embedding_capacity(0.1, 0.6), "crossover must be in"),
     (lambda: params_to_joint(BinaryAuxParams(0.5, 0.1, 0.05), 3), "at least 4"),
 ], ids=["one point", "two axes", "repeated de", "rising dr", "de above 1/2",
+        "nan dr", "nan de", "inf dr",
         "capacity de < 0", "capacity de > 1/2", "capacity p < 0", "capacity p > 1/2",
         "joint K = 3"])
 def test_curves_capacity_and_embedding_refuse_arguments_outside_their_domain(call, message):
@@ -344,7 +348,7 @@ class TestOptimizeRateFn:
 
     def test_parametric_seed_evaluates_exactly(self):
         w = BinaryAuxParams(0.5, 0.1, 0.05)
-        val, de, dr, _ = _evaluate(params_to_joint(w, 7), 7, 0.2)
+        (val,), (de,), (dr,), _ = _evaluate(params_to_joint(w, 7)[None], 7, 0.2)
         assert val == pytest.approx(rate_gap(w, 0.2), abs=1e-12)
         assert (de, dr) == (pytest.approx(0.05, abs=1e-12), pytest.approx(0.075, abs=1e-12))
 
@@ -436,12 +440,8 @@ def _fake_rounds(monkeypatch, screen, polish, status=lambda x0: 0):
     def mapped(de, dr, p, K, z0s):
         """Stand-in for the batched screen: maps each start through ``screen``
         and evaluates the image as the screen evaluates its ends."""
-        ends = []
-        for z0 in z0s:
-            feasible, val, zz = _checked(screen(z0), de, dr, K, p)
-            ends.append((0, feasible, val, zz, _best_decoder(zz[: 2 * K].reshape(2, K)),
-                         (1,), (1,), 0.0))
-        return ends
+        return [(0, *end, (1,), (1,), 0.0)
+                for end in _checked(np.array([screen(z0) for z0 in z0s]), de, dr, K, p)]
 
     monkeypatch.setattr(regions_binary, "_screen", mapped)
     monkeypatch.setattr(regions_binary, "minimize", _fake_minimize(polish, status))
@@ -453,16 +453,16 @@ def _oracle(screen, polish, restarts=12):
     (value, start index) order, and each start's kept (feasible, value)."""
     de, dr, p, K = BUDGETS
     starts = _starts(de, dr, p, K, restarts, 0)
-    screened = [_checked(screen(z0), de, dr, K, p) for _, z0 in starts]
+    screened = _checked(np.array([screen(z0) for _, z0 in starts]), de, dr, K, p)
     leaders = [i for i in sorted(range(len(starts)), key=lambda i: (-screened[i][1], i))
                if screened[i][0]][:POLISH_COUNT]
     kept = []
     for i, (kind, z0) in enumerate(starts):
         points = [screened[i][:2]]
         if i in leaders:
-            points.append(_checked(polish(screened[i][2]), de, dr, K, p)[:2])
+            points.append(_checked(polish(screened[i][2])[None], de, dr, K, p)[0][:2])
         if kind != "random":
-            points.append(_checked(z0, de, dr, K, p)[:2])
+            points.append(_checked(z0[None], de, dr, K, p)[0][:2])
         feasible = [v for f, v in points if f]
         kept.append((True, max(feasible)) if feasible else points[0])
     return leaders, kept
@@ -501,8 +501,8 @@ class TestScreenAndPolish:
         _fake_rounds(monkeypatch, _off, _off)
         res = optimize_rate_fn(*BUDGETS, restarts=4, seed=0)
         de, dr, p, K = BUDGETS
-        seeds = [_checked(z0, de, dr, K, p) for _, z0 in _boundary_seed(de, dr, p, K)]
-        assert len(seeds) == 2 and all(f for f, _, _ in seeds)
+        seeds = _checked(np.array([z0 for _, z0 in _boundary_seed(de, dr, p, K)]), de, dr, K, p)
+        assert len(seeds) == 2 and all(f for f, *_ in seeds)
         best = max(range(2), key=lambda i: seeds[i][1])
         assert res.value == seeds[best][1]
         assert np.array_equal(res.q_u_given_s.reshape(-1), seeds[best][2][:2 * K])
@@ -513,8 +513,8 @@ class TestScreenAndPolish:
     @pytest.mark.parametrize("de, dr, p", [(0.25, 0.201, 0.2), (0.1, 0.15, 0.05), (0.2, 0.2, 0.2)])
     def test_polish_never_reports_less_than_a_feasible_seed(self, de, dr, p):
         res = optimize_rate_fn(de, dr, p, restarts=4, seed=0)
-        for _, z0 in _boundary_seed(de, dr, p, 7):
-            feasible, val, _ = _checked(z0, de, dr, 7, p)
+        for feasible, val, *_ in _checked(np.array([z0 for _, z0 in _boundary_seed(de, dr, p, 7)]),
+                                          de, dr, 7, p):
             if feasible:
                 assert res.value >= val
 
@@ -586,7 +586,7 @@ def test_screen_ends_within_the_snap_are_pulled_onto_the_budgets():
     de, dr, p, K = 0.25, 0.2013, 0.2, 7
     z0s = [z0 for _, z0 in _starts(de, dr, p, K, 32, 0)]
     for end in _screen(de, dr, p, K, z0s):
-        _, de_got, dr_got, _ = _evaluate(end[3], K, p)
+        _, (de_got,), (dr_got,), _ = _evaluate(end[3][None], K, p)
         assert end[1] == (de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL)
         assert end[1] or max(de_got - de, dr_got - dr) > regions_binary.SCREEN_SNAP
 

@@ -86,11 +86,12 @@ def test_triple_validation():
     (lambda: LayeredParams(0.5, 0.5, math.nan, 1.0), "must be finite"),
     (lambda: LayeredParams(0.5, 0.5, 1.0, math.inf), "must be finite"),
     (lambda: DistortionTriple(-1e-9, 0.5, 0.2), "de must be >= 0"),
+    (lambda: DistortionTriple(math.nan, 0.5, 0.2), "de must be >= 0"),
     (lambda: DistortionTriple(1.0, 0.5, 0.0), "0 < drf <= drc"),
     (lambda: region_slice(SCN, 0.0), "De must be positive"),
     (lambda: region_slice(SCN, -1.0), "De must be positive"),
 ], ids=["scenario s2 = 0", "scenario v2 < 0", "params nan alpha", "params inf beta",
-        "triple de < 0", "triple drf = 0", "slice De = 0", "slice De < 0"])
+        "triple de < 0", "triple nan de", "triple drf = 0", "slice De = 0", "slice De < 0"])
 def test_layered_types_and_slice_refuse_arguments_outside_their_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()

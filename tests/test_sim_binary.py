@@ -16,7 +16,8 @@ from authdist.sim_binary import (
     unpack_bits,
     _random_words,
 )
-from authdist.sim_common import binomial_sigma, stream
+from authdist.sim_common import stream
+from binomial import binomial_sigma
 
 
 def make_config(**kw):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from authdist import sim_gaussian
-from authdist.sim_common import binomial_sigma, stream
 from authdist.sim_gaussian import (
     GaussCodebook,
     GaussSimConfig,
     build_gauss_codebook,
     run_gauss_trials,
 )
+from binomial import binomial_sigma
 
 
 def make_config(**kw):

@@ -22,6 +22,7 @@ from authdist.sim_binary import (BinCodebook, SimConfig, _random_words, bsc_chan
                                  build_codebook, pack_bits, run_attack_trials,
                                  run_reference_trials, uniform_words)
 from authdist.sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
+from binomial import binomial_sigma
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -101,7 +102,7 @@ def test_stats_refuse_counts_above_the_trials_run_and_sigma_of_no_trials_is_zero
                   "attack_successes", "attack_trials"):
         with pytest.raises(ValueError, match="counts must lie"):
             sim_common.TrialStats(trials_run=3, **{field: 4})
-    assert sim_common.binomial_sigma(0.5, 0) == 0.0
+    assert binomial_sigma(0.5, 0) == 0.0
 
 
 @pytest.mark.oracle
