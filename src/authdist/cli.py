@@ -40,6 +40,9 @@ from .sim_common import ATTACKERS, wilson_interval
 from .sim_gaussian import GaussSimConfig, build_gauss_codebook, run_gauss_trials
 
 DB_GRID_LO, DB_GRID_HI = -20.0, 40.0
+# bound on every dB argument: variances within 1e-100..1e100, where the region
+# and trial arithmetic stays finite (10^(x/10) itself is finite up to 3082 dB)
+DB_LIMIT = 1000.0
 
 
 def _fmt(x: float) -> str:
@@ -59,14 +62,11 @@ def _db(x: float) -> float:
 
 
 def _from_db(x: float) -> float:
-    """10^(x/10), refused with ValueError when it is not a finite float."""
-    try:
-        value = 10.0 ** (x / 10.0)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{_fmt(x)} dB is out of range")
-    return value
+    """10^(x/10), refused with ValueError outside [-DB_LIMIT, DB_LIMIT] dB
+    (NaN included)."""
+    if not -DB_LIMIT <= x <= DB_LIMIT:
+        raise ValueError(f"{_fmt(x)} dB is out of range [{_fmt(-DB_LIMIT)}, {_fmt(DB_LIMIT)}]")
+    return 10.0 ** (x / 10.0)
 
 
 def _checksum(results) -> str:

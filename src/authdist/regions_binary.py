@@ -65,16 +65,11 @@ AGREE_TOL = 1e-9
 LN2 = math.log(2.0)
 
 
-def __getattr__(name: str):
-    """Import scipy's ``minimize`` on the first lookup of the module global
-    of that name, so that only ``optimize_rate_fn`` pays for scipy.optimize.
-    Once bound, the global is found without this hook, and a replacement
-    assigned to it stays in place."""
-    if name == "minimize":
-        global minimize
-        from scipy.optimize import minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def minimize(*args, **kwargs):
+    """scipy's ``minimize``, imported when called, so that only
+    ``optimize_rate_fn`` pays for scipy.optimize."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -502,27 +497,20 @@ def _best_decoder(q: np.ndarray) -> np.ndarray:
     return (q[..., 1, :] > q[..., 0, :]).astype(int)
 
 
-def _evaluate(z: np.ndarray, K: int,
-              p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rate gap, E[d_e] and E[d_r] of each row of the (B, 4K) array ``z``
-    once q is clipped to >= 0 and normalized and r clipped to [0, 1], and
-    those clipped rows."""
-    B = len(z)
-    q = np.clip(z[:, : 2 * K].reshape(B, 2, K), 0.0, None)
-    q = q / q.sum(axis=2, keepdims=True)
-    zz = np.concatenate([q.reshape(B, 2 * K), np.clip(z[:, 2 * K:], 0.0, 1.0)], axis=1)
-    return (_gap_value_grad(zz, K, p)[0], _de_value_grad(zz, K)[0],
-            _dr_value_grad(zz, K, _best_decoder(q))[0], zz)
-
-
 def _checked(z: np.ndarray, de: float, dr: float, K: int,
              p: float) -> list[tuple[bool, float, np.ndarray, np.ndarray]]:
     """Feasibility within both budgets (up to ``FEAS_TOL``), rate gap,
     clipped variables and their best hard decoder, one tuple for each row of
-    the (B, 4K) array ``z``."""
-    val, de_got, dr_got, zz = _evaluate(z, K, p)
-    feasible = (de_got <= de + FEAS_TOL) & (dr_got <= dr + FEAS_TOL)
-    g = _best_decoder(zz[:, : 2 * K].reshape(len(z), 2, K))
+    the (B, 4K) array ``z`` once q is clipped to >= 0 and normalized and r
+    clipped to [0, 1]."""
+    B = len(z)
+    q = np.clip(z[:, : 2 * K].reshape(B, 2, K), 0.0, None)
+    q = q / q.sum(axis=2, keepdims=True)
+    zz = np.concatenate([q.reshape(B, 2 * K), np.clip(z[:, 2 * K:], 0.0, 1.0)], axis=1)
+    g = _best_decoder(q)
+    feasible = ((_de_value_grad(zz, K)[0] <= de + FEAS_TOL)
+                & (_dr_value_grad(zz, K, g)[0] <= dr + FEAS_TOL))
+    val = _gap_value_grad(zz, K, p)[0]
     return [(bool(f), float(v), row, gb) for f, v, row, gb in zip(feasible, val, zz, g)]
 
 
@@ -558,13 +546,12 @@ def best_family_member(de: float, dr: float, p: float) -> BinaryAuxParams | None
         return BinaryAuxParams(min(1.0, de / 0.25), 0.25, GRID_EPS)
     T, V, B1, B2 = _tau_nu_table(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_de = np.where(T > 0, de / T, np.inf)
         a_dr = np.where(T > V, (dr - V) / (T - V), np.inf)
         # cells where the uncoded branch alone busts the reconstruction
         # budget need alpha large enough, which may contradict the encoding
         # budget
         a_lo = np.where(V > dr, np.where(T < V, (V - dr) / (V - T), np.inf), 0.0)
-    a_hi = np.minimum(1.0, np.minimum(a_de, a_dr))
+    a_hi = np.minimum(_alpha_limit(de, T), a_dr)
     feasible = (a_hi >= 0.0) & (a_lo <= np.minimum(a_hi, 1.0) + 1e-15)
     if not feasible.any():
         return None
@@ -899,13 +886,12 @@ def optimize_rate_fn(
     if not starts:
         raise ValueError("no start to run: restarts must be >= 1 where no parametric "
                          "seed applies (cardinality < 4 or no family member within the budgets)")
-    if "minimize" not in globals():
-        __getattr__("minimize")
+    # imported before the fork, so that each call's worker inherits it
+    import scipy.optimize  # noqa: F401
 
     # fork, named because the default start method differs across Python
     # versions and platforms: the worker inherits the imported modules
-    # (spawn would import scipy again) and ``minimize`` as bound above,
-    # which ``_run_start`` calls through the module global.
+    # (spawn would import scipy again).
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(),)) as ex:
         return ex.submit(_solve, de, dr, p, K, starts).result()

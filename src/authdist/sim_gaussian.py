@@ -163,8 +163,10 @@ class GaussCodebook(Codebook):
         return idx, np.where(far, math.inf, self.distortion(idx, targets))
 
     def distortion(self, indices: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Per-sample squared error between codewords and target rows."""
-        return ((self.codewords[indices] - targets) ** 2).mean(axis=1)
+        """Per-sample squared error between codewords and target rows, inf
+        where it overflows (beyond every radius)."""
+        with np.errstate(over="ignore"):
+            return ((self.codewords[indices] - targets) ** 2).mean(axis=1)
 
 
 def build_gauss_codebook(config: GaussSimConfig) -> GaussCodebook:

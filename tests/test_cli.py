@@ -323,6 +323,11 @@ def test_more_trials_than_the_trial_streams_serve_are_a_configuration_error(kind
      "--de-db", "4000"],
     ["sim", "gaussian", "--snr-db", "4000", "--seed", "1", "--seed-secret", "2"],
     ["sim", "gaussian", "--snr-db", "nan", "--seed", "1", "--seed-secret", "2"],
+    # finite variances, but beyond the +-1000 dB that the arithmetic after them serves
+    ["region-gaussian", "--snr-db", "3060"],
+    ["sim", "gaussian", "--snr-db", "3080", "--seed", "1", "--seed-secret", "2"],
+    ["region-layered", "--snr-db", "-3000", "--sigma-v-db", "10", "--de-db", "0"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "10", "--de-db", "-1000.5"],
 ])
 def test_a_db_argument_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
     out = tmp_path / "x.out"
@@ -421,7 +426,7 @@ def test_an_allocation_too_large_is_a_configuration_error(argv, tmp_path, capsys
      "p must be in [0, 1/2]"),
     (["sim", "pk", "--tag-bits", "7", "--seed", "1", "--seed-secret", "2"],
      "tag_bits must be in [8, 512]"),
-    (["region-layered", "--snr-db", "-3000", "--sigma-v-db", "10", "--de-db", "0"],
+    (["region-layered", "--snr-db", "0", "--sigma-v-db", "0", "--de-db", "-300"],
      "empty slice; no endpoints available"),
     (["sim", "--from-manifest", "bogus.json"], "unknown sim kind 'bogus'"),
 ])
@@ -437,6 +442,40 @@ def test_a_parameter_outside_its_domain_is_a_configuration_error(argv, message, 
     assert main([*argv, "--out", "x.out"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
     assert not pathlib.Path("x.out").exists()
+
+
+EDGE_SEEDS = ["--trials", "20", "--seed", "1", "--seed-secret", "2"]
+DB_ARGUMENTS = [   # X stands for the dB value under test
+    ["region-gaussian", "--snr-db", "X", "--resolution", "20"],
+    ["region-layered", "--snr-db", "X", "--sigma-v-db", "10", "--de-db", "0", "--resolution", "10"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "X", "--de-db", "0", "--resolution", "10"],
+    ["region-layered", "--snr-db", "30", "--sigma-v-db", "10", "--de-db", "X", "--resolution", "10"],
+    ["sim", "gaussian", "--n", "4", "--snr-db", "X", *EDGE_SEEDS],
+]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("argv", [
+    *([x if arg == "X" else arg for arg in argv] for argv in DB_ARGUMENTS
+      for x in ("-1000", "1000", "-1000.5", "1000.5")),
+    ["region-binary", "--p", "5e-324", "--resolution", "21"],
+    ["optimize", "--de", "0.2", "--dr", "0.2", "--p", "5e-324", "--cardinality", "4",
+     "--restarts", "1"],
+    ["sim", "gaussian", "--n", "8", "--attacker", "heavy_noise", "--attack-p", "1e308",
+     *EDGE_SEEDS],
+    ["sim", "binary", "--n", "16", "--delta", "1e308", *EDGE_SEEDS],
+], ids=" ".join)
+def test_every_command_at_the_edges_of_its_validators_finishes_cleanly(argv, tmp_path, capsys):
+    # a numpy warning fails this test (pyproject's filterwarnings), as a traceback would
+    out = tmp_path / "x.out"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        text = out.read_text().lower()
+        assert err == [] and "nan" not in text and "inf" not in text
+    else:
+        assert code == 2 and len(err) == 1 and err[0].startswith("configuration error: ")
+        assert not out.exists()
 
 
 NO_SCIPY_SCRIPT = r"""
@@ -462,8 +501,12 @@ for name, argv in (
     report[name] = loaded()
 
 from authdist import regions_binary
-import scipy.optimize
-report["minimize"] = regions_binary.minimize is scipy.optimize.minimize
+regions_binary.minimize
+report["look up regions_binary.minimize"] = loaded()
+res = regions_binary.minimize(lambda x: (x[0] - 1.0) ** 2, [0.0], method="SLSQP",
+                              constraints=[{"type": "ineq", "fun": lambda x: 0.5 - x[0]}])
+solved = bool(res.success and abs(res.x[0] - 0.5) < 1e-6)
+report["call regions_binary.minimize"] = [solved, "scipy.optimize" in loaded()]
 print(json.dumps(report))
 """
 
@@ -478,6 +521,6 @@ def test_import_and_commands_that_call_no_scipy_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # the module global that the optimizer's worker calls resolves to scipy's
-    assert report.pop("minimize") is True
+    # the optimizer's minimize imports scipy.optimize when called, not when looked up
+    assert report.pop("call regions_binary.minimize") == [True, True]
     assert report == {name: [] for name in report}

@@ -15,6 +15,7 @@ from authdist.regions_binary import (
     POLISH_FTOL,
     BinaryAuxParams,
     RegionCurve,
+    best_family_member,
     boundary,
     embedding_capacity,
     optimize_rate_fn,
@@ -26,7 +27,6 @@ from authdist.regions_binary import (
     _de_grid,
     _de_value_grad,
     _dr_value_grad,
-    _evaluate,
     _gap_value_grad,
     _inv_entropy,
     _screen,
@@ -348,7 +348,9 @@ class TestOptimizeRateFn:
 
     def test_parametric_seed_evaluates_exactly(self):
         w = BinaryAuxParams(0.5, 0.1, 0.05)
-        (val,), (de,), (dr,), _ = _evaluate(params_to_joint(w, 7)[None], 7, 0.2)
+        [(_, val, zz, g)] = _checked(params_to_joint(w, 7)[None], 0.5, 0.5, 7, 0.2)
+        de = _de_value_grad(zz[None], 7)[0][0]
+        dr = _dr_value_grad(zz[None], 7, g[None])[0][0]
         assert val == pytest.approx(rate_gap(w, 0.2), abs=1e-12)
         assert (de, dr) == (pytest.approx(0.05, abs=1e-12), pytest.approx(0.075, abs=1e-12))
 
@@ -399,6 +401,14 @@ class TestOptimizeRateFn:
         assert [k for k, _ in _boundary_seed(0.1, 0.15, 0.2, 7)] == ["family"]
         assert [k for k, _ in _boundary_seed(0.25, 0.201, 0.2, 7)] == ["family", "capacity"]
         assert [k for k, _ in _boundary_seed(0.0, 0.0, 0.2, 7)] == []
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320])
+    def test_family_member_at_a_subnormal_crossover(self, p):
+        # D_e / tau overflows in the tau = p row, whose alpha limit is then 1
+        w = best_family_member(0.2, 0.2, p)
+        de, dr = param_distortions(w)
+        assert de <= 0.2 + 1e-12 and dr <= 0.2 + 1e-12
+        assert rate_gap(w, p) > 0.0
 
 
 BUDGETS = (0.5, 0.5, 0.2, 7)
@@ -586,7 +596,9 @@ def test_screen_ends_within_the_snap_are_pulled_onto_the_budgets():
     de, dr, p, K = 0.25, 0.2013, 0.2, 7
     z0s = [z0 for _, z0 in _starts(de, dr, p, K, 32, 0)]
     for end in _screen(de, dr, p, K, z0s):
-        _, (de_got,), (dr_got,), _ = _evaluate(end[3][None], K, p)
+        [(_, _, zz, g)] = _checked(end[3][None], de, dr, K, p)
+        de_got = _de_value_grad(zz[None], K)[0][0]
+        dr_got = _dr_value_grad(zz[None], K, g[None])[0][0]
         assert end[1] == (de_got <= de + FEAS_TOL and dr_got <= dr + FEAS_TOL)
         assert end[1] or max(de_got - de, dr_got - dr) > regions_binary.SCREEN_SNAP
 

@@ -132,6 +132,15 @@ def test_every_attacker_respects_the_marking_bound(codebook):
         assert stats.attack_rate <= bound + 3 * sigma
 
 
+@pytest.mark.parametrize("attack_p", [1e300, 1e308, 1.7e308])
+def test_an_attack_whose_distances_overflow_is_rejected_without_a_warning(codebook, attack_p):
+    # a squared distance that overflows is inf, beyond every radius
+    assert codebook.distortion(np.array([0]), np.full((1, 8), 1e200))[0] == math.inf
+    stats = run_gauss_trials(make_config(trials=300), "heavy_noise", attack_p, codebook=codebook)
+    assert stats.decode_failures == stats.attack_trials == 300
+    assert stats.attack_successes == 0
+
+
 def test_encode_budget_counts_failures(codebook):
     cfg = make_config(trials=200)
     stats = run_gauss_trials(cfg, encode_budget=1e-6, codebook=codebook)
